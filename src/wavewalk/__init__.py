@@ -30,6 +30,7 @@ from .gallery import GALLERY_NAMES, gallery_path, load_gallery
 from .ifs import DigitWord, PathSystem, frac
 from .measures import (
     FiniteCoordFn,
+    LatticeMasses,
     MeasureValue,
     TruncationPolicy,
     check_negative_embedding,
@@ -39,6 +40,7 @@ from .measures import (
     harmonic_on_grid,
     integer_atom,
     lattice_mass,
+    lattice_masses,
     refinement_check,
     scaled_lattice_mass,
     zero_path_atom,

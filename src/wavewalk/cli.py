@@ -18,7 +18,7 @@ from .diagnostics import diagnose_convergence, estimate_cylinder, sample_path
 from .errors import WavewalkError
 from .filters import FilterSpec, validate_filter
 from .ifs import DigitWord, PathSystem
-from .measures import TruncationPolicy, _atom_array, lattice_mass
+from .measures import TruncationPolicy, _atom_array, lattice_masses
 from .scaling import cascade, scaling_norm_sq, wavelet_coeffs, wavelet_from_scaling
 from .serialize import csv_text, json_text
 from .transfer import power_iterate, ruelle_measure
@@ -44,8 +44,6 @@ def _add_common(p, *names):
         p.add_argument("--tol", type=float, default=None)
     p.add_argument("--out", default="-")
     p.add_argument("--format", choices=("csv", "json"), default=None)
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker cap for sweeps (vectorized paths run in-process)")
 
 
 def build_parser() -> _Parser:
@@ -205,10 +203,11 @@ def _run(args) -> int:
         return 0
 
     if args.command == "harmonic":
-        policy = _policy(args)
+        xs = _grid(system, args.grid_level)
+        masses = lattice_masses(spec, system, xs, _policy(args))
         rows = []
-        for x in _grid(system, args.grid_level):
-            mv = lattice_mass(spec, system, float(x), policy)
+        for i, x in enumerate(xs):
+            mv = masses.at(i)
             rows.append((float(x), mv.value, mv.converged, mv.tail_bound, mv.depth_used))
         _emit(args, meta_doc, {"rows": [list(r) for r in rows]},
               csv_header=["x", "value", "converged", "tail_bound", "depth_used"],

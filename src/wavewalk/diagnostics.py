@@ -22,10 +22,10 @@ from .filters import FilterSpec, eval_weight, weight_array
 from .ifs import DigitWord, PathSystem, frac
 from .measures import (
     TruncationPolicy,
-    _atom_array,
     expect_finite,
     harmonic_on_grid,
     lattice_mass,
+    lattice_masses,
     zero_path_atom,
 )
 
@@ -52,11 +52,9 @@ def cocycle_residual(spec: FilterSpec, system: PathSystem, x: float, policy: Tru
     periodicity of the weight.
     """
     lhs = eval_weight(spec, x) * lattice_mass(spec, system, x, policy).value
-    kk = policy.tail_cutoff_k
-    js = np.arange(-kk, kk + 1, dtype=np.float64)
     n = system.scale_n
-    vals, _, _, _ = _atom_array(spec, system, n * (x + js), policy)
-    return abs(lhs - float(np.sum(vals)))
+    rhs = lattice_masses(spec, system, [n * x], policy, stride=n).value[0]
+    return abs(lhs - float(rhs))
 
 
 # ----------------------------------------------------------------------
@@ -324,7 +322,7 @@ def estimate_cylinder(
     for s, target in enumerate(word):
         w = np.empty((nb, trials), dtype=np.float64)
         for i in range(nb):
-            w[i] = weight_array(spec, (y + i) / nb)
+            w[i] = weight_array(spec, system.branch_array(i, y))
         totals = w.sum(axis=0)
         if not np.all(totals > nb * 1e-15):
             raise DegenerateStep("all branch weights vanish at some sampled state")
@@ -332,7 +330,7 @@ def estimate_cylinder(
         digit = (us[s][None, :] >= cum).sum(axis=0)
         np.minimum(digit, nb - 1, out=digit)
         match &= digit == target
-        y = (y + digit) / nb
+        y = system.branch_array(digit, y)
     p_hat = float(match.mean())
     stderr = float(np.sqrt(p_hat * (1.0 - p_hat) / trials))
     return CylinderEstimate(estimate=p_hat, stderr=stderr, trials=trials, seed=seed)

@@ -17,7 +17,9 @@ FilterSpec instances are immutable; every function here is pure.
 from __future__ import annotations
 
 import cmath
+import functools
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -161,7 +163,9 @@ def eval_response(spec: FilterSpec, x: float) -> complex:
 def eval_weight(spec: FilterSpec, x: float) -> float:
     """The branch weight W(x): |response|^2, or a table lookup, in [0, 1]."""
     if spec.kind == KIND_COEFFICIENTS:
-        return abs(eval_response(spec, x)) ** 2
+        # the response is 1-periodic: reduce exactly to [-1/2, 1/2] first
+        r = math.remainder(x, 1.0) if math.isfinite(x) else math.nan
+        return abs(eval_response(spec, r)) ** 2
     r = x % 1.0
     if r >= 1.0:
         r = 0.0
@@ -192,48 +196,57 @@ def response_array(spec: FilterSpec, xs: np.ndarray) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=64)
 def _weight_taps(spec: FilterSpec):
-    """Autocorrelation taps of the coefficients: |m|^2 as a cosine series.
+    """Autocorrelation taps of the coefficients: |m|^2 as a trigonometric series.
 
     |m(x)|^2 = c_0 + 2 sum_{j>0} [Re c_j cos(2 pi j x) + Im c_j sin(2 pi j x)]
-    with c_j = sum_k conj(a_k) a_{k+j}.
+    with c_j = sum_k conj(a_k) a_{k+j}.  Returns (c_0, cos_taps, sin_taps)
+    with cos_taps[j-1] = 2 Re c_j and sin_taps[j-1] = 2 Im c_j; sin_taps is
+    empty when every c_j is real.  Cached per filter, as tuples.
     """
     cmap = dict(spec.coeffs)
     ks = sorted(cmap)
     span = ks[-1] - ks[0]
     c0 = sum(abs(v) ** 2 for v in cmap.values())
-    taps = []
-    for j in range(1, span + 1):
-        cj = sum(cmap[k].conjugate() * cmap.get(k + j, 0.0) for k in ks)
-        taps.append((cj.real, cj.imag))
-    return c0, taps
+    cs = [sum(cmap[k].conjugate() * cmap.get(k + j, 0.0) for k in ks) for j in range(1, span + 1)]
+    cos_taps = tuple(2.0 * c.real for c in cs)
+    sin_taps = tuple(2.0 * c.imag for c in cs) if any(c.imag for c in cs) else ()
+    return c0, cos_taps, sin_taps
+
+
+def _clenshaw(taps, c2: np.ndarray):
+    """Clenshaw sums (b_1, b_2) of sum_j taps[j-1] P_j(c) for the
+    recurrence P_{j+1} = 2c P_j - P_{j-1} (Chebyshev T or U), c2 = 2c.
+    """
+    b1, b2 = (taps[-1], 0.0) if taps else (0.0, 0.0)
+    for t in reversed(taps[:-1]):
+        b1, b2 = c2 * b1 - b2 + t, b1
+    return b1, b2
 
 
 def weight_array(spec: FilterSpec, xs: np.ndarray) -> np.ndarray:
     """Vectorized eval_weight.
 
-    Coefficient filters go through the exact cosine-series form of
-    |m|^2 (one trig pair plus a recurrence); round-off can leave values
-    a few ulp below 0, which is clamped away.
+    Coefficient filters sum the exact trigonometric series of |m|^2 at
+    the argument reduced to [-1/2, 1/2] (exactly, so a large |x| adds no
+    rounding to the angle).  The cosine series is summed by Clenshaw's
+    recurrence in c = cos 2 pi x: c_0 + sum_j a_j T_j(c) = c_0 + c b_1 - b_2.
+    The sine series, present only when some tap has an imaginary part,
+    is sin 2 pi x times sum_j s_j U_{j-1}(c), the b_1 of the same
+    recurrence.  Round-off can leave values a few ulp below 0, which is
+    clamped away.
     """
     xs = np.asarray(xs, dtype=np.float64)
     if spec.kind == KIND_COEFFICIENTS:
-        c0, taps = _weight_taps(spec)
-        ang = 2.0 * np.pi * xs
-        cos1 = np.cos(ang)
-        out = np.full(xs.shape, c0)
-        if taps:
-            sin1 = np.sin(ang)
-            cj, sj = cos1, sin1
-            re, im = taps[0]
-            out += 2.0 * re * cj
-            if im:
-                out += 2.0 * im * sj
-            for re, im in taps[1:]:
-                cj, sj = cj * cos1 - sj * sin1, sj * cos1 + cj * sin1
-                out += 2.0 * re * cj
-                if im:
-                    out += 2.0 * im * sj
+        c0, cos_taps, sin_taps = _weight_taps(spec)
+        ang = 2.0 * np.pi * (xs - np.rint(xs))
+        c = np.cos(ang)
+        c2 = 2.0 * c
+        b1, b2 = _clenshaw(cos_taps, c2)
+        out = c * b1 - b2 + c0
+        if sin_taps:
+            out += np.sin(ang) * _clenshaw(sin_taps, c2)[0]
         return np.maximum(out, 0.0)
     r = np.mod(xs, 1.0)
     r[r >= 1.0] = 0.0

@@ -13,7 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DigitOutOfRange, EmptyWord
+
+#: the largest float below 1.  (x + j)/N < 1 for x in [0, 1), but the
+#: float division can round up onto 1.0, where the weight would be read
+#: at 0; such a state is kept here instead, inside X = [0, 1).
+STATE_MAX = 1.0 - 2.0**-53
 
 
 def frac(x: float) -> float:
@@ -71,9 +78,16 @@ class PathSystem:
         return frac(self.scale_n * frac(x))
 
     def branch(self, j: int, x: float) -> float:
-        """Inverse branch (x + j)/N, the j-th right inverse of the shift."""
+        """Inverse branch (x + j)/N, the j-th right inverse of the shift.
+
+        For x in [0, 1) the result stays in [0, 1): see STATE_MAX.
+        """
         self._check_digit(j)
-        return (x + j) / self.scale_n
+        return min((x + j) / self.scale_n, STATE_MAX)
+
+    def branch_array(self, digits, ys) -> np.ndarray:
+        """Vectorized branch for states ys in [0, 1) and digits in [0, N)."""
+        return np.minimum((ys + digits) / self.scale_n, STATE_MAX)
 
     def digits_of(self, k: int) -> DigitWord:
         """Base-N digits of k >= 0, least significant first; empty word for 0."""

@@ -31,6 +31,10 @@ from .ifs import DigitWord, PathSystem, frac
 
 ATOM_UNDERFLOW = 1e-300
 
+#: elements per tile of the product kernel: a tile's dozen working arrays
+#: (128 KiB each) fit together in a 2 MiB L2 cache
+ATOM_TILE = 1 << 14
+
 #: hard cap on the number of enumerated words in exact tree sums
 MAX_TREE_WORDS = 1 << 20
 
@@ -87,40 +91,55 @@ def _atom_array(spec, system, xs, policy):
     """Truncated products prod_n W(x / N**n) over an array of real x.
 
     Returns (values, converged, depth_used, stall_deviation) with the
-    shape of xs.  Factors of an element stop being accumulated once its
-    product stalls at 1-ish factors or collapses to exactly 0.
+    shape of xs.  The array is worked through in tiles of ATOM_TILE
+    elements, each taken through all product steps before the next one
+    starts, so the working set stays in cache.  An element leaves its
+    tile at the step its product stalls at 1-ish factors or collapses to
+    exactly 0, and its results are written out once; elements still
+    live at product_depth are reported unconverged.
     """
     xs = np.asarray(xs, dtype=np.float64)
-    shape = xs.shape
     flat = xs.ravel()
-    n = system.scale_n
-    p = np.ones_like(flat)
-    done = np.zeros(flat.shape, dtype=bool)
-    depth_used = np.zeros(flat.shape, dtype=np.int64)
-    streak = np.zeros(flat.shape, dtype=np.int64)
-    last_dev = np.zeros(flat.shape, dtype=np.float64)
-    y = flat.copy()
-    for step in range(1, policy.product_depth + 1):
-        y = y / n
-        f = weight_array(spec, y)
-        live = ~done
-        p = np.where(live, p * f, p)
-        dev = np.abs(1.0 - f)
-        # near-1 factors only count toward a stall once the argument is
-        # inside |y| < 1/2: further halvings then stay near 0 and cannot
-        # wrap back onto accidental maxima of the periodic weight
-        near = (dev <= policy.convergence_tol) & (np.abs(y) < 0.5)
-        streak = np.where(live, np.where(near, streak + 1, 0), streak)
-        depth_used = np.where(live, step, depth_used)
-        dead = live & (p < ATOM_UNDERFLOW)
-        p = np.where(dead, 0.0, p)
-        last_dev = np.where(dead, 0.0, np.where(live, dev, last_dev))
-        done = done | dead | (live & (streak >= policy.stall_window))
-        if done.all():
-            break
+    values = np.empty(flat.shape, dtype=np.float64)
+    converged = np.zeros(flat.shape, dtype=bool)
+    depth_used = np.full(flat.shape, policy.product_depth, dtype=np.int64)
+    last_dev = np.empty(flat.shape, dtype=np.float64)
+    for start in range(0, flat.size, ATOM_TILE):
+        idx = np.arange(start, min(start + ATOM_TILE, flat.size))
+        y = flat[idx]
+        p = np.ones(idx.size)
+        streak = np.zeros(idx.size, dtype=np.int64)
+        for step in range(1, policy.product_depth + 1):
+            y /= system.scale_n
+            f = weight_array(spec, y)
+            p *= f
+            dev = np.abs(1.0 - f)
+            # near-1 factors only count toward a stall once the argument
+            # is inside |y| < 1/2: further divisions then stay near 0 and
+            # cannot wrap back onto accidental maxima of the periodic weight
+            near = (dev <= policy.convergence_tol) & (np.abs(y) < 0.5)
+            streak += 1
+            streak *= near
+            dead = p < ATOM_UNDERFLOW
+            stop = dead | (streak >= policy.stall_window)
+            if stop.any():
+                p[dead] = 0.0
+                dev[dead] = 0.0
+                out = idx[stop]
+                values[out] = p[stop]
+                converged[out] = True
+                depth_used[out] = step
+                last_dev[out] = dev[stop]
+                keep = np.flatnonzero(~stop)
+                idx, y, p, streak, dev = idx[keep], y[keep], p[keep], streak[keep], dev[keep]
+                if not idx.size:
+                    break
+        values[idx] = p
+        last_dev[idx] = dev
+    shape = xs.shape
     return (
-        p.reshape(shape),
-        done.reshape(shape),
+        values.reshape(shape),
+        converged.reshape(shape),
         depth_used.reshape(shape),
         last_dev.reshape(shape),
     )
@@ -179,54 +198,95 @@ def integer_atom(spec: FilterSpec, system: PathSystem, x: float, k: int, policy:
 # lattice masses
 
 
-def harmonic_on_grid(spec, system, xs, policy, chunk: int = 1 << 19) -> np.ndarray:
-    """sum_{|k| <= K} atom(x + k) for every x in xs, vectorized.
+@dataclass(frozen=True, eq=False)
+class LatticeMasses:
+    """Per-point lattice sums with their convergence bookkeeping.
 
-    This is the minimal harmonic function of the transfer operator,
-    truncated at K = policy.tail_cutoff_k.
+    Arrays of the shape of the points; tail_bound is NaN wherever
+    MeasureValue.tail_bound would be None.
+    """
+
+    value: np.ndarray
+    converged: np.ndarray
+    tail_bound: np.ndarray
+    depth_used: np.ndarray
+
+    def at(self, i: int) -> MeasureValue:
+        """The entry at flat index i as a MeasureValue."""
+        tail = float(self.tail_bound.flat[i])
+        return MeasureValue(
+            value=float(self.value.flat[i]),
+            converged=bool(self.converged.flat[i]),
+            tail_bound=None if np.isnan(tail) else tail,
+            depth_used=int(self.depth_used.flat[i]),
+        )
+
+
+def lattice_masses(
+    spec: FilterSpec, system: PathSystem, xs, policy: TruncationPolicy, stride: float = 1.0
+) -> LatticeMasses:
+    """Sums of atom(x + stride*k) over |k| <= K for every x in xs.
+
+    K = policy.tail_cutoff_k; stride 1 gives the mass of the embedded
+    integer lattice, stride N**j that of the sublattice N**j * Z.  Rows
+    of 2K+1 atoms go through the product kernel a tile at a time, so
+    nothing of size len(xs) * (2K+1) is held at once.
+
+    The tail_bound of a point is the contribution of the outermost
+    decade of |k| (a conservative indicator for polynomially decaying
+    atoms, not a proven bound).  A point is flagged unconverged if any
+    of its atoms failed to converge or the decade sums stopped
+    decreasing; the tail is reported (K >= 10) only for converged points.
     """
     _check_scales(spec, system)
     xs = np.asarray(xs, dtype=np.float64)
     flat = xs.ravel()
     kk = policy.tail_cutoff_k
-    out = np.zeros(flat.shape, dtype=np.float64)
-    step = max(1, chunk // max(1, flat.size))
-    for k0 in range(-kk, kk + 1, step):
-        ks = np.arange(k0, min(k0 + step, kk + 1), dtype=np.float64)
-        vals, _, _, _ = _atom_array(spec, system, flat[:, None] + ks[None, :], policy)
-        out += vals.sum(axis=1)
-    return out.reshape(xs.shape)
+    offsets = stride * np.arange(-kk, kk + 1, dtype=np.float64)
+    absk = np.abs(np.arange(-kk, kk + 1))
+    outer_cols = absk > kk // 10
+    inner_cols = (absk > kk // 100) & ~outer_cols
+    value = np.empty(flat.shape, dtype=np.float64)
+    converged = np.empty(flat.shape, dtype=bool)
+    tail = np.full(flat.shape, np.nan)
+    depth_used = np.empty(flat.shape, dtype=np.int64)
+    rows = max(1, ATOM_TILE // offsets.size)
+    for r0 in range(0, flat.size, rows):
+        sl = slice(r0, min(r0 + rows, flat.size))
+        vals, conv, depth, _ = _atom_array(spec, system, flat[sl, None] + offsets, policy)
+        value[sl] = vals.sum(axis=1)
+        converged[sl] = conv.all(axis=1)
+        depth_used[sl] = depth.max(axis=1)
+        if kk >= 10:
+            # compress keeps the selected columns C-ordered, so each row
+            # sums in the order of a one-point lattice sum
+            tail[sl] = vals.compress(outer_cols, axis=1).sum(axis=1)
+            if kk >= 100:
+                inner = vals.compress(inner_cols, axis=1).sum(axis=1)
+                converged[sl] &= ~(tail[sl] > inner + 1e-15)
+    tail[~converged] = np.nan
+    shape = xs.shape
+    return LatticeMasses(
+        value.reshape(shape), converged.reshape(shape), tail.reshape(shape), depth_used.reshape(shape)
+    )
+
+
+def harmonic_on_grid(spec, system, xs, policy) -> np.ndarray:
+    """sum_{|k| <= K} atom(x + k) for every x in xs: lattice_masses values.
+
+    This is the minimal harmonic function of the transfer operator,
+    truncated at K = policy.tail_cutoff_k.
+    """
+    return lattice_masses(spec, system, xs, policy).value
 
 
 def lattice_mass(spec: FilterSpec, system: PathSystem, x: float, policy: TruncationPolicy) -> MeasureValue:
     """Mass of the embedded integer lattice: sum of atom(x + k), |k| <= K.
 
-    The reported tail_bound is the contribution of the outermost decade
-    of |k| (a conservative indicator for polynomially decaying atoms,
-    not a proven bound).  The sum is flagged unconverged if any atom
-    failed to converge or the decade sums stopped decreasing.
+    The single-point view of lattice_masses, with the same tail_bound
+    and convergence rule.
     """
-    _check_scales(spec, system)
-    kk = policy.tail_cutoff_k
-    ks = np.arange(-kk, kk + 1, dtype=np.float64)
-    vals, conv, depth, _ = _atom_array(spec, system, x + ks, policy)
-    value = float(np.sum(vals))
-    absk = np.abs(ks)
-    converged = bool(conv.all())
-    tail = None
-    if kk >= 10:
-        outer = float(np.sum(vals[absk > kk // 10]))
-        tail = outer
-        if kk >= 100:
-            inner = float(np.sum(vals[(absk > kk // 100) & (absk <= kk // 10)]))
-            if outer > inner + 1e-15:
-                converged = False
-    return MeasureValue(
-        value=value,
-        converged=converged,
-        tail_bound=tail if converged else None,
-        depth_used=int(depth.max()),
-    )
+    return lattice_masses(spec, system, [x], policy).at(0)
 
 
 def scaled_lattice_mass(spec: FilterSpec, system: PathSystem, x: float, k: int, policy: TruncationPolicy) -> MeasureValue:
@@ -235,7 +295,7 @@ def scaled_lattice_mass(spec: FilterSpec, system: PathSystem, x: float, k: int, 
     The returned value factors the mass as
     (prod_{j<=k} W(x/N**j)) * lattice_mass(x/N**k); route_gap reports
     the discrepancy against direct summation of atoms over the
-    sublattice with the same truncation window.
+    sublattice with the same truncation window and convergence rule.
     """
     _check_scales(spec, system)
     if k < 0:
@@ -248,18 +308,13 @@ def scaled_lattice_mass(spec: FilterSpec, system: PathSystem, x: float, k: int, 
         prefix *= eval_weight(spec, y)
     base = lattice_mass(spec, system, y, policy)
     value = prefix * base.value
-    kk = policy.tail_cutoff_k
-    js = np.arange(-kk, kk + 1, dtype=np.float64)
-    direct_vals, direct_conv, _, _ = _atom_array(
-        spec, system, x + (float(n) ** k) * js, policy
-    )
-    direct = float(np.sum(direct_vals))
+    direct = lattice_masses(spec, system, [x], policy, stride=float(n) ** k).at(0)
     return MeasureValue(
         value=value,
-        converged=base.converged and bool(direct_conv.all()),
+        converged=base.converged and direct.converged,
         tail_bound=(prefix * base.tail_bound) if base.tail_bound is not None else None,
         depth_used=k + base.depth_used,
-        route_gap=abs(value - direct),
+        route_gap=abs(value - direct.value),
     )
 
 
@@ -356,7 +411,7 @@ def _chain_weights(spec, system, x, arity):
     y = np.full(count, frac(x), dtype=np.float64)
     for s in range(1, arity + 1):
         digit = (idx // n ** (arity - s)) % n
-        y = (y + digit) / n
+        y = system.branch_array(digit, y)
         weights *= weight_array(spec, y)
     return weights
 

@@ -212,7 +212,6 @@ def autocorrelation(
     k: int,
     policy: TruncationPolicy,
     level: int,
-    _h_cache: np.ndarray | None = None,
 ) -> Autocorrelation:
     """Fourier coefficient of the lattice mass = lag-k autocorrelation.
 
@@ -222,7 +221,7 @@ def autocorrelation(
     """
     cells = system.scale_n**level
     mids = (np.arange(cells, dtype=np.float64) + 0.5) / cells
-    h = _h_cache if _h_cache is not None else harmonic_on_grid(spec, system, mids, policy)
+    h = harmonic_on_grid(spec, system, mids, policy)
     val = complex(np.mean(h * np.exp(2j * np.pi * k * mids)))
     return Autocorrelation(value=val.real, imag_residual=abs(val.imag))
 

@@ -137,17 +137,17 @@ def harmonic_residual(
     return float(np.max(np.abs(acc - h.values_at(xs))))
 
 
-def _grid_step(spec: FilterSpec, system: PathSystem, vals: np.ndarray, level: int) -> np.ndarray:
-    """One grid-transfer application of the operator to cell values."""
+def _grid_flows(spec: FilterSpec, system: PathSystem, level: int):
+    """Branch weights and cells of the grid transfer operator.
+
+    For cell m and branch j the branch point is (m + j*N**L) / N**(L+1);
+    it carries weight W of that point and lies in cell (m + j*N**L) // N.
+    Returns (weights, cells), each of shape (N, N**L).
+    """
     n = system.scale_n
     cells = n**level
-    m = np.arange(cells, dtype=np.int64)
-    out = np.zeros(cells, dtype=np.float64)
-    for j in range(n):
-        pts = (m + j * cells).astype(np.float64) / (n * cells)
-        src = (m + j * cells) // n
-        out += weight_array(spec, pts) * vals[src]
-    return out
+    shifted = np.arange(cells, dtype=np.int64) + cells * np.arange(n, dtype=np.int64)[:, None]
+    return weight_array(spec, shifted.astype(np.float64) / (n * cells)), shifted // n
 
 
 def power_iterate(
@@ -165,10 +165,11 @@ def power_iterate(
     """
     if level < 1 or iters < 1:
         raise ValueError("need level >= 1 and iters >= 1")
+    weights, src = _grid_flows(spec, system, level)
     vals = np.ones(system.scale_n**level, dtype=np.float64)
     history = np.empty(iters, dtype=np.float64)
     for t in range(iters):
-        new = _grid_step(spec, system, vals, level)
+        new = np.sum(weights * vals[src], axis=0)
         history[t] = float(np.max(np.abs(new - vals)))
         vals = new
     return GridFunction(level, system.scale_n, vals), history
@@ -188,21 +189,13 @@ def ruelle_measure(
     """
     if level < 1 or iters < 1:
         raise ValueError("need level >= 1 and iters >= 1")
-    n = system.scale_n
-    cells = n**level
-    m = np.arange(cells, dtype=np.int64)
-    targets = []
-    flow_w = []
-    for j in range(n):
-        pts = (m + j * cells).astype(np.float64) / (n * cells)
-        targets.append((m + j * cells) // n)
-        flow_w.append(weight_array(spec, pts))
+    cells = system.scale_n**level
+    flow_w, targets = _grid_flows(spec, system, level)
+    targets = targets.ravel()
     mass = np.full(cells, 1.0 / cells, dtype=np.float64)
     residual = np.inf
     for _ in range(iters):
-        new = np.zeros(cells, dtype=np.float64)
-        for j in range(n):
-            np.add.at(new, targets[j], mass * flow_w[j])
+        new = np.bincount(targets, (flow_w * mass).ravel(), minlength=cells)
         total = new.sum()
         if total > 0:
             new /= total

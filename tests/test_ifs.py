@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,6 +29,18 @@ def test_branch_examples():
         PathSystem(2).branch(2, 0.1)
     with pytest.raises(ww.DigitOutOfRange):
         PathSystem(2).branch(-1, 0.1)
+
+
+def test_branch_keeps_states_below_one():
+    # (x + N - 1)/N rounds up onto 1.0 for x just below 1
+    for n, x in ((2, 1 - 2**-53), (3, 1 - 2**-53), (2, 1 - 2**-52)):
+        s = PathSystem(n)
+        y = s.branch(n - 1, x)
+        assert y < 1.0 and y == pytest.approx(1.0, abs=1e-15)
+        ys = s.branch_array(np.arange(n), np.full(n, x))
+        assert np.all(ys < 1.0)
+        assert ys[-1] == y
+        assert s.branch_array(np.arange(n), np.full(n, 0.3)).tolist() == [s.branch(j, 0.3) for j in range(n)]
 
 
 def test_digits_of():

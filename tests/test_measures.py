@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import wavewalk as ww
@@ -245,6 +245,8 @@ def test_refinement_requires_arity(haar, system2):
 
 
 @given(spec=dyadic_partition_filter(), x=st.floats(min_value=0, max_value=1, exclude_max=True))
+@example(spec=ww.FilterSpec.from_table([0.0, 0.5], [0.0, 1.0]), x=1 - 2**-53)
+@example(spec=ww.FilterSpec.from_table([0.0, 0.25, 0.5, 0.75], [0.3, 0.0, 0.7, 1.0]), x=1 - 2**-52)
 @settings(max_examples=40, deadline=None)
 def test_total_mass_random_partition_filters(spec, x):
     system2 = ww.PathSystem(2)
@@ -253,6 +255,7 @@ def test_total_mass_random_partition_filters(spec, x):
 
 
 @given(theta=st.floats(min_value=0.05, max_value=6.2), x=st.floats(min_value=0, max_value=1, exclude_max=True))
+@example(theta=math.pi / 3, x=1 - 2**-53)
 @settings(max_examples=25, deadline=None)
 def test_consistency_quadrature_family(theta, x):
     spec = quadrature_family(theta)

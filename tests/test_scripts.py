@@ -1,0 +1,43 @@
+"""Smoke runs of the scripts in scripts/ at tiny sizes."""
+
+import os
+import pathlib
+import subprocess
+import sys
+
+import wavewalk as ww
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def _run_script(name, *args, cwd):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_atom_gallery_sweep(tmp_path):
+    out = _run_script(
+        "atom_gallery_sweep.py", "--grid-level", "3", "--tail-K", "50",
+        "--outdir", str(tmp_path / "sweeps"), cwd=tmp_path,
+    )
+    for name in ww.GALLERY_NAMES:
+        text = (tmp_path / "sweeps" / f"{name}_sweep.csv").read_text()
+        rows = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
+        assert rows[0].startswith("x,atom,atom_converged,harmonic_mass,depth_used")
+        assert len(rows) == 1 + 2**3
+        assert name in out
+
+
+def test_convergence_census(tmp_path):
+    out = _run_script("convergence_census.py", "--points", "2", "--max-n", "8", cwd=tmp_path)
+    assert "contradictions of the equivalence:" in out
+
+
+def test_stationary_measures(tmp_path):
+    out = _run_script("stationary_measures.py", "--grid-level", "4", "--iters", "5", cwd=tmp_path)
+    assert out.count("residual") == 5
