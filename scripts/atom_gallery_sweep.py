@@ -12,7 +12,6 @@ import pathlib
 import numpy as np
 
 import wavewalk as ww
-from wavewalk.measures import _atom_array
 from wavewalk.serialize import csv_text
 
 
@@ -33,11 +32,11 @@ def main():
         system = ww.PathSystem(spec.scale_n)
         cells = spec.scale_n**args.grid_level
         xs = np.arange(cells, dtype=np.float64) / cells
-        atoms, conv, depth, dev = _atom_array(spec, system, xs, policy)
+        atoms = ww.zero_path_atoms(spec, system, xs, policy)
         h = ww.harmonic_on_grid(spec, system, xs, policy)
         rows = [
             (float(x), float(a), bool(c), float(hh), int(d))
-            for x, a, c, hh, d in zip(xs, atoms, conv, h, depth)
+            for x, a, c, hh, d in zip(xs, atoms.value, atoms.converged, h, atoms.depth_used)
         ]
         text = csv_text(
             {"filter": name, "grid_level": args.grid_level, "tail_K": args.tail_k},
@@ -46,7 +45,7 @@ def main():
         )
         (outdir / f"{name}_sweep.csv").write_text(text)
         print(
-            f"{name:16s} {atoms.min():10.3e} {atoms.max():10.3e} "
+            f"{name:16s} {atoms.value.min():10.3e} {atoms.value.max():10.3e} "
             f"{h.min():10.3e} {h.max():10.3e}"
         )
     print(f"CSV files in {outdir}/")

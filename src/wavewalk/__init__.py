@@ -9,6 +9,7 @@ from .errors import (
     DigitOutOfRange,
     EmptyWord,
     FilterKindError,
+    NonFiniteArgument,
     UnsupportedScale,
     WavewalkError,
 )
@@ -30,7 +31,7 @@ from .gallery import GALLERY_NAMES, gallery_path, load_gallery
 from .ifs import DigitWord, PathSystem, frac
 from .measures import (
     FiniteCoordFn,
-    LatticeMasses,
+    MeasureArray,
     MeasureValue,
     TruncationPolicy,
     check_negative_embedding,
@@ -44,6 +45,7 @@ from .measures import (
     refinement_check,
     scaled_lattice_mass,
     zero_path_atom,
+    zero_path_atoms,
 )
 from .scaling import (
     Autocorrelation,

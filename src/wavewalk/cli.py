@@ -8,7 +8,9 @@ coeffs, simulate.  Exit codes: 0 success, 1 usage or I/O error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -18,7 +20,7 @@ from .diagnostics import diagnose_convergence, estimate_cylinder, sample_path
 from .errors import WavewalkError
 from .filters import FilterSpec, validate_filter
 from .ifs import DigitWord, PathSystem
-from .measures import TruncationPolicy, _atom_array, lattice_masses
+from .measures import TruncationPolicy, lattice_masses, zero_path_atoms
 from .scaling import cascade, scaling_norm_sq, wavelet_coeffs, wavelet_from_scaling
 from .serialize import csv_text, json_text
 from .transfer import power_iterate, ruelle_measure
@@ -156,145 +158,125 @@ def _grid(system: PathSystem, level: int) -> np.ndarray:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return _run(args)
-    except CliUsageError as exc:
+        args = build_parser().parse_args(argv)
+        spec = _load_spec(args.filter)
+        return _COMMANDS[args.command](args, spec, PathSystem(spec.scale_n), _meta(args, spec))
+    except (CliUsageError, WavewalkError) as exc:
         print(f"wavewalk: error: {exc}", file=sys.stderr)
         return 1
-    except WavewalkError as exc:
-        print(f"wavewalk: error: {exc}", file=sys.stderr)
-        return 1
 
 
-def _run(args) -> int:
-    spec = _load_spec(args.filter)
-    system = PathSystem(spec.scale_n)
-    meta_doc = _meta(args, spec)
+def _validate(args, spec, system, meta_doc) -> int:
+    tol = args.tol or 1e-9
+    report = validate_filter(spec, grid_level=args.grid_level, tol=tol)
+    doc = report.to_json_dict()
+    keys = {"partition": "partition_max_error", "quadrature": "quadrature_max_error",
+            "lowpass": "lowpass_error"}
+    rows = [(name, doc[key], report.verdicts[name])
+            for name, key in keys.items() if doc.get(key) is not None]
+    _emit(args, meta_doc, {"report": doc},
+          csv_header=["condition", "error", "verdict"], csv_rows=rows)
+    return 0 if report.all_ok else 2
 
-    if args.command == "validate":
-        tol = args.tol or 1e-9
-        report = validate_filter(spec, grid_level=args.grid_level, tol=tol)
-        doc = report.to_json_dict()
-        rows = []
-        for name in ("partition", "quadrature", "lowpass"):
-            key = "partition_max_error" if name == "partition" else (
-                "quadrature_max_error" if name == "quadrature" else "lowpass_error"
-            )
-            if doc.get(key) is not None:
-                rows.append((name, doc[key], report.verdicts[name]))
-        _emit(args, meta_doc, {"report": doc},
-              csv_header=["condition", "error", "verdict"], csv_rows=rows)
-        return 0 if report.all_ok else 2
 
-    if args.command == "atom":
-        policy = _policy(args)
-        xs = _grid(system, args.grid_level)
-        vals, conv, depth, dev = _atom_array(spec, system, xs, policy)
-        rows = [
-            (float(x), float(v), bool(c), float(t) if c else None, int(d))
-            for x, v, c, d, t in zip(xs, vals, conv, depth, dev)
-        ]
-        _emit(args, meta_doc,
-              {"rows": [list(r) for r in rows]},
-              csv_header=["x", "value", "converged", "tail_bound", "depth_used"],
-              csv_rows=rows)
-        return 0
+def _sweep(measure, args, spec, system, meta_doc) -> int:
+    """atom / harmonic: one MeasureArray over the grid, one row per point."""
+    xs = _grid(system, args.grid_level)
+    arr = measure(spec, system, xs, _policy(args))
+    tails = [None if math.isnan(t) else t for t in arr.tail_bound.tolist()]
+    rows = list(zip(xs.tolist(), arr.value.tolist(), arr.converged.tolist(), tails,
+                    arr.depth_used.tolist()))
+    _emit(args, meta_doc, {"rows": [list(r) for r in rows]},
+          csv_header=["x", "value", "converged", "tail_bound", "depth_used"],
+          csv_rows=rows)
+    return 0
 
-    if args.command == "harmonic":
-        xs = _grid(system, args.grid_level)
-        masses = lattice_masses(spec, system, xs, _policy(args))
-        rows = []
-        for i, x in enumerate(xs):
-            mv = masses.at(i)
-            rows.append((float(x), mv.value, mv.converged, mv.tail_bound, mv.depth_used))
-        _emit(args, meta_doc, {"rows": [list(r) for r in rows]},
-              csv_header=["x", "value", "converged", "tail_bound", "depth_used"],
-              csv_rows=rows)
-        return 0
 
-    if args.command == "diagnose":
-        policy = _policy(args)
-        report = diagnose_convergence(spec, system, args.x, args.max_n, policy)
-        rows = list(
-            zip(
-                range(len(report.partial_products)),
-                report.partial_products,
-                report.harmonic_values,
-            )
-        )
-        _emit(args, meta_doc, {"report": report.to_json_dict()},
-              csv_header=["n", "partial_product", "harmonic_value"], csv_rows=rows)
-        return 0
+def _diagnose(args, spec, system, meta_doc) -> int:
+    report = diagnose_convergence(spec, system, args.x, args.max_n, _policy(args))
+    rows = list(zip(range(len(report.partial_products)), report.partial_products,
+                    report.harmonic_values))
+    _emit(args, meta_doc, {"report": report.to_json_dict()},
+          csv_header=["n", "partial_product", "harmonic_value"], csv_rows=rows)
+    return 0
 
-    if args.command == "transfer":
-        grid_fn, history = power_iterate(spec, system, args.grid_level, args.iters)
-        masses, residual = ruelle_measure(spec, system, args.grid_level, args.iters)
-        cells = grid_fn.cells
-        rows = [
-            (m, m / cells, float(grid_fn.values[m]), float(masses.values[m]))
-            for m in range(cells)
-        ]
-        _emit(args, meta_doc,
-              {"harmonic_grid": grid_fn.values, "sup_change_history": history,
-               "ruelle_masses": masses.values, "ruelle_residual": residual},
-              csv_header=["cell", "left", "harmonic_value", "ruelle_mass"],
-              csv_rows=rows)
-        return 0
 
-    if args.command == "scaling":
-        phi = cascade(spec, system, iters=args.iters, level=args.grid_level)
-        fn = phi if args.function == "phi" else wavelet_from_scaling(spec, phi)
-        meta_doc["norm_sq_riemann"] = fn.norm_sq()
-        meta_doc["norm_sq_harmonic"] = scaling_norm_sq(
-            spec, system, _policy(args), level=min(args.grid_level, 10)
-        )
-        ts = fn.grid()
-        rows = [
-            (float(t), float(v.real), float(v.imag)) for t, v in zip(ts, fn.samples)
-        ]
-        _emit(args, meta_doc,
-              {"t_min": fn.t_min, "t_max": fn.t_max, "step": fn.step,
-               "re": fn.samples.real, "im": fn.samples.imag},
-              csv_header=["t", "re", "im"], csv_rows=rows)
-        return 0
+def _transfer(args, spec, system, meta_doc) -> int:
+    grid_fn, history = power_iterate(spec, system, args.grid_level, args.iters)
+    masses, residual = ruelle_measure(spec, system, args.grid_level, args.iters)
+    lefts = (np.arange(grid_fn.cells) / grid_fn.cells).tolist()
+    rows = list(zip(range(grid_fn.cells), lefts, grid_fn.values.tolist(), masses.values.tolist()))
+    _emit(args, meta_doc,
+          {"harmonic_grid": grid_fn.values, "sup_change_history": history,
+           "ruelle_masses": masses.values, "ruelle_residual": residual},
+          csv_header=["cell", "left", "harmonic_value", "ruelle_mass"],
+          csv_rows=rows)
+    return 0
 
-    if args.command == "coeffs":
-        if (args.signal is None) == (args.random_n is None):
-            raise CliUsageError("give exactly one of --signal / --random-n")
-        if args.signal:
-            sig = np.loadtxt(args.signal, delimiter=",", comments="#", ndmin=1)
-        else:
-            rng = np.random.Generator(np.random.Philox(key=np.uint64(args.seed)))
-            sig = rng.standard_normal(args.random_n)
-        details, smooth = wavelet_coeffs(spec, sig, args.levels)
-        payload = {}
-        for i, band in enumerate(details, start=1):
-            payload[f"detail_{i}"] = {"re": band.real, "im": band.imag}
-        payload["smooth"] = {"re": smooth.real, "im": smooth.imag}
-        payload["energy"] = float(
-            sum(np.sum(np.abs(b) ** 2) for b in details) + np.sum(np.abs(smooth) ** 2)
-        )
-        _emit(args, meta_doc, payload)
-        return 0
 
-    if args.command == "simulate":
-        if args.word:
-            digits = DigitWord(tuple(int(d) for d in args.word.split(",")))
-            est = estimate_cylinder(spec, system, args.x, digits, args.trials, args.seed)
-            _emit(args, meta_doc, {"result": est.to_json_dict()})
-        else:
-            walk = sample_path(spec, system, args.x, args.n, args.seed)
-            _emit(args, meta_doc, {
-                "x0": walk.x0,
-                "seed": walk.seed,
-                "digits": walk.digits.to_json(),
-                "step_norms": list(walk.step_norms),
-            })
-        return 0
+def _scaling(args, spec, system, meta_doc) -> int:
+    phi = cascade(spec, system, iters=args.iters, level=args.grid_level)
+    fn = phi if args.function == "phi" else wavelet_from_scaling(spec, phi)
+    meta_doc["norm_sq_riemann"] = fn.norm_sq()
+    meta_doc["norm_sq_harmonic"] = scaling_norm_sq(
+        spec, system, _policy(args), level=min(args.grid_level, 10)
+    )
+    rows = list(zip(fn.grid().tolist(), fn.samples.real.tolist(), fn.samples.imag.tolist()))
+    _emit(args, meta_doc,
+          {"t_min": fn.t_min, "t_max": fn.t_max, "step": fn.step,
+           "re": fn.samples.real, "im": fn.samples.imag},
+          csv_header=["t", "re", "im"], csv_rows=rows)
+    return 0
 
-    raise CliUsageError(f"unknown command {args.command!r}")
+
+def _coeffs(args, spec, system, meta_doc) -> int:
+    if (args.signal is None) == (args.random_n is None):
+        raise CliUsageError("give exactly one of --signal / --random-n")
+    if args.signal:
+        sig = np.loadtxt(args.signal, delimiter=",", comments="#", ndmin=1)
+    else:
+        rng = np.random.Generator(np.random.Philox(key=np.uint64(args.seed)))
+        sig = rng.standard_normal(args.random_n)
+    details, smooth = wavelet_coeffs(spec, sig, args.levels)
+    payload = {}
+    for i, band in enumerate(details, start=1):
+        payload[f"detail_{i}"] = {"re": band.real, "im": band.imag}
+    payload["smooth"] = {"re": smooth.real, "im": smooth.imag}
+    payload["energy"] = float(
+        sum(np.sum(np.abs(b) ** 2) for b in details) + np.sum(np.abs(smooth) ** 2)
+    )
+    _emit(args, meta_doc, payload)
+    return 0
+
+
+def _simulate(args, spec, system, meta_doc) -> int:
+    if args.word:
+        digits = DigitWord(tuple(int(d) for d in args.word.split(",")))
+        est = estimate_cylinder(spec, system, args.x, digits, args.trials, args.seed)
+        _emit(args, meta_doc, {"result": est.to_json_dict()})
+    else:
+        walk = sample_path(spec, system, args.x, args.n, args.seed)
+        _emit(args, meta_doc, {
+            "x0": walk.x0,
+            "seed": walk.seed,
+            "digits": walk.digits.to_json(),
+            "step_norms": list(walk.step_norms),
+        })
+    return 0
+
+
+#: subcommand -> handler(args, spec, system, meta_doc) returning the exit code
+_COMMANDS = {
+    "validate": _validate,
+    "atom": functools.partial(_sweep, zero_path_atoms),
+    "harmonic": functools.partial(_sweep, lattice_masses),
+    "diagnose": _diagnose,
+    "transfer": _transfer,
+    "scaling": _scaling,
+    "coeffs": _coeffs,
+    "simulate": _simulate,
+}
 
 
 if __name__ == "__main__":  # pragma: no cover

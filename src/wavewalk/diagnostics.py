@@ -28,6 +28,7 @@ from .measures import (
     lattice_masses,
     zero_path_atom,
 )
+from .transfer import _branch_weights, apply_transfer
 
 #: atoms at or below this are treated as zero when gating the diagnosis
 ATOM_FLOOR = 1e-12
@@ -201,22 +202,15 @@ def harmonic_from_cocycle(
     candidate(y)(w_1..w_n) = candidate(branch(w_1, y))(w_2..w_{n+1})
     seen along n_paths walk samples from x.
     """
-    n = system.scale_n
 
     def h(y: float) -> complex:
         return expect_finite(spec, system, y, candidate(y))
 
     value = h(x)
 
-    cells = n**grid_level
-    residual = 0.0
-    for m in range(cells):
-        g = m / cells
-        acc = 0.0 + 0.0j
-        for j in range(n):
-            yj = system.branch(j, g)
-            acc += eval_weight(spec, yj) * h(yj)
-        residual = max(residual, abs(acc - h(g)))
+    cells = system.scale_n**grid_level
+    residual = max(abs(apply_transfer(spec, system, h, m / cells) - h(m / cells))
+                   for m in range(cells))
 
     arity = candidate(x).arity
     violation = 0.0
@@ -248,6 +242,25 @@ class WalkSample:
     step_norms: tuple[float, ...]
 
 
+def _walk_step(spec: FilterSpec, system: PathSystem, ys: np.ndarray, us: np.ndarray):
+    """One walk step from every state in ys: (digits, weight totals, next states).
+
+    Digit i has weight W(branch(i, y)) over the weight total; the digit
+    taken is the first whose cumulative share exceeds the uniform u.
+    """
+    nb = system.scale_n
+    branches, w = _branch_weights(spec, system, ys)
+    totals = w.sum(axis=0)
+    dead = ~(totals > nb * 1e-15)
+    if dead.any():
+        raise DegenerateStep(f"all branch weights vanish at state {float(ys[dead][0])!r}")
+    # shares never decrease, so counting the first N - 1 at or below u
+    # gives the digit and keeps it below N
+    cum = np.cumsum(w[:-1], axis=0) / totals
+    digits = (us >= cum).sum(axis=0)
+    return digits, totals, np.take_along_axis(branches, digits[None, :], axis=0)[0]
+
+
 def sample_path(
     spec: FilterSpec,
     system: PathSystem,
@@ -258,26 +271,18 @@ def sample_path(
 ) -> WalkSample:
     """Draw n digits: from state y, digit i with weight W(branch(i, y)).
 
+    The walk step is the one estimate_cylinder takes, run on a single
+    path with one uniform of the (seed, stream) Philox stream per step.
     Weights are renormalized by their sum each step as a guard against
     partition error; the per-step sums are logged in the sample.
     """
     rng = _rng(seed, stream)
-    nb = system.scale_n
-    y = frac(x)
-    digits = []
-    norms = []
+    y = np.array([frac(x)])
+    digits, norms = [], []
     for _ in range(n):
-        w = np.array([eval_weight(spec, system.branch(i, y)) for i in range(nb)])
-        total = float(w.sum())
-        norms.append(total)
-        if not total > nb * 1e-15:
-            raise DegenerateStep(f"all branch weights vanish at state {y!r}")
-        c = np.cumsum(w) / total
-        u = rng.random()
-        d = int(np.searchsorted(c, u, side="right"))
-        d = min(d, nb - 1)
-        digits.append(d)
-        y = system.branch(d, y)
+        d, total, y = _walk_step(spec, system, y, rng.random(1))
+        digits.append(int(d[0]))
+        norms.append(float(total[0]))
     return WalkSample(seed=seed, x0=float(x), digits=DigitWord(tuple(digits)), step_norms=tuple(norms))
 
 
@@ -314,23 +319,11 @@ def estimate_cylinder(
     if trials < 100:
         raise ValueError("need at least 100 trials")
     rng = _rng(seed, stream)
-    nb = system.scale_n
-    steps = len(word)
-    us = rng.random((steps, trials))
     y = np.full(trials, frac(x), dtype=np.float64)
     match = np.ones(trials, dtype=bool)
-    for s, target in enumerate(word):
-        w = np.empty((nb, trials), dtype=np.float64)
-        for i in range(nb):
-            w[i] = weight_array(spec, system.branch_array(i, y))
-        totals = w.sum(axis=0)
-        if not np.all(totals > nb * 1e-15):
-            raise DegenerateStep("all branch weights vanish at some sampled state")
-        cum = np.cumsum(w, axis=0) / totals
-        digit = (us[s][None, :] >= cum).sum(axis=0)
-        np.minimum(digit, nb - 1, out=digit)
+    for target in word:
+        digit, _, y = _walk_step(spec, system, y, rng.random(trials))
         match &= digit == target
-        y = system.branch_array(digit, y)
     p_hat = float(match.mean())
     stderr = float(np.sqrt(p_hat * (1.0 - p_hat) / trials))
     return CylinderEstimate(estimate=p_hat, stderr=stderr, trials=trials, seed=seed)

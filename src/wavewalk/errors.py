@@ -9,6 +9,10 @@ class FilterKindError(WavewalkError):
     """Operation requires the other filter representation (coefficients vs. table)."""
 
 
+class NonFiniteArgument(WavewalkError):
+    """A NaN or infinite point where a finite one is needed."""
+
+
 class UnsupportedScale(WavewalkError):
     """Operation is only defined for dyadic filters (scale 2)."""
 

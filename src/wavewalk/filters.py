@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FilterKindError, UnsupportedScale
+from .errors import FilterKindError, NonFiniteArgument, UnsupportedScale
 
 KIND_COEFFICIENTS = "coefficients"
 KIND_TABULATED = "tabulated_w"
@@ -161,11 +161,16 @@ def eval_response(spec: FilterSpec, x: float) -> complex:
 
 
 def eval_weight(spec: FilterSpec, x: float) -> float:
-    """The branch weight W(x): |response|^2, or a table lookup, in [0, 1]."""
+    """The branch weight W(x): |response|^2, or a table lookup, in [0, 1].
+
+    A NaN or infinite x gives NaN, or NonFiniteArgument for a table.
+    """
     if spec.kind == KIND_COEFFICIENTS:
         # the response is 1-periodic: reduce exactly to [-1/2, 1/2] first
         r = math.remainder(x, 1.0) if math.isfinite(x) else math.nan
         return abs(eval_response(spec, r)) ** 2
+    if not math.isfinite(x):
+        raise NonFiniteArgument(f"tabulated weight read at {x!r}")
     r = x % 1.0
     if r >= 1.0:
         r = 0.0
@@ -235,7 +240,7 @@ def weight_array(spec: FilterSpec, xs: np.ndarray) -> np.ndarray:
     The sine series, present only when some tap has an imaginary part,
     is sin 2 pi x times sum_j s_j U_{j-1}(c), the b_1 of the same
     recurrence.  Round-off can leave values a few ulp below 0, which is
-    clamped away.
+    clamped away.  Non-finite points behave as in eval_weight.
     """
     xs = np.asarray(xs, dtype=np.float64)
     if spec.kind == KIND_COEFFICIENTS:
@@ -248,6 +253,8 @@ def weight_array(spec: FilterSpec, xs: np.ndarray) -> np.ndarray:
         if sin_taps:
             out += np.sin(ang) * _clenshaw(sin_taps, c2)[0]
         return np.maximum(out, 0.0)
+    if not np.isfinite(xs).all():
+        raise NonFiniteArgument("tabulated weight read at a non-finite point")
     r = np.mod(xs, 1.0)
     r[r >= 1.0] = 0.0
     idx = np.searchsorted(np.asarray(spec.breakpoints), r, side="right") - 1

@@ -17,12 +17,6 @@ import numpy as np
 
 from .errors import DigitOutOfRange, EmptyWord
 
-#: the largest float below 1.  (x + j)/N < 1 for x in [0, 1), but the
-#: float division can round up onto 1.0, where the weight would be read
-#: at 0; such a state is kept here instead, inside X = [0, 1).
-STATE_MAX = 1.0 - 2.0**-53
-
-
 def frac(x: float) -> float:
     """Fractional part in [0, 1); the endpoint 1 is identified with 0."""
     r = x % 1.0
@@ -80,14 +74,25 @@ class PathSystem:
     def branch(self, j: int, x: float) -> float:
         """Inverse branch (x + j)/N, the j-th right inverse of the shift.
 
-        For x in [0, 1) the result stays in [0, 1): see STATE_MAX.
+        branch_array at one point, with its rounding.
         """
         self._check_digit(j)
-        return min((x + j) / self.scale_n, STATE_MAX)
+        return float(self.branch_array(j, np.array([x], dtype=np.float64))[0])
 
     def branch_array(self, digits, ys) -> np.ndarray:
-        """Vectorized branch for states ys in [0, 1) and digits in [0, N)."""
-        return np.minimum((ys + digits) / self.scale_n, STATE_MAX)
+        """Vectorized branch for states ys in [0, 1) and digits in [0, N).
+
+        The sum x + j is rounded toward zero: rounded to nearest it can land
+        on the edge of the next N-adic cell (on 1.0 for j = N - 1 and x just
+        below 1, where the weight would be read at 0).  So a state stays
+        below 1 and, for N a power of 2, in every N-adic cell of the exact
+        (x + j)/N.  (x + j) - j is exact for j >= 1: it exceeds x exactly
+        when the sum was rounded up.
+        """
+        s = ys + digits
+        np.nextafter(s, 0.0, out=s, where=s - digits > ys)
+        s /= self.scale_n
+        return s
 
     def digits_of(self, k: int) -> DigitWord:
         """Base-N digits of k >= 0, least significant first; empty word for 0."""

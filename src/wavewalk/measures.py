@@ -76,6 +76,31 @@ class MeasureValue:
     route_gap: float | None = None
 
 
+@dataclass(frozen=True, eq=False)
+class MeasureArray:
+    """Per-point measure values with their convergence bookkeeping.
+
+    The array form of MeasureValue, returned by zero_path_atoms and
+    lattice_masses: arrays of the shape of the points, with tail_bound
+    NaN wherever MeasureValue.tail_bound would be None.
+    """
+
+    value: np.ndarray
+    converged: np.ndarray
+    tail_bound: np.ndarray
+    depth_used: np.ndarray
+
+    def at(self, i: int) -> MeasureValue:
+        """The entry at flat index i as a MeasureValue."""
+        tail = float(self.tail_bound.flat[i])
+        return MeasureValue(
+            value=float(self.value.flat[i]),
+            converged=bool(self.converged.flat[i]),
+            tail_bound=None if np.isnan(tail) else tail,
+            depth_used=int(self.depth_used.flat[i]),
+        )
+
+
 def _check_scales(spec: FilterSpec, system: PathSystem) -> None:
     if spec.scale_n != system.scale_n:
         raise ValueError(
@@ -145,21 +170,21 @@ def _atom_array(spec, system, xs, policy):
     )
 
 
-def zero_path_atom(spec: FilterSpec, system: PathSystem, x: float, policy: TruncationPolicy) -> MeasureValue:
-    """Mass of the all-zero digit string: the product of W(x/N**n), n >= 1.
+def zero_path_atoms(spec: FilterSpec, system: PathSystem, xs, policy: TruncationPolicy) -> MeasureArray:
+    """Mass of the all-zero digit string at every x in xs: prod_n W(x/N**n), n >= 1.
 
-    x is a real number, not reduced mod 1; the weight is read
-    1-periodically but the product genuinely depends on x itself.
+    Each x is a real number, not reduced mod 1; the weight is read
+    1-periodically but the product genuinely depends on x itself.  The
+    tail_bound of a converged atom is |1 - W| at its last factor.
     """
     _check_scales(spec, system)
-    vals, conv, depth, dev = _atom_array(spec, system, np.array([x]), policy)
-    converged = bool(conv[0])
-    return MeasureValue(
-        value=float(vals[0]),
-        converged=converged,
-        tail_bound=float(dev[0]) if converged else None,
-        depth_used=int(depth[0]),
-    )
+    vals, conv, depth, dev = _atom_array(spec, system, xs, policy)
+    return MeasureArray(vals, conv, np.where(conv, dev, np.nan), depth)
+
+
+def zero_path_atom(spec: FilterSpec, system: PathSystem, x: float, policy: TruncationPolicy) -> MeasureValue:
+    """The single-point view of zero_path_atoms."""
+    return zero_path_atoms(spec, system, [x], policy).at(0)
 
 
 def integer_atom(spec: FilterSpec, system: PathSystem, x: float, k: int, policy: TruncationPolicy) -> MeasureValue:
@@ -175,13 +200,8 @@ def integer_atom(spec: FilterSpec, system: PathSystem, x: float, k: int, policy:
     """
     _check_scales(spec, system)
     word = system.word_of_int(k)
-    n = system.scale_n
-    prefix = 1.0
-    y = frac(x)
-    for d in word:
-        y = system.branch(d, y)
-        prefix *= eval_weight(spec, y)
-    z = (x + k) / n ** len(word)
+    prefix = cylinder_prob(spec, system, x, word)
+    z = (x + k) / system.scale_n ** len(word)
     tail = zero_path_atom(spec, system, z, policy)
     route1 = prefix * tail.value
     route2 = zero_path_atom(spec, system, x + k, policy)
@@ -198,33 +218,9 @@ def integer_atom(spec: FilterSpec, system: PathSystem, x: float, k: int, policy:
 # lattice masses
 
 
-@dataclass(frozen=True, eq=False)
-class LatticeMasses:
-    """Per-point lattice sums with their convergence bookkeeping.
-
-    Arrays of the shape of the points; tail_bound is NaN wherever
-    MeasureValue.tail_bound would be None.
-    """
-
-    value: np.ndarray
-    converged: np.ndarray
-    tail_bound: np.ndarray
-    depth_used: np.ndarray
-
-    def at(self, i: int) -> MeasureValue:
-        """The entry at flat index i as a MeasureValue."""
-        tail = float(self.tail_bound.flat[i])
-        return MeasureValue(
-            value=float(self.value.flat[i]),
-            converged=bool(self.converged.flat[i]),
-            tail_bound=None if np.isnan(tail) else tail,
-            depth_used=int(self.depth_used.flat[i]),
-        )
-
-
 def lattice_masses(
     spec: FilterSpec, system: PathSystem, xs, policy: TruncationPolicy, stride: float = 1.0
-) -> LatticeMasses:
+) -> MeasureArray:
     """Sums of atom(x + stride*k) over |k| <= K for every x in xs.
 
     K = policy.tail_cutoff_k; stride 1 gives the mass of the embedded
@@ -266,7 +262,7 @@ def lattice_masses(
                 converged[sl] &= ~(tail[sl] > inner + 1e-15)
     tail[~converged] = np.nan
     shape = xs.shape
-    return LatticeMasses(
+    return MeasureArray(
         value.reshape(shape), converged.reshape(shape), tail.reshape(shape), depth_used.reshape(shape)
     )
 
@@ -401,18 +397,20 @@ def cylinder_prob(spec: FilterSpec, system: PathSystem, x: float, word: DigitWor
 
 
 def _chain_weights(spec, system, x, arity):
-    """Cylinder weights of all words of the given length, flat-indexed."""
+    """Cylinder weights of all words of the given length, flat-indexed.
+
+    The words grow one digit at a time (index * N + digit), so step s
+    evaluates only the N**s states of the words of length s.
+    """
     n = system.scale_n
-    count = n**arity
-    if count > MAX_TREE_WORDS:
+    if n**arity > MAX_TREE_WORDS:
         raise ArityTooLarge(f"{n}**{arity} words exceed the tree budget {MAX_TREE_WORDS}")
-    idx = np.arange(count)
-    weights = np.ones(count, dtype=np.float64)
-    y = np.full(count, frac(x), dtype=np.float64)
-    for s in range(1, arity + 1):
-        digit = (idx // n ** (arity - s)) % n
-        y = system.branch_array(digit, y)
-        weights *= weight_array(spec, y)
+    weights = np.ones(1)
+    y = np.array([frac(x)])
+    for _ in range(arity):
+        y = system.branch_array(np.arange(n), y[:, None])
+        weights = (weights[:, None] * weight_array(spec, y)).ravel()
+        y = y.ravel()
     return weights
 
 
@@ -499,11 +497,7 @@ def check_negative_embedding(
             raise ValueError(f"n={nn} is not admissible for k={k}")
         shifted = n ** (nn + 1) + k
         word = system.digits_of(shifted)
-        prefix = 1.0
-        y = frac(x)
-        for d in word:
-            y = system.branch(d, y)
-            prefix *= eval_weight(spec, y)
+        prefix = cylinder_prob(spec, system, x, word)
         z = (x + k) / n ** len(word)
         vals.append(prefix * zero_path_atom(spec, system, z, policy).value)
         literal.append(zero_path_atom(spec, system, x + shifted, policy).value)

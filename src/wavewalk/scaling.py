@@ -209,21 +209,22 @@ class Autocorrelation:
 def autocorrelation(
     spec: FilterSpec,
     system: PathSystem,
-    k: int,
+    lags,
     policy: TruncationPolicy,
     level: int,
-) -> Autocorrelation:
-    """Fourier coefficient of the lattice mass = lag-k autocorrelation.
+) -> list[Autocorrelation]:
+    """Fourier coefficients of the lattice mass = the autocorrelations at lags.
 
-    Midpoint quadrature of h(x) exp(i 2 pi k x) over one period.  The
-    imaginary part must vanish for any real filter and is reported as a
-    sanity residual.
+    Midpoint quadrature of h(x) exp(i 2 pi k x) over one period, one
+    Autocorrelation per lag k in `lags`, all from a single lattice sum h
+    on the level-`level` grid.  The imaginary part must vanish for any
+    real filter and is reported as a sanity residual.
     """
     cells = system.scale_n**level
     mids = (np.arange(cells, dtype=np.float64) + 0.5) / cells
     h = harmonic_on_grid(spec, system, mids, policy)
-    val = complex(np.mean(h * np.exp(2j * np.pi * k * mids)))
-    return Autocorrelation(value=val.real, imag_residual=abs(val.imag))
+    vals = [complex(np.mean(h * np.exp(2j * np.pi * k * mids))) for k in lags]
+    return [Autocorrelation(value=v.real, imag_residual=abs(v.imag)) for v in vals]
 
 
 def autocorrelation_time_domain(phi: SampledFunction, k: int) -> float:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DepthTooLarge
-from .filters import FilterSpec, eval_weight, weight_array
+from .filters import FilterSpec, weight_array
 from .ifs import PathSystem, frac
 from .measures import MAX_TREE_WORDS, TruncationPolicy, harmonic_on_grid
 
@@ -72,23 +72,32 @@ def harmonic_gridfunction(
     return GridFunction(level, system.scale_n, harmonic_on_grid(spec, system, pts, policy))
 
 
-def apply_transfer(spec: FilterSpec, system: PathSystem, g, x: float) -> float:
+def _branch_weights(spec: FilterSpec, system: PathSystem, xs: np.ndarray):
+    """Branch points (x + j)/N of states xs, shape (N, len(xs)), and W there."""
+    ys = system.branch_array(np.arange(system.scale_n)[:, None], xs)
+    return ys, weight_array(spec, ys)
+
+
+def apply_transfer(spec: FilterSpec, system: PathSystem, g, x: float) -> float | complex:
     """One application of the transfer operator at a point.
 
-    g may be a GridFunction (read piecewise-constantly) or any callable.
+    g may be a GridFunction (read piecewise-constantly) or any callable,
+    real or complex valued; the result is a float or a complex to match.
+    x is reduced to [0, 1) first, and g is read at the N branch points
+    of frac(x), rounded as in PathSystem.branch_array.
     """
     read = g.value_at if isinstance(g, GridFunction) else g
-    n = system.scale_n
-    return float(
-        sum(eval_weight(spec, (x + j) / n) * read((x + j) / n) for j in range(n))
-    )
+    ys, weights = _branch_weights(spec, system, np.array([frac(x)]))
+    gvals = np.asarray([read(y) for y in ys[:, 0].tolist()])
+    return (weights[:, 0] * gvals).sum().item()
 
 
 def apply_transfer_n(spec: FilterSpec, system: PathSystem, g, x: float, n: int) -> float:
     """Exact n-th power via the full preimage tree.
 
-    The N**n preimages of x are (x + k)/N**n; each carries the product
-    of weights along its forward orbit.  n = 0 returns g(x).
+    The N**n preimages of x are (x + k)/N**n, the branches of the system
+    at scale N**n and rounded as they are; each carries the product of
+    weights along its forward orbit.  n = 0 returns g(x).
     """
     if n < 0:
         raise ValueError("power must be >= 0")
@@ -99,7 +108,7 @@ def apply_transfer_n(spec: FilterSpec, system: PathSystem, g, x: float, n: int) 
     count = nb**n
     if count > MAX_TREE_WORDS:
         raise DepthTooLarge(f"{nb}**{n} preimages exceed the tree budget")
-    ys = (frac(x) + np.arange(count, dtype=np.float64)) / count
+    ys = PathSystem(count).branch_array(np.arange(count), frac(x))
     weights = np.ones(count, dtype=np.float64)
     orbit = ys.copy()
     for _ in range(n):
@@ -127,13 +136,10 @@ def harmonic_residual(
         raise ValueError("need a grid of level >= 1")
     if lev > h.level:
         raise ValueError("cannot evaluate on a finer grid than h carries")
-    n = system.scale_n
-    cells = n**lev
+    cells = system.scale_n**lev
     xs = np.arange(cells, dtype=np.float64) / cells
-    acc = np.zeros(cells, dtype=np.float64)
-    for j in range(n):
-        ys = (xs + j) / n
-        acc += weight_array(spec, ys) * h.values_at(ys)
+    ys, weights = _branch_weights(spec, system, xs)
+    acc = (weights * h.values_at(ys)).sum(axis=0)
     return float(np.max(np.abs(acc - h.values_at(xs))))
 
 

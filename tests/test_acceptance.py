@@ -13,7 +13,7 @@ import pytest
 
 import wavewalk as ww
 from wavewalk.ifs import DigitWord
-from wavewalk.measures import FiniteCoordFn, _atom_array
+from wavewalk.measures import FiniteCoordFn
 
 from conftest import sinc_sq
 
@@ -36,10 +36,10 @@ def test_criterion_01_haar_closed_form(haar, system2):
             p *= math.cos(math.pi * x / 2**n) ** 2
         assert p == pytest.approx(sinc_sq(float(x)), abs=1e-10)
     t0 = time.time()
-    vals, conv, _, _ = _atom_array(haar, system2, xs, policy)
+    atoms = ww.zero_path_atoms(haar, system2, xs, policy)
     elapsed = time.time() - t0
-    err = max(abs(float(v) - sinc_sq(float(x))) for x, v in zip(xs, vals))
-    assert conv.all()
+    err = max(abs(float(v) - sinc_sq(float(x))) for x, v in zip(xs, atoms.value))
+    assert atoms.converged.all()
     assert err <= 1e-8
     assert elapsed <= 1.0
     _report(1, f"max atom error vs sinc^2 on level-8 grid = {err:.2e}, {elapsed:.2f}s")
@@ -124,8 +124,8 @@ def test_criterion_06_norm_identities(haar, d4, stretched, system2):
     for spec in (haar, d4):
         norms[spec.label] = ww.scaling_norm_sq(spec, system2, policy, level=7)
         assert norms[spec.label] == pytest.approx(1.0, abs=1e-4)
-        for k in range(1, 6):
-            assert abs(ww.autocorrelation(spec, system2, k, policy, level=7).value) <= 1e-5
+        for lag in ww.autocorrelation(spec, system2, range(1, 6), policy, level=7):
+            assert abs(lag.value) <= 1e-5
     # oracle for the stretched norm: the explicit fixed point chi_[0,3)/3,
     # verified by substitution through one cascade step
     from test_scaling import exact_stretched_phi
@@ -136,7 +136,7 @@ def test_criterion_06_norm_identities(haar, d4, stretched, system2):
     policy_st = ww.TruncationPolicy(tail_cutoff_k=2000)
     n_st = ww.scaling_norm_sq(stretched, system2, policy_st, level=10)
     assert n_st == pytest.approx(1 / 3, abs=5e-3)
-    lag1 = ww.autocorrelation(stretched, system2, 1, policy_st, level=10).value
+    lag1 = ww.autocorrelation(stretched, system2, [1], policy_st, level=10)[0].value
     assert lag1 == pytest.approx(2 / 9, abs=5e-3)
     _report(6, f"norms: haar {norms['haar']:.6f}, d4 {norms['d4']:.6f}, stretched {n_st:.6f}, lag-1 {lag1:.6f}")
 
@@ -192,9 +192,9 @@ def test_criterion_08_monte_carlo_calibration(system2):
 def test_criterion_09_degenerate_filter(highpass, system2):
     policy = ww.TruncationPolicy()
     xs = np.arange(64, dtype=np.float64) / 64
-    vals, conv, _, _ = _atom_array(highpass, system2, xs, policy)
-    assert np.all(vals == 0.0)
-    assert conv.all()
+    atoms = ww.zero_path_atoms(highpass, system2, xs, policy)
+    assert np.all(atoms.value == 0.0)
+    assert atoms.converged.all()
     worst_mass = max(
         ww.lattice_mass(highpass, system2, float(x), policy).value for x in xs[::4]
     )

@@ -143,6 +143,25 @@ def test_sample_path_deterministic(d4, system2):
     assert c.digits != d.digits
 
 
+def test_sample_path_matches_scalar_walk(haar, d4, stretched, shannon, system2):
+    # reference: one scalar weight per branch and one uniform per step,
+    # drawn from the same Philox stream
+    for spec in (haar, d4, stretched, shannon):
+        for seed in range(10):
+            x = 0.1 + seed / 13
+            walk = ww.sample_path(spec, system2, x, 32, seed, stream=seed % 3)
+            key = np.array([seed, seed % 3], dtype=np.uint64)
+            rng = np.random.Generator(np.random.Philox(key=key))
+            y, digits = x, []
+            for norm in walk.step_norms:
+                w = [ww.eval_weight(spec, system2.branch(i, y)) for i in range(2)]
+                assert norm == pytest.approx(sum(w), abs=4e-15)
+                d = int(rng.random() >= w[0] / sum(w))
+                digits.append(d)
+                y = system2.branch(d, y)
+            assert walk.digits.digits == tuple(digits)
+
+
 def test_sample_path_fair_coin_frequency(system2):
     fair = ww.FilterSpec.from_table([0.0], [0.5], label="fair")
     walk = ww.sample_path(fair, system2, 0.31, 10000, seed=2)

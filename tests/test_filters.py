@@ -55,6 +55,18 @@ def test_weight_array_matches_scalar(name):
     assert vec.min() >= 0.0
 
 
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_non_finite_points(shannon, d4, x):
+    # a table has no NaN entry: both lookups refuse instead of guessing
+    with pytest.raises(ww.NonFiniteArgument):
+        ww.eval_weight(shannon, x)
+    with pytest.raises(ww.NonFiniteArgument):
+        ww.weight_array(shannon, np.array([0.3, x]))
+    assert math.isnan(ww.eval_weight(d4, x))
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(ww.weight_array(d4, np.array([x]))).all()
+
+
 def test_partition_haar(haar):
     rep = check_partition(haar, grid_level=8)
     assert rep.partition_max_error < 1e-12

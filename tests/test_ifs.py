@@ -1,6 +1,9 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import wavewalk as ww
@@ -162,3 +165,24 @@ def test_word_json_order(system2):
 def test_scale_validation():
     with pytest.raises(ValueError):
         PathSystem(1)
+
+
+@given(
+    n=st.sampled_from([2, 4]),
+    digits=st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=12),
+    x=st.floats(min_value=0, max_value=1, exclude_max=True, allow_nan=False),
+)
+@example(n=2, digits=[0, 1, 0], x=1 - 2**-52)
+@example(n=2, digits=[1, 1, 1], x=1 - 2**-53)
+@settings(max_examples=200)
+def test_branch_states_stay_in_the_exact_cells(n, digits, x):
+    # each state is the exact (x + int(word)) / N**len cut down to the
+    # float grid, so every N-adic cell down to depth 52 is the exact one
+    sys_n = PathSystem(n)
+    word = DigitWord(tuple(d % n for d in digits))
+    y = sys_n.apply_word(word, x)
+    exact = (Fraction(x) + sys_n.word_to_int(word)) / n ** len(word)
+    assert Fraction(y) <= exact
+    assert math.floor(Fraction(y) * 2**52) == math.floor(exact * 2**52)
+    ys = sys_n.branch_array(np.arange(n), np.full(n, y))
+    assert ys.tolist() == [sys_n.branch(j, y) for j in range(n)]

@@ -170,3 +170,19 @@ def test_weight_is_exact_to_rounding_at_large_arguments(spec):
 def test_single_coefficient_weight_is_constant():
     spec = ww.FilterSpec.from_coefficients({3: 1.0})
     np.testing.assert_array_equal(weight_array(spec, np.array([0.0, 0.3, 1234.5])), 1.0)
+
+
+def test_zero_path_atoms_record(d4, stretched, system2):
+    # the public record carries the kernel's columns, NaN tail where unconverged
+    policy = ww.TruncationPolicy(product_depth=12)
+    xs = np.array([[0.0, 0.3, 5.5], [-7.25, 1e3, 0.49]])
+    for spec in (d4, stretched):
+        atoms = ww.zero_path_atoms(spec, system2, xs, policy)
+        vals, conv, depth, dev = _atom_array(spec, system2, xs, policy)
+        assert atoms.value.shape == xs.shape
+        assert np.array_equal(atoms.value, vals) and np.array_equal(atoms.converged, conv)
+        assert np.array_equal(atoms.depth_used, depth)
+        assert np.array_equal(np.isnan(atoms.tail_bound), ~conv)
+        assert np.array_equal(atoms.tail_bound[conv], dev[conv])
+        for i, x in enumerate(xs.ravel()):
+            assert atoms.at(i) == ww.zero_path_atom(spec, system2, float(x), policy)

@@ -247,6 +247,7 @@ def test_refinement_requires_arity(haar, system2):
 @given(spec=dyadic_partition_filter(), x=st.floats(min_value=0, max_value=1, exclude_max=True))
 @example(spec=ww.FilterSpec.from_table([0.0, 0.5], [0.0, 1.0]), x=1 - 2**-53)
 @example(spec=ww.FilterSpec.from_table([0.0, 0.25, 0.5, 0.75], [0.3, 0.0, 0.7, 1.0]), x=1 - 2**-52)
+@example(spec=ww.FilterSpec.from_table([m / 8 for m in range(8)], [0, 0, 1, 1, 1, 1, 0, 0]), x=1 - 2**-52)
 @settings(max_examples=40, deadline=None)
 def test_total_mass_random_partition_filters(spec, x):
     system2 = ww.PathSystem(2)

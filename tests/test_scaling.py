@@ -36,14 +36,19 @@ def test_scaling_hat_haar_values(haar, system2, policy):
 
 
 def test_scaling_hat_squared_is_atom(haar, d4, system2, policy):
+    # scaling_hat's own stop rule rarely flags convergence by depth 40, so
+    # only the atom's flag gates the comparison, and every draw is compared
     rng = np.random.Generator(np.random.Philox(key=np.uint64(23)))
+    compared = 0
     for spec in (haar, d4):
         for _ in range(20):
             x = float(6 * rng.random() - 3)
             hat = ww.scaling_hat(spec, system2, x, policy)
             atom = ww.zero_path_atom(spec, system2, x, policy)
-            if hat.converged and atom.converged:
+            if atom.converged:
                 assert abs(hat.value) ** 2 == pytest.approx(atom.value, abs=1e-9)
+                compared += 1
+    assert compared == 40
 
 
 def test_scaling_relation_bit_exact(d4, system2):
@@ -154,21 +159,19 @@ def test_norms(haar, d4, stretched, highpass, system2, policy):
 def test_autocorrelation_haar(haar, system2, policy):
     # the symmetric window leaves a 1/(2 pi^2 K) boundary term at lag 1;
     # higher lags have purely oscillating tails
-    lag1 = ww.autocorrelation(haar, system2, 1, policy, level=10)
+    lag0, lag1, *higher = ww.autocorrelation(haar, system2, range(6), policy, level=10)
     assert lag1.value == pytest.approx(1 / (2 * math.pi**2 * 2000), abs=1e-6)
     assert lag1.imag_residual < 1e-9
-    for k in range(2, 6):
-        assert abs(ww.autocorrelation(haar, system2, k, policy, level=10).value) < 1e-6
-    lag0 = ww.autocorrelation(haar, system2, 0, policy, level=10)
+    for lag in higher:
+        assert abs(lag.value) < 1e-6
     assert lag0.value == pytest.approx(
         ww.scaling_norm_sq(haar, system2, policy, level=10), abs=1e-13
     )
 
 
 def test_autocorrelation_stretched(stretched, system2, policy):
-    lag1 = ww.autocorrelation(stretched, system2, 1, policy, level=10)
+    lag1, lag3 = ww.autocorrelation(stretched, system2, [1, 3], policy, level=10)
     assert lag1.value == pytest.approx(2 / 9, abs=5e-3)
-    lag3 = ww.autocorrelation(stretched, system2, 3, policy, level=10)
     assert abs(lag3.value) < 1e-4
 
 

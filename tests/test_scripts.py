@@ -1,5 +1,6 @@
-"""Smoke runs of the scripts in scripts/ at tiny sizes."""
+"""Smoke runs of the scripts in scripts/ at tiny sizes, and their imports."""
 
+import ast
 import os
 import pathlib
 import subprocess
@@ -41,3 +42,28 @@ def test_convergence_census(tmp_path):
 def test_stationary_measures(tmp_path):
     out = _run_script("stationary_measures.py", "--grid-level", "4", "--iters", "5", cwd=tmp_path)
     assert out.count("residual") == 5
+
+
+def _private_wavewalk_names(path):
+    """`_`-prefixed names a file takes from wavewalk (dunders excepted)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    modules = set()
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("wavewalk")):
+            found += [a.name for a in node.names if a.name.startswith("_")]
+            modules |= {a.asname or a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            modules |= {a.asname or a.name for a in node.names if a.name.startswith("wavewalk")}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+            if node.attr.startswith("_"):
+                found.append(f"{node.value.id}.{node.attr}")
+    return [name for name in found if not (name.startswith("__") and name.endswith("__"))]
+
+
+def test_cli_and_scripts_use_public_names():
+    paths = [ROOT / "src" / "wavewalk" / "cli.py", *sorted((ROOT / "scripts").glob("*.py"))]
+    assert len(paths) >= 4
+    for path in paths:
+        assert _private_wavewalk_names(path) == [], path.name

@@ -17,6 +17,18 @@ def test_apply_transfer_preserves_one(haar, d4, stretched, shannon, highpass, sy
             )
 
 
+def test_transfer_of_one_near_one():
+    # for x just below 1, (x + k)/N**n rounded to nearest lands on the edge
+    # of the next cell, where this table reads another value; R 1 = 1 needs
+    # every preimage inside its own cell
+    partition = ww.FilterSpec.from_table([0.0, 0.25, 0.5, 0.75], [0.3, 0.0, 0.7, 1.0])
+    system2 = ww.PathSystem(2)
+    x = 1 - 2**-53
+    assert ww.apply_transfer(partition, system2, lambda y: 1.0, x) == 1.0
+    for n in (1, 2, 3):
+        assert ww.apply_transfer_n(partition, system2, lambda y: 1.0, x, n) == pytest.approx(1.0, abs=1e-15)
+
+
 def test_apply_transfer_haar_cosine(haar, system2):
     # W(0) cos(0) + W(1/2) cos(pi) = 1
     got = ww.apply_transfer(haar, system2, lambda y: math.cos(2 * math.pi * y), 0.0)
