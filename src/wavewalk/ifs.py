@@ -17,6 +17,10 @@ import numpy as np
 
 from .errors import DigitOutOfRange, EmptyWord
 
+#: the smallest normal float; a branch quotient below it may be inexact
+_TINY = np.finfo(np.float64).tiny
+
+
 def frac(x: float) -> float:
     """Fractional part in [0, 1); the endpoint 1 is identified with 0."""
     r = x % 1.0
@@ -87,11 +91,16 @@ class PathSystem:
         below 1, where the weight would be read at 0).  So a state stays
         below 1 and, for N a power of 2, in every N-adic cell of the exact
         (x + j)/N.  (x + j) - j is exact for j >= 1: it exceeds x exactly
-        when the sum was rounded up.
+        when the sum was rounded up.  The quotient is rounded toward zero
+        too: below the smallest normal float it loses bits even for N a
+        power of 2.  Such a quotient has digit 0, so its sum is x itself, and
+        q * N > x there exactly when it was rounded up.
         """
         s = ys + digits
         np.nextafter(s, 0.0, out=s, where=s - digits > ys)
         s /= self.scale_n
+        if s.min(initial=1.0) < _TINY:
+            np.nextafter(s, 0.0, out=s, where=(s < _TINY) & (s * self.scale_n > ys))
         return s
 
     def digits_of(self, k: int) -> DigitWord:

@@ -174,6 +174,7 @@ def test_scale_validation():
 )
 @example(n=2, digits=[0, 1, 0], x=1 - 2**-52)
 @example(n=2, digits=[1, 1, 1], x=1 - 2**-53)
+@example(n=4, digits=[0, 0], x=2.225073858507203e-309)
 @settings(max_examples=200)
 def test_branch_states_stay_in_the_exact_cells(n, digits, x):
     # each state is the exact (x + int(word)) / N**len cut down to the
