@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Sweep the zero-path atom and the lattice-mass harmonic function over
-the bundled filter gallery and write one CSV per filter.
+"""Sweep the zero-path atom and the minimal harmonic function over the
+bundled filter gallery and write one CSV per filter.
 
 Usage:
     python scripts/atom_gallery_sweep.py [--grid-level 8] [--tail-K 2000] [--outdir sweeps]
@@ -18,7 +18,11 @@ from wavewalk.serialize import csv_text
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--grid-level", type=int, default=8)
-    ap.add_argument("--tail-K", type=int, default=2000, dest="tail_k")
+    ap.add_argument(
+        "--tail-K", type=int, default=2000, dest="tail_k",
+        help="lattice-sum cutoff K, used only for filters with no exact harmonic "
+        "function (tabulated, not a partition, or not low-pass)",
+    )
     ap.add_argument("--outdir", default="sweeps")
     args = ap.parse_args()
 

@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: validate, atom, harmonic, diagnose, transfer, scaling,
-coeffs, simulate.  Exit codes: 0 success, 1 usage or I/O error,
-2 a validation verdict failed.
+coeffs, simulate.  Exit codes: 0 success, 1 usage, argument or I/O
+error, 2 a validation verdict failed.
 """
 
 from __future__ import annotations
@@ -35,13 +35,20 @@ class _Parser(argparse.ArgumentParser):
         raise CliUsageError(message)
 
 
+_TAIL_K_HELP = (
+    "lattice-sum cutoff K (|k| <= K); harmonic always sums the lattice, scaling "
+    "and diagnose use K only for filters with no exact harmonic function "
+    "(tabulated, not a partition, or not low-pass)"
+)
+
+
 def _add_common(p, *names):
     if "grid_level" in names:
         p.add_argument("--grid-level", type=int, default=8, dest="grid_level")
     if "depth" in names:
         p.add_argument("--depth", type=int, default=40)
     if "tail_k" in names:
-        p.add_argument("--tail-K", type=int, default=2000, dest="tail_k")
+        p.add_argument("--tail-K", type=int, default=2000, dest="tail_k", help=_TAIL_K_HELP)
     if "tol" in names:
         p.add_argument("--tol", type=float, default=None)
     p.add_argument("--out", default="-")
@@ -162,7 +169,8 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         spec = _load_spec(args.filter)
         return _COMMANDS[args.command](args, spec, PathSystem(spec.scale_n), _meta(args, spec))
-    except (CliUsageError, WavewalkError) as exc:
+    except (CliUsageError, WavewalkError, ValueError) as exc:
+        # ValueError: an argument the API rejects, such as --depth 0
         print(f"wavewalk: error: {exc}", file=sys.stderr)
         return 1
 

@@ -109,11 +109,13 @@ def diagnose_convergence(
     """Fill both sequences at x and judge the convergence equivalence.
 
     partial_products[n] = prod_{j<=n} W(x/N**j) with the empty product
-    at n = 0; harmonic_values[n] is the truncated lattice mass at
-    x/N**n.  The product verdict looks at whether the last
-    `stall_window` factors sit within factor_tol of 1 while the running
-    product stays above atom_floor; the harmonic verdict at whether the
-    last values sit within h_tol of 1, or have stabilized away from 1.
+    at n = 0; harmonic_values[n] is the minimal harmonic function at
+    x/N**n (harmonic_on_grid: exact for a low-pass partition filter,
+    the lattice sum truncated at K otherwise).  The product verdict
+    looks at whether the last `stall_window` factors sit within
+    factor_tol of 1 while the running product stays above atom_floor;
+    the harmonic verdict at whether the last values sit within h_tol of
+    1, or have stabilized away from 1.
     """
     if max_n < 4:
         raise ValueError("max_n must be >= 4")

@@ -230,29 +230,40 @@ def _clenshaw(taps, c2: np.ndarray):
     return b1, b2
 
 
+def _trig_series(taps, xs: np.ndarray) -> np.ndarray:
+    """A nonnegative 1-periodic trigonometric series at every x in xs.
+
+    taps = (c_0, cos_taps, sin_taps) in the layout of _weight_taps: the
+    series c_0 + sum_j [cos_taps[j-1] cos 2 pi j x + sin_taps[j-1] sin 2 pi j x],
+    summed at the argument reduced to [-1/2, 1/2] (exactly, so a large |x|
+    adds no rounding to the angle).  The cosine series is summed by
+    Clenshaw's recurrence in c = cos 2 pi x: c_0 + sum_j a_j T_j(c) =
+    c_0 + c b_1 - b_2.  The sine series, skipped when sin_taps is empty,
+    is sin 2 pi x times sum_j s_j U_{j-1}(c), the b_1 of the same
+    recurrence.  Round-off can leave values a few ulp below 0, which is
+    clamped away.
+    """
+    c0, cos_taps, sin_taps = taps
+    ang = 2.0 * np.pi * (xs - np.rint(xs))
+    c = np.cos(ang)
+    c2 = 2.0 * c
+    b1, b2 = _clenshaw(cos_taps, c2)
+    out = c * b1 - b2 + c0
+    if sin_taps:
+        out += np.sin(ang) * _clenshaw(sin_taps, c2)[0]
+    return np.maximum(out, 0.0)
+
+
 def weight_array(spec: FilterSpec, xs: np.ndarray) -> np.ndarray:
     """Vectorized eval_weight.
 
-    Coefficient filters sum the exact trigonometric series of |m|^2 at
-    the argument reduced to [-1/2, 1/2] (exactly, so a large |x| adds no
-    rounding to the angle).  The cosine series is summed by Clenshaw's
-    recurrence in c = cos 2 pi x: c_0 + sum_j a_j T_j(c) = c_0 + c b_1 - b_2.
-    The sine series, present only when some tap has an imaginary part,
-    is sin 2 pi x times sum_j s_j U_{j-1}(c), the b_1 of the same
-    recurrence.  Round-off can leave values a few ulp below 0, which is
-    clamped away.  Non-finite points behave as in eval_weight.
+    Coefficient filters sum the exact trigonometric series of |m|^2
+    (_trig_series over _weight_taps).  Non-finite points behave as in
+    eval_weight.
     """
     xs = np.asarray(xs, dtype=np.float64)
     if spec.kind == KIND_COEFFICIENTS:
-        c0, cos_taps, sin_taps = _weight_taps(spec)
-        ang = 2.0 * np.pi * (xs - np.rint(xs))
-        c = np.cos(ang)
-        c2 = 2.0 * c
-        b1, b2 = _clenshaw(cos_taps, c2)
-        out = c * b1 - b2 + c0
-        if sin_taps:
-            out += np.sin(ang) * _clenshaw(sin_taps, c2)[0]
-        return np.maximum(out, 0.0)
+        return _trig_series(_weight_taps(spec), xs)
     if not np.isfinite(xs).all():
         raise NonFiniteArgument("tabulated weight read at a non-finite point")
     r = np.mod(xs, 1.0)

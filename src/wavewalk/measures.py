@@ -7,7 +7,9 @@ inverse-branch walk.  This module evaluates those masses exactly
 (cylinder probabilities, expectations of finite-coordinate functions)
 and by controlled truncation (the atom at the all-zero string, atoms at
 embedded integers, the mass of the embedded integer lattice and of its
-N**k-fold sublattices).
+N**k-fold sublattices).  For a low-pass coefficient filter whose weight
+is an exact partition, the lattice mass (the minimal harmonic function)
+is also computed exactly, as a trigonometric polynomial.
 
 Truncation rule for infinite products: a product is declared converged
 once `stall_window` consecutive factors sit within `convergence_tol` of
@@ -21,12 +23,22 @@ so results are deterministic for a given input.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ArityTooLarge
-from .filters import FilterSpec, eval_weight, weight_array
+from .filters import (
+    DEFAULT_TOL,
+    KIND_COEFFICIENTS,
+    FilterSpec,
+    _trig_series,
+    _weight_taps,
+    eval_weight,
+    weight_array,
+)
 from .ifs import DigitWord, PathSystem, frac
 
 ATOM_UNDERFLOW = 1e-300
@@ -267,13 +279,112 @@ def lattice_masses(
     )
 
 
-def harmonic_on_grid(spec, system, xs, policy) -> np.ndarray:
-    """sum_{|k| <= K} atom(x + k) for every x in xs: lattice_masses values.
+def _nontrivial_cycles(spec: FilterSpec, max_period: int) -> list[float]:
+    """One point of each W-cycle other than {0}, of period <= max_period.
 
-    This is the minimal harmonic function of the transfer operator,
-    truncated at K = policy.tail_cutoff_k.
+    A W-cycle is an orbit of x -> N x mod 1 with W = 1 at every point;
+    a period-p orbit lies on the grid j / (N**p - 1), which the map
+    permutes.  Each cycle is named by its smallest point.  Grids larger
+    than MAX_TREE_WORDS are not searched.
     """
-    return lattice_masses(spec, system, xs, policy).value
+    n = spec.scale_n
+    found = set()
+    for p in range(1, max_period + 1):
+        period = n**p - 1
+        if period > MAX_TREE_WORDS:
+            break
+        top = weight_array(spec, np.arange(period) / period) >= 1.0 - DEFAULT_TOL
+        top[0] = False
+        for j in np.flatnonzero(top).tolist():
+            orbit = [j]
+            k = j * n % period
+            while k != j:
+                orbit.append(k)
+                k = k * n % period
+            if top[orbit].all():
+                g = math.gcd(min(orbit), period)
+                found.add((min(orbit) // g, period // g))
+    return sorted(j / q for j, q in found)
+
+
+@functools.lru_cache(maxsize=64)
+def _harmonic_taps(spec: FilterSpec):
+    """The minimal harmonic function of a coefficient filter, exactly.
+
+    For a filter of coefficient span S, h(x) = sum_k atom(x + k) is the
+    trigonometric polynomial sum_{|n| <= L} b_n exp(2 pi i n x) with
+    L = S // (N - 1), and its coefficients (the autocorrelations
+    <phi, phi(. - n)>) are a fixed point of the transfer operator on
+    such polynomials: the matrix M[q, n] = N w_{Nq - n}, where w_j are
+    the Fourier coefficients of W (Lawton 1991; Cohen 1990).  The
+    eigenvalue 1 of M has multiplicity r, read from the SVD of M - I;
+    b is the eigenvector with h(0) = 1 that vanishes on the r - 1
+    nontrivial W-cycles (a cycle point takes N - 1 zeros of m, so a
+    cycle has period <= L).
+
+    Returns the taps of h in the layout of filters._weight_taps, or None
+    where the route does not apply: a tabulated filter, a filter that is
+    not an exact partition (N w_{Nm} = delta_{m0}) or not low-pass
+    (|sum a_k| = 1) at DEFAULT_TOL, a cycle count other than r - 1, or
+    a solve whose condition number times the unit roundoff, or whose
+    residual, exceeds DEFAULT_TOL.
+    Cached per filter, as tuples.
+    """
+    if spec.kind != KIND_COEFFICIENTS:
+        return None
+    n = spec.scale_n
+    c0, cos_taps, sin_taps = _weight_taps(spec)
+    span = len(cos_taps)
+    half = (np.asarray(cos_taps) - 1j * np.asarray(sin_taps or np.zeros(span))) / 2
+    w = np.concatenate([half[::-1].conj(), [c0], half])
+    if not sin_taps:
+        w = w.real
+    js = np.arange(-span, span + 1)
+    on_grid = js % n == 0
+    if np.max(np.abs(n * w[on_grid] - (js[on_grid] == 0))) > DEFAULT_TOL:
+        return None
+    if abs(abs(sum(v for _, v in spec.coeffs)) - 1.0) > DEFAULT_TOL:
+        return None
+    ell = span // (n - 1)
+    idx = np.arange(-ell, ell + 1)
+    lag = n * idx[:, None] - idx
+    fixed = np.where(np.abs(lag) <= span, n * w[np.clip(lag + span, 0, 2 * span)], 0.0)
+    fixed -= np.eye(idx.size)
+    r = int(np.sum(np.linalg.svd(fixed, compute_uv=False) <= DEFAULT_TOL))
+    cycles = _nontrivial_cycles(spec, ell) if r > 1 else []
+    if r == 0 or len(cycles) != r - 1:
+        return None
+    # h(0) = 1, and h = 0 (real and imaginary part) at one point of each cycle
+    ang = 2.0 * np.pi * np.outer(cycles, idx)
+    system = np.vstack([fixed, np.ones(idx.size), np.cos(ang), np.sin(ang)])
+    rhs = np.zeros(system.shape[0])
+    rhs[idx.size] = 1.0
+    b, _, _, sv = np.linalg.lstsq(system, rhs, rcond=None)
+    # rounding in b grows with the condition number: near a filter with a
+    # cycle (the 4-tap orthogonal family at angle pi + 1e-4) it reaches 1e-7
+    ill_conditioned = sv[0] * np.finfo(float).eps > sv[-1] * DEFAULT_TOL
+    if ill_conditioned or np.max(np.abs(system @ b - rhs)) > DEFAULT_TOL:
+        return None
+    # the real part of h: b_n e(nx) + b_-n e(-nx) summed as cosines and sines
+    pos, neg = b[ell + 1 :], b[:ell][::-1]
+    sines = tuple((neg.imag - pos.imag).tolist()) if np.iscomplexobj(b) else ()
+    return float(b[ell].real), tuple((pos.real + neg.real).tolist()), sines if any(sines) else ()
+
+
+def harmonic_on_grid(spec, system, xs, policy) -> np.ndarray:
+    """The minimal harmonic function h(x) = sum_k atom(x + k) at every x in xs.
+
+    For a coefficient filter that is an exact partition and low-pass, h
+    is the trigonometric polynomial of _harmonic_taps, summed exactly
+    (no truncation; policy is not used).  Every other filter takes the
+    lattice route, lattice_masses(...).value: the sum over |k| <= K,
+    K = policy.tail_cutoff_k.
+    """
+    _check_scales(spec, system)
+    taps = _harmonic_taps(spec)
+    if taps is None:
+        return lattice_masses(spec, system, xs, policy).value
+    return _trig_series(taps, np.asarray(xs, dtype=np.float64))
 
 
 def lattice_mass(spec: FilterSpec, system: PathSystem, x: float, policy: TruncationPolicy) -> MeasureValue:

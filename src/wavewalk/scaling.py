@@ -4,9 +4,12 @@ Two routes to the scaling function of a coefficient filter: the
 frequency-domain truncated product of responses m(x/N) m(x/N^2) ...,
 and the time-domain cascade iteration phi <- N sum_k a_k phi(N. - k)
 on a dyadic sample grid.  On top of those sit the norm and
-autocorrelation checks (via the harmonic lattice mass, so cascade
-error cannot contaminate them) and the banded analysis operators that
-compute wavelet coefficients of discrete signals.
+autocorrelation checks (via the minimal harmonic function
+h(x) = sum_k |phi^(x + k)|^2 of measures.harmonic_on_grid, so cascade
+error cannot contaminate them; h is exact for a low-pass partition
+filter and a lattice sum truncated at K otherwise) and the banded
+analysis operators that compute wavelet coefficients of discrete
+signals.
 
 Sign conventions: Fourier transform with kernel exp(-i 2 pi t x); the
 companion wavelet uses b_k = (-1)**(k+1) conj(a_{1-k}).
@@ -183,15 +186,17 @@ def wavelet_from_scaling(spec: FilterSpec, phi: SampledFunction) -> SampledFunct
 
 
 # ----------------------------------------------------------------------
-# norm and autocorrelation via the harmonic lattice mass
+# norm and autocorrelation via the minimal harmonic function
 
 
 def scaling_norm_sq(spec: FilterSpec, system: PathSystem, policy: TruncationPolicy, level: int) -> float:
     """Squared L2 norm of the scaling function.
 
-    Midpoint quadrature of the lattice mass over one period; unfolding
-    the integer sum turns the period integral into the line integral of
-    the squared Fourier transform.
+    Midpoint quadrature of h = harmonic_on_grid over one period;
+    unfolding the integer sum turns the period integral into the line
+    integral of the squared Fourier transform.  Where h is the exact
+    trigonometric polynomial of degree L < N**level, the quadrature is
+    exact too; elsewhere h is the lattice sum truncated at K.
     """
     cells = system.scale_n**level
     mids = (np.arange(cells, dtype=np.float64) + 0.5) / cells
@@ -213,11 +218,13 @@ def autocorrelation(
     policy: TruncationPolicy,
     level: int,
 ) -> list[Autocorrelation]:
-    """Fourier coefficients of the lattice mass = the autocorrelations at lags.
+    """Fourier coefficients of h = the autocorrelations at lags.
 
     Midpoint quadrature of h(x) exp(i 2 pi k x) over one period, one
-    Autocorrelation per lag k in `lags`, all from a single lattice sum h
-    on the level-`level` grid.  The imaginary part must vanish for any
+    Autocorrelation per lag k in `lags`, all from a single evaluation of
+    h = harmonic_on_grid on the level-`level` grid: exact for a low-pass
+    partition filter while |k| + L < N**level, and from the lattice sum
+    truncated at K otherwise.  The imaginary part must vanish for any
     real filter and is reported as a sanity residual.
     """
     cells = system.scale_n**level

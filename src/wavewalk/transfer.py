@@ -66,7 +66,11 @@ class GridFunction:
 def harmonic_gridfunction(
     spec: FilterSpec, system: PathSystem, level: int, policy: TruncationPolicy
 ) -> GridFunction:
-    """Truncated lattice-mass harmonic function sampled on the level-L grid."""
+    """The minimal harmonic function (harmonic_on_grid) sampled on the level-L grid.
+
+    Exact for a low-pass partition coefficient filter; the lattice sum
+    truncated at K = policy.tail_cutoff_k for every other filter.
+    """
     cells = system.scale_n**level
     pts = np.arange(cells, dtype=np.float64) / cells
     return GridFunction(level, system.scale_n, harmonic_on_grid(spec, system, pts, policy))

@@ -101,7 +101,8 @@ def test_criterion_04_sampling_bridge(haar, d4, system2):
 
 def test_criterion_05_harmonicity(haar, d4, stretched, system2):
     # truncation K chosen per filter so the lattice-sum tail (which the
-    # residual is made of) sits under the stated tolerance
+    # residual is made of) sits under the stated tolerance; these filters
+    # now take the exact route, where K is not used
     worst_onb = 0.0
     for spec, kk in ((haar, 30000), (d4, 4000)):
         policy = ww.TruncationPolicy(tail_cutoff_k=kk)
@@ -118,7 +119,8 @@ def test_criterion_05_harmonicity(haar, d4, stretched, system2):
 
 def test_criterion_06_norm_identities(haar, d4, stretched, system2):
     # lag-1 of the truncated lattice mass carries a 1/(2 pi^2 K) boundary
-    # term, so the 1e-5 bound needs K = 20000; level 7 is alias-exact here
+    # term, so the 1e-5 bound needs K = 20000 on the lattice route (these
+    # filters now take the exact route); level 7 is alias-exact here
     policy = ww.TruncationPolicy(tail_cutoff_k=20000)
     norms = {}
     for spec in (haar, d4):

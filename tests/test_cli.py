@@ -52,6 +52,23 @@ def test_usage_error_exit(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["simulate", "--x", "0.3", "--word", "0,1", "--trials", "50"], "at least 100 trials"),
+        (["atom", "--depth", "0"], "product_depth must be >= 1"),
+        (["diagnose", "--x", "0.3", "--max-n", "3"], "max_n must be >= 4"),
+        (["harmonic", "--tail-K", "0"], "tail_cutoff_k must be >= 1"),
+    ],
+    ids=["simulate", "atom", "diagnose", "harmonic"],
+)
+def test_rejected_argument_is_an_error_not_a_traceback(argv, message, capsys):
+    argv = argv[:1] + [gpath("d4")] + argv[1:]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("wavewalk: error: ") and message in err
+
+
 def test_atom_sweep_csv(tmp_path):
     out = tmp_path / "atom.csv"
     code = main(["atom", gpath("haar"), "--grid-level", "8", "--out", str(out)])

@@ -10,8 +10,20 @@ import numpy as np
 import pytest
 
 import wavewalk as ww
-from wavewalk.filters import eval_weight, weight_array
+from conftest import quadrature_family
+from wavewalk.filters import _weight_taps, eval_weight, weight_array
 from wavewalk.measures import ATOM_TILE, ATOM_UNDERFLOW, _atom_array
+
+
+def stretched_h(xs, p=3):
+    """h of the filter a_0 = a_p = 1/2, whose phi is the box on [0, p) over p.
+
+    Its autocorrelations are (p - |n|) / p**2, summed at the argument
+    reduced to [-1/2, 1/2] so that a large |x| costs no accuracy here.
+    """
+    r = np.asarray(xs, dtype=np.float64)
+    r = r - np.rint(r)
+    return sum((p - abs(n)) / p**2 * np.cos(2 * np.pi * n * r) for n in range(1 - p, p))
 
 
 def _reference_atom(spec, system, x, policy):
@@ -83,7 +95,7 @@ def test_zero_path_atom_is_the_kernel_at_one_point(stretched, system2, policy):
 def test_lattice_masses_match_pointwise_rule(kk, npts, system2):
     policy = ww.TruncationPolicy(tail_cutoff_k=kk)
     xs = np.random.default_rng(npts + kk).random(npts)
-    for spec in (ww.load_gallery("d4"), ww.load_gallery("stretched_haar")):
+    for spec, h in ((ww.load_gallery("d4"), np.ones_like), (ww.load_gallery("stretched_haar"), stretched_h)):
         masses = ww.lattice_masses(spec, system2, xs, policy)
         grid = ww.harmonic_on_grid(spec, system2, xs, policy)
         assert masses.value.shape == grid.shape == xs.shape
@@ -98,7 +110,8 @@ def test_lattice_masses_match_pointwise_rule(kk, npts, system2):
                     assert got.tail_bound is None
                 else:
                     assert got.tail_bound == pytest.approx(tail, rel=1e-15, abs=1e-300)
-            assert grid[i] == masses.value[i]
+        # harmonic_on_grid takes the exact route for these filters
+        np.testing.assert_allclose(grid, h(xs), rtol=0, atol=1e-13)
 
 
 def test_lattice_masses_keep_the_shape_of_the_points(d4, system2):
@@ -107,7 +120,10 @@ def test_lattice_masses_keep_the_shape_of_the_points(d4, system2):
     masses = ww.lattice_masses(d4, system2, xs, policy)
     for field in (masses.value, masses.converged, masses.tail_bound, masses.depth_used):
         assert field.shape == (2, 3)
-    np.testing.assert_array_equal(masses.value.ravel(), ww.harmonic_on_grid(d4, system2, xs.ravel(), policy))
+    np.testing.assert_array_equal(masses.value.ravel(), ww.lattice_masses(d4, system2, xs.ravel(), policy).value)
+    grid = ww.harmonic_on_grid(d4, system2, xs, policy)
+    assert grid.shape == (2, 3)
+    np.testing.assert_allclose(grid, 1.0, rtol=0, atol=1e-13)
 
 
 def test_lattice_masses_with_stride_sum_the_sublattice(haar, system2):
@@ -186,3 +202,103 @@ def test_zero_path_atoms_record(d4, stretched, system2):
         assert np.array_equal(atoms.tail_bound[conv], dev[conv])
         for i, x in enumerate(xs.ravel()):
             assert atoms.at(i) == ww.zero_path_atom(spec, system2, float(x), policy)
+
+
+# ----------------------------------------------------------------------
+# the exact harmonic function
+
+
+def _far_points(count=1200, seed=13):
+    rng = np.random.default_rng(seed)
+    return np.concatenate([
+        rng.uniform(-4000.0, 4000.0, count // 2),
+        rng.uniform(-1.0, 1.0, count // 2),
+        [0.0, 0.5, 1 / 3, 2 / 3, -4000.0, 3999.999999],
+    ])
+
+
+def _complex_quadrature_filter(seed):
+    """A 4-tap low-pass quadrature filter with complex taps.
+
+    Its polyphase row [u, v z] V is unit on the circle for a unit vector
+    (u, v) and a unitary V, and V maps (u, v) to (1, 1)/sqrt 2, so the
+    taps sum to 1.
+    """
+    rng = np.random.default_rng(seed)
+    u = rng.normal(size=2) + 1j * rng.normal(size=2)
+    u /= np.linalg.norm(u)
+    u_perp = np.array([-u[1].conjugate(), u[0].conjugate()])
+    v = (np.outer(u.conj(), [1.0, 1.0]) + np.outer(u_perp.conj(), [1.0, -1.0])) / np.sqrt(2)
+    e0 = (u[0] * v[0, 0], u[1] * v[1, 0])
+    e1 = (u[0] * v[0, 1], u[1] * v[1, 1])
+    taps = {0: e0[0], 1: e1[0], 2: e0[1], 3: e1[1]}
+    return ww.FilterSpec.from_coefficients({k: t / np.sqrt(2) for k, t in taps.items()})
+
+
+def test_exact_harmonic_closed_forms(system2, policy):
+    xs = _far_points()
+    assert np.abs(xs).max() >= 4000.0
+    for name in ("haar", "d4"):
+        h = ww.harmonic_on_grid(ww.load_gallery(name), system2, xs, policy)
+        assert np.max(np.abs(h - 1.0)) <= 1e-13
+    h = ww.harmonic_on_grid(ww.load_gallery("stretched_haar"), system2, xs, policy)
+    assert np.max(np.abs(h - stretched_h(xs))) <= 1e-13
+    # a_0 = a_p = 1/2 has the cycles of x -> 2x on the points j/p:
+    # {1/5, 2/5, 4/5, 3/5} for p = 5; {1/7, 2/7, 4/7} and {3/7, 6/7, 5/7} for p = 7
+    for p in (5, 7):
+        spec = ww.FilterSpec.from_coefficients({0: 0.5, p: 0.5})
+        h = ww.harmonic_on_grid(spec, system2, xs, policy)
+        assert np.max(np.abs(h - stretched_h(xs, p))) <= 1e-13
+    # scale 3: a_0 = a_2 = a_4 = 1/3 has phi the box on [0, 2) over 2
+    spec = ww.FilterSpec.from_coefficients({0: 1 / 3, 2: 1 / 3, 4: 1 / 3}, scale_n=3)
+    h = ww.harmonic_on_grid(spec, ww.PathSystem(3), xs, policy)
+    assert np.max(np.abs(h - stretched_h(xs, 2))) <= 1e-13
+    # complex taps: W has a sine series, and phi is orthonormal
+    spec = _complex_quadrature_filter(7)
+    assert ww.validate_filter(spec).all_ok
+    assert max(abs(t) for t in _weight_taps(spec)[2]) > 0.1
+    h = ww.harmonic_on_grid(spec, system2, xs, policy)
+    assert np.max(np.abs(h - 1.0)) <= 1e-13
+
+
+def test_exact_harmonic_of_the_quadrature_family(system2, policy):
+    xs = _far_points(200)
+    for theta in np.random.default_rng(17).uniform(0.0, 2.0 * np.pi, 40):
+        h = ww.harmonic_on_grid(quadrature_family(float(theta)), system2, xs, policy)
+        assert np.max(np.abs(h - 1.0)) <= 1e-12
+    # theta = pi is the stretched Haar filter: eigenvalue 1 is double
+    h = ww.harmonic_on_grid(quadrature_family(np.pi), system2, xs, policy)
+    assert np.max(np.abs(h - stretched_h(xs))) <= 1e-13
+
+
+def test_exact_harmonic_is_near_the_lattice_sum(system2):
+    kk = 20_000
+    policy = ww.TruncationPolicy(tail_cutoff_k=kk)
+    xs = np.random.default_rng(19).random(8)
+    for name in ("haar", "d4", "stretched_haar"):
+        spec = ww.load_gallery(name)
+        exact = ww.harmonic_on_grid(spec, system2, xs, policy)
+        lattice = ww.lattice_masses(spec, system2, xs, policy).value
+        assert np.max(np.abs(exact - lattice)) <= 4 / (np.pi**2 * kk)
+
+
+def test_exact_harmonic_gridfunction_is_harmonic(system2, policy):
+    for name in ("haar", "d4", "stretched_haar"):
+        spec = ww.load_gallery(name)
+        h = ww.harmonic_gridfunction(spec, system2, 7, policy)
+        assert ww.harmonic_residual(spec, system2, h, eval_level=6) <= 1e-12
+
+
+def test_filters_off_the_exact_route_keep_the_lattice_sum(system2):
+    policy = ww.TruncationPolicy(tail_cutoff_k=50)
+    xs = np.random.default_rng(23).random(9)
+    specs = [
+        ww.load_gallery("shannon"),
+        ww.load_gallery("highpass_haar"),
+        ww.FilterSpec.from_table([0.0, 0.25, 0.5, 0.75], [0.3, 0.0, 0.7, 1.0]),
+        ww.FilterSpec.from_coefficients({0: 0.6, 1: 0.4}),  # low-pass, not a partition
+        quadrature_family(np.pi + 1e-4),  # a fixed point too ill-conditioned to solve for
+    ]
+    for spec in specs:
+        got = ww.harmonic_on_grid(spec, system2, xs, policy)
+        np.testing.assert_array_equal(got, ww.lattice_masses(spec, system2, xs, policy).value)

@@ -177,11 +177,13 @@ def test_lattice_mass_highpass_zero(highpass, system2, policy):
 
 def test_harmonic_on_grid_matches_pointwise(haar, system2, policy):
     xs = np.array([0.1, 0.5, 0.9])
-    grid = ww.harmonic_on_grid(haar, system2, xs, policy)
-    for x, v in zip(xs, grid):
+    lattice = ww.lattice_masses(haar, system2, xs, policy).value
+    for x, v in zip(xs, lattice):
         assert v == pytest.approx(
             ww.lattice_mass(haar, system2, float(x), policy).value, abs=1e-12
         )
+    # the exact route: h = 1 for an orthonormal filter
+    np.testing.assert_allclose(ww.harmonic_on_grid(haar, system2, xs, policy), 1.0, rtol=0, atol=1e-13)
 
 
 def test_scaled_lattice_mass(haar, system2, policy):

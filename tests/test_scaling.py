@@ -156,14 +156,29 @@ def test_norms(haar, d4, stretched, highpass, system2, policy):
     assert ww.scaling_norm_sq(highpass, system2, policy, level=8) < 1e-100
 
 
+def _lattice_lags(spec, system, lags, policy, level):
+    """Midpoint Fourier coefficients of the truncated lattice mass."""
+    cells = system.scale_n**level
+    mids = (np.arange(cells, dtype=np.float64) + 0.5) / cells
+    h = ww.lattice_masses(spec, system, mids, policy).value
+    return [complex(np.mean(h * np.exp(2j * np.pi * k * mids))) for k in lags]
+
+
 def test_autocorrelation_haar(haar, system2, policy):
-    # the symmetric window leaves a 1/(2 pi^2 K) boundary term at lag 1;
-    # higher lags have purely oscillating tails
+    # the truncated lattice mass: the symmetric window leaves a
+    # 1/(2 pi^2 K) boundary term at lag 1; higher lags have purely
+    # oscillating tails
+    _, lat1, *lat_higher = _lattice_lags(haar, system2, range(6), policy, level=10)
+    assert lat1.real == pytest.approx(1 / (2 * math.pi**2 * 2000), abs=1e-6)
+    assert abs(lat1.imag) < 1e-9
+    for lag in lat_higher:
+        assert abs(lag.real) < 1e-6
+    # the exact route has no boundary term
     lag0, lag1, *higher = ww.autocorrelation(haar, system2, range(6), policy, level=10)
-    assert lag1.value == pytest.approx(1 / (2 * math.pi**2 * 2000), abs=1e-6)
+    assert abs(lag1.value) <= 1e-12
     assert lag1.imag_residual < 1e-9
     for lag in higher:
-        assert abs(lag.value) < 1e-6
+        assert abs(lag.value) <= 1e-12
     assert lag0.value == pytest.approx(
         ww.scaling_norm_sq(haar, system2, policy, level=10), abs=1e-13
     )
