@@ -38,14 +38,10 @@ def main():
         xs = np.arange(cells, dtype=np.float64) / cells
         atoms = ww.zero_path_atoms(spec, system, xs, policy)
         h = ww.harmonic_on_grid(spec, system, xs, policy)
-        rows = [
-            (float(x), float(a), bool(c), float(hh), int(d))
-            for x, a, c, hh, d in zip(xs, atoms.value, atoms.converged, h, atoms.depth_used)
-        ]
         text = csv_text(
             {"filter": name, "grid_level": args.grid_level, "tail_K": args.tail_k},
             ["x", "atom", "atom_converged", "harmonic_mass", "depth_used"],
-            rows,
+            [xs, atoms.value, atoms.converged, h, atoms.depth_used],
         )
         (outdir / f"{name}_sweep.csv").write_text(text)
         print(

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 
 import numpy as np
@@ -130,12 +129,17 @@ def _meta(args, spec: FilterSpec) -> dict:
     }
 
 
-def _emit(args, meta: dict, payload: dict, csv_header=None, csv_rows=None) -> None:
-    fmt = args.format or ("json" if csv_header is None else "csv")
-    if fmt == "csv" and csv_header is not None:
+def _emit(args, meta: dict, payload: dict, csv_header=None, csv_columns=None) -> None:
+    """Write meta and payload as JSON, or the CSV table where there is one.
+
+    A subcommand with a table gives its header and one column per header
+    field: a 1-D numpy array or list, formatted as serialize.csv_text says.
+    CSV is the default where a table is given, JSON otherwise.
+    """
+    if csv_header is not None and args.format != "json":
         flat_meta = dict(meta)
         flat_meta["config"] = " ".join(f"{k}={v}" for k, v in meta["config"].items())
-        text = csv_text(flat_meta, csv_header, csv_rows)
+        text = csv_text(flat_meta, csv_header, csv_columns)
     else:
         text = json_text({"meta": meta, **payload}) + "\n"
     if args.out == "-":
@@ -181,10 +185,10 @@ def _validate(args, spec, system, meta_doc) -> int:
     doc = report.to_json_dict()
     keys = {"partition": "partition_max_error", "quadrature": "quadrature_max_error",
             "lowpass": "lowpass_error"}
-    rows = [(name, doc[key], report.verdicts[name])
-            for name, key in keys.items() if doc.get(key) is not None]
-    _emit(args, meta_doc, {"report": doc},
-          csv_header=["condition", "error", "verdict"], csv_rows=rows)
+    names = [name for name, key in keys.items() if doc.get(key) is not None]
+    errors = [doc[keys[name]] for name in names]
+    _emit(args, meta_doc, {"report": doc}, csv_header=["condition", "error", "verdict"],
+          csv_columns=[names, errors, [report.verdicts[name] for name in names]])
     return 0 if report.all_ok else 2
 
 
@@ -192,34 +196,34 @@ def _sweep(measure, args, spec, system, meta_doc) -> int:
     """atom / harmonic: one MeasureArray over the grid, one row per point."""
     xs = _grid(system, args.grid_level)
     arr = measure(spec, system, xs, _policy(args))
-    tails = [None if math.isnan(t) else t for t in arr.tail_bound.tolist()]
-    rows = list(zip(xs.tolist(), arr.value.tolist(), arr.converged.tolist(), tails,
-                    arr.depth_used.tolist()))
-    _emit(args, meta_doc, {"rows": [list(r) for r in rows]},
+    columns = [xs, arr.value, arr.converged, arr.tail_bound, arr.depth_used]
+    # JSON writes the NaN of a missing tail bound as null, as CSV does
+    rows = (list(map(list, zip(*(c.tolist() for c in columns))))
+            if args.format == "json" else None)
+    _emit(args, meta_doc, {"rows": rows},
           csv_header=["x", "value", "converged", "tail_bound", "depth_used"],
-          csv_rows=rows)
+          csv_columns=columns)
     return 0
 
 
 def _diagnose(args, spec, system, meta_doc) -> int:
     report = diagnose_convergence(spec, system, args.x, args.max_n, _policy(args))
-    rows = list(zip(range(len(report.partial_products)), report.partial_products,
-                    report.harmonic_values))
     _emit(args, meta_doc, {"report": report.to_json_dict()},
-          csv_header=["n", "partial_product", "harmonic_value"], csv_rows=rows)
+          csv_header=["n", "partial_product", "harmonic_value"],
+          csv_columns=[np.arange(len(report.partial_products)), report.partial_products,
+                       report.harmonic_values])
     return 0
 
 
 def _transfer(args, spec, system, meta_doc) -> int:
     grid_fn, history = power_iterate(spec, system, args.grid_level, args.iters)
     masses, residual = ruelle_measure(spec, system, args.grid_level, args.iters)
-    lefts = (np.arange(grid_fn.cells) / grid_fn.cells).tolist()
-    rows = list(zip(range(grid_fn.cells), lefts, grid_fn.values.tolist(), masses.values.tolist()))
+    cells = np.arange(grid_fn.cells)
     _emit(args, meta_doc,
           {"harmonic_grid": grid_fn.values, "sup_change_history": history,
            "ruelle_masses": masses.values, "ruelle_residual": residual},
           csv_header=["cell", "left", "harmonic_value", "ruelle_mass"],
-          csv_rows=rows)
+          csv_columns=[cells, cells / grid_fn.cells, grid_fn.values, masses.values])
     return 0
 
 
@@ -230,11 +234,10 @@ def _scaling(args, spec, system, meta_doc) -> int:
     meta_doc["norm_sq_harmonic"] = scaling_norm_sq(
         spec, system, _policy(args), level=min(args.grid_level, 10)
     )
-    rows = list(zip(fn.grid().tolist(), fn.samples.real.tolist(), fn.samples.imag.tolist()))
     _emit(args, meta_doc,
           {"t_min": fn.t_min, "t_max": fn.t_max, "step": fn.step,
            "re": fn.samples.real, "im": fn.samples.imag},
-          csv_header=["t", "re", "im"], csv_rows=rows)
+          csv_header=["t", "re", "im"], csv_columns=[fn.grid(), fn.samples.real, fn.samples.imag])
     return 0
 
 

@@ -317,7 +317,8 @@ def _harmonic_taps(spec: FilterSpec):
     <phi, phi(. - n)>) are a fixed point of the transfer operator on
     such polynomials: the matrix M[q, n] = N w_{Nq - n}, where w_j are
     the Fourier coefficients of W (Lawton 1991; Cohen 1990).  The
-    eigenvalue 1 of M has multiplicity r, read from the SVD of M - I;
+    eigenvalue 1 of M has multiplicity r, the number of singular values
+    of M - I at rounding level (100 eps ||M||);
     b is the eigenvector with h(0) = 1 that vanishes on the r - 1
     nontrivial W-cycles (a cycle point takes N - 1 zeros of m, so a
     cycle has period <= L).
@@ -325,9 +326,10 @@ def _harmonic_taps(spec: FilterSpec):
     Returns the taps of h in the layout of filters._weight_taps, or None
     where the route does not apply: a tabulated filter, a filter that is
     not an exact partition (N w_{Nm} = delta_{m0}) or not low-pass
-    (|sum a_k| = 1) at DEFAULT_TOL, a cycle count other than r - 1, or
-    a solve whose condition number times the unit roundoff, or whose
-    residual, exceeds DEFAULT_TOL.
+    (|sum a_k| = 1) at DEFAULT_TOL, a singular value of M - I above
+    rounding level but within DEFAULT_TOL, a cycle count other than
+    r - 1, or a solve whose condition number times the unit roundoff, or
+    whose residual, exceeds DEFAULT_TOL.
     Cached per filter, as tuples.
     """
     if spec.kind != KIND_COEFFICIENTS:
@@ -348,9 +350,16 @@ def _harmonic_taps(spec: FilterSpec):
     ell = span // (n - 1)
     idx = np.arange(-ell, ell + 1)
     lag = n * idx[:, None] - idx
-    fixed = np.where(np.abs(lag) <= span, n * w[np.clip(lag + span, 0, 2 * span)], 0.0)
-    fixed -= np.eye(idx.size)
-    r = int(np.sum(np.linalg.svd(fixed, compute_uv=False) <= DEFAULT_TOL))
+    m = np.where(np.abs(lag) <= span, n * w[np.clip(lag + span, 0, 2 * span)], 0.0)
+    fixed = m - np.eye(idx.size)
+    sv = np.linalg.svd(fixed, compute_uv=False)
+    # a singular value above rounding level but within DEFAULT_TOL belongs
+    # to a filter near one with a cycle (the 4-tap orthogonal family at
+    # angle pi + 1e-5 has 3.6e-11): its multiplicity cannot be told
+    rounding = 100 * np.finfo(float).eps * np.linalg.norm(m, 2)
+    if np.any((sv > rounding) & (sv <= DEFAULT_TOL)):
+        return None
+    r = int(np.sum(sv <= rounding))
     cycles = _nontrivial_cycles(spec, ell) if r > 1 else []
     if r == 0 or len(cycles) != r - 1:
         return None

@@ -120,6 +120,14 @@ def _coeff_span(spec: FilterSpec) -> tuple[int, int]:
     return min(ks), max(ks)
 
 
+def _add_strided(out: np.ndarray, c, src: np.ndarray, off: int, n: int) -> None:
+    """out[i] += c * src[off + n*i] wherever 0 <= off + n*i < len(src)."""
+    lo = max(0, -(off // n))
+    hi = min(len(out), (len(src) - 1 - off) // n + 1)
+    if lo < hi:
+        out[lo:hi] += c * src[off + n * lo : off + n * hi : n]
+
+
 def cascade_step(spec: FilterSpec, system: PathSystem, phi: SampledFunction) -> SampledFunction:
     """One refinement application N sum_k a_k phi(N. - k) on phi's window.
 
@@ -134,13 +142,9 @@ def cascade_step(spec: FilterSpec, system: PathSystem, phi: SampledFunction) -> 
     t_min = round(phi.t_min)
     if t_min != phi.t_min or round(phi.t_max) != phi.t_max:
         raise ValueError("cascade window endpoints must be integers")
-    total = len(phi.samples)
-    base = (n - 1) * t_min * cells + n * np.arange(total, dtype=np.int64)
-    new = np.zeros(total, dtype=np.complex128)
+    new = np.zeros(len(phi.samples), dtype=np.complex128)
     for k, a in spec.coeffs:
-        src = base - k * cells
-        ok = (src >= 0) & (src < total)
-        new[ok] += n * a * phi.samples[src[ok]]
+        _add_strided(new, n * a, phi.samples, ((n - 1) * t_min - k) * cells, n)
     return SampledFunction(phi.t_min, phi.t_max, phi.step, new)
 
 
@@ -174,14 +178,10 @@ def wavelet_from_scaling(spec: FilterSpec, phi: SampledFunction) -> SampledFunct
     cells = round(1.0 / phi.step)
     t_min = int(np.floor((phi.t_min + b_lo) / 2))
     t_max = int(np.ceil((phi.t_max + b_hi) / 2))
-    total = (t_max - t_min) * cells
-    idx = np.arange(total, dtype=np.int64)
-    psi = np.zeros(total, dtype=np.complex128)
+    psi = np.zeros((t_max - t_min) * cells, dtype=np.complex128)
     phi_min_idx = round(phi.t_min * cells)
     for k, b in hp.coeffs:
-        src = 2 * (t_min * cells + idx) - k * cells - phi_min_idx
-        ok = (src >= 0) & (src < len(phi.samples))
-        psi[ok] += 2 * b * phi.samples[src[ok]]
+        _add_strided(psi, 2 * b, phi.samples, (2 * t_min - k) * cells - phi_min_idx, 2)
     return SampledFunction(float(t_min), float(t_max), phi.step, psi)
 
 

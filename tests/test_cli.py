@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -169,6 +170,71 @@ def test_transfer_runs(tmp_path):
     assert code == 0
     assert sum(doc["ruelle_masses"]) == pytest.approx(1.0, abs=1e-12)
     assert doc["ruelle_residual"] <= 1e-8
+
+
+def _csv_columns(path):
+    """The CSV table at path as {header field: list of cells}."""
+    lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
+    header = lines[0].split(",")
+    return dict(zip(header, zip(*(l.split(",") for l in lines[1:]))))
+
+
+def _assert_same_floats(cells, want):
+    """Cells parsed with float() (null as NaN) equal want bit for bit."""
+    got = np.array([math.nan if c == "null" else float(c) for c in cells])
+    want = np.asarray(want, dtype=np.float64)
+    assert got.shape == want.shape
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    keep = ~np.isnan(want)
+    assert got[keep].tobytes() == want[keep].tobytes()
+
+
+@pytest.mark.parametrize("command", ["atom", "harmonic"])
+def test_sweep_csv_round_trips(command, tmp_path):
+    out = tmp_path / "o.csv"
+    argv = [command, gpath("d4"), "--grid-level", "7", "--out", str(out)]
+    assert main(argv + (["--tail-K", "100"] if command == "harmonic" else [])) == 0
+    spec, system = ww.load_gallery("d4"), ww.PathSystem(2)
+    xs = np.arange(2**7) / 2**7
+    policy = ww.TruncationPolicy(tail_cutoff_k=100 if command == "harmonic" else 2000)
+    measure = ww.lattice_masses if command == "harmonic" else ww.zero_path_atoms
+    arr = measure(spec, system, xs, policy)
+    cols = _csv_columns(out)
+    _assert_same_floats(cols["x"], xs)
+    _assert_same_floats(cols["value"], arr.value)
+    _assert_same_floats(cols["tail_bound"], arr.tail_bound)
+    assert [int(c) for c in cols["depth_used"]] == arr.depth_used.tolist()
+    assert [c == "true" for c in cols["converged"]] == arr.converged.tolist()
+
+
+def test_transfer_csv_round_trips(tmp_path):
+    out = tmp_path / "o.csv"
+    argv = ["transfer", gpath("d4"), "--grid-level", "6", "--iters", "20", "--out", str(out)]
+    assert main(argv) == 0
+    spec, system = ww.load_gallery("d4"), ww.PathSystem(2)
+    grid_fn, _ = ww.power_iterate(spec, system, 6, 20)
+    masses, _ = ww.ruelle_measure(spec, system, 6, 20)
+    cols = _csv_columns(out)
+    assert [int(c) for c in cols["cell"]] == list(range(2**6))
+    _assert_same_floats(cols["left"], np.arange(2**6) / 2**6)
+    _assert_same_floats(cols["harmonic_value"], grid_fn.values)
+    _assert_same_floats(cols["ruelle_mass"], masses.values)
+
+
+@pytest.mark.parametrize("function", ["phi", "psi"])
+def test_scaling_csv_round_trips(function, tmp_path):
+    out = tmp_path / "o.csv"
+    argv = ["scaling", gpath("d4"), "--grid-level", "6", "--iters", "6",
+            "--function", function, "--out", str(out)]
+    assert main(argv) == 0
+    spec = ww.load_gallery("d4")
+    fn = ww.cascade(spec, ww.PathSystem(2), iters=6, level=6)
+    if function == "psi":
+        fn = ww.wavelet_from_scaling(spec, fn)
+    cols = _csv_columns(out)
+    _assert_same_floats(cols["t"], fn.grid())
+    _assert_same_floats(cols["re"], fn.samples.real)
+    _assert_same_floats(cols["im"], fn.samples.imag)
 
 
 EXPECTED_EXIT = {

@@ -298,6 +298,9 @@ def test_filters_off_the_exact_route_keep_the_lattice_sum(system2):
         ww.FilterSpec.from_table([0.0, 0.25, 0.5, 0.75], [0.3, 0.0, 0.7, 1.0]),
         ww.FilterSpec.from_coefficients({0: 0.6, 1: 0.4}),  # low-pass, not a partition
         quadrature_family(np.pi + 1e-4),  # a fixed point too ill-conditioned to solve for
+        # eigenvalue 1 neither simple nor double at rounding level
+        quadrature_family(np.pi + 1e-5),
+        quadrature_family(np.pi + 1e-6),
     ]
     for spec in specs:
         got = ww.harmonic_on_grid(spec, system2, xs, policy)

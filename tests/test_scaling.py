@@ -104,6 +104,50 @@ def test_cascade_window_guard(stretched, system2):
         ww.cascade_step(stretched, system2, bad)
 
 
+def _random_window(t_min, t_max, cells, seed):
+    rng = np.random.default_rng(seed)
+    total = (t_max - t_min) * cells
+    samples = rng.standard_normal(total) + 1j * rng.standard_normal(total)
+    return SampledFunction(float(t_min), float(t_max), 1.0 / cells, samples)
+
+
+def _gather_cascade_step(spec, n, phi):
+    """The cascade step as a masked gather with an index array per tap."""
+    cells = round(1.0 / phi.step)
+    total = len(phi.samples)
+    base = (n - 1) * round(phi.t_min) * cells + n * np.arange(total, dtype=np.int64)
+    new = np.zeros(total, dtype=np.complex128)
+    for k, a in spec.coeffs:
+        src = base - k * cells
+        ok = (src >= 0) & (src < total)
+        new[ok] += n * a * phi.samples[src[ok]]
+    return new
+
+
+STEP_FILTERS = [
+    ("d4", 2, None),
+    ("d4 shifted to k = -3..0", 2, -3),
+    ("scale 3", 3, None),
+    ("scale 3, k = -4..1, complex", 3, -4),
+]
+
+
+@pytest.mark.parametrize("label, n, shift", STEP_FILTERS, ids=[f[0] for f in STEP_FILTERS])
+@pytest.mark.parametrize("window", [(0, 4), (-3, 2), (-5, -1), (2, 6)])
+@pytest.mark.parametrize("level", [0, 3])
+def test_cascade_step_matches_masked_gather(d4, label, n, shift, window, level):
+    if n == 2:
+        taps = dict(d4.coeffs)
+    else:
+        taps = {0: 0.3, 1: 1 / 3, 2: 0.4 - 1 / 3 + 0.25j, 3: -0.25j}
+    if shift is not None:
+        taps = {k + shift - min(taps): v for k, v in taps.items()}
+    spec = ww.FilterSpec.from_coefficients(taps, scale_n=n)
+    phi = _random_window(*window, cells=n**level, seed=10 * n + 5 + window[0])
+    got = ww.cascade_step(spec, ww.PathSystem(n), phi)
+    assert got.samples.tobytes() == _gather_cascade_step(spec, n, phi).tobytes()
+
+
 # ----------------------------------------------------------------------
 # wavelet construction
 
@@ -141,6 +185,23 @@ def test_wavelet_needs_dyadic():
     phi = SampledFunction(0.0, 1.0, 1 / 8, np.ones(8, dtype=np.complex128))
     with pytest.raises(ww.UnsupportedScale):
         ww.wavelet_from_scaling(n3, phi)
+
+
+@pytest.mark.parametrize("shift", [0, -3, 2])
+@pytest.mark.parametrize("window", [(0, 4), (-3, 2), (-5, -1)])
+@pytest.mark.parametrize("cells", [1, 16])
+def test_wavelet_from_scaling_matches_masked_gather(d4, shift, window, cells):
+    spec = ww.FilterSpec.from_coefficients({k + shift: v for k, v in d4.coeffs})
+    phi = _random_window(*window, cells=cells, seed=7 + shift + window[0] + 5)
+    psi = ww.wavelet_from_scaling(spec, phi)
+    # the masked gather on psi's window
+    idx = np.arange(len(psi.samples), dtype=np.int64)
+    want = np.zeros(len(psi.samples), dtype=np.complex128)
+    for k, b in ww.high_pass(spec).coeffs:
+        src = 2 * (round(psi.t_min) * cells + idx) - k * cells - round(phi.t_min * cells)
+        ok = (src >= 0) & (src < len(phi.samples))
+        want[ok] += 2 * b * phi.samples[src[ok]]
+    assert psi.samples.tobytes() == want.tobytes()
 
 
 # ----------------------------------------------------------------------
