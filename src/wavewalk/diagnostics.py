@@ -8,16 +8,19 @@ tri-state and "inconclusive" is a first-class outcome.
 
 Randomness is pinned to the Philox counter-based generator (fixed
 constants, platform-stable streams); derived streams use the key pair
-(seed, stream_index).
+(seed, stream_index).  Both Monte Carlo samplers walk one state at a
+time: sample_path its sampled path, estimate_cylinder the word's own
+path, on which every trial still counted sits.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateStep
+from .errors import DegenerateStep, NonFiniteArgument
 from .filters import FilterSpec, eval_weight, weight_array
 from .ifs import DigitWord, PathSystem, frac
 from .measures import (
@@ -115,10 +118,13 @@ def diagnose_convergence(
     looks at whether the last `stall_window` factors sit within
     factor_tol of 1 while the running product stays above atom_floor;
     the harmonic verdict at whether the last values sit within h_tol of
-    1, or have stabilized away from 1.
+    1, or have stabilized away from 1.  A NaN or infinite x raises
+    NonFiniteArgument.
     """
     if max_n < 4:
         raise ValueError("max_n must be >= 4")
+    if not math.isfinite(x):
+        raise NonFiniteArgument(f"cannot diagnose at {x!r}")
     n = system.scale_n
     pts = np.empty(max_n + 1, dtype=np.float64)
     pts[0] = x
@@ -244,23 +250,21 @@ class WalkSample:
     step_norms: tuple[float, ...]
 
 
-def _walk_step(spec: FilterSpec, system: PathSystem, ys: np.ndarray, us: np.ndarray):
-    """One walk step from every state in ys: (digits, weight totals, next states).
+def _shares(spec: FilterSpec, system: PathSystem, y: float):
+    """The walk step at state y: (branch points, weight total, cumulative shares).
 
-    Digit i has weight W(branch(i, y)) over the weight total; the digit
-    taken is the first whose cumulative share exceeds the uniform u.
+    Digit i has weight W(branch(i, y)) over the weight total.  The N - 1
+    cumulative shares never decrease, so the number of them at or below
+    a uniform u is the digit u draws, and it stays below N.
     """
-    nb = system.scale_n
-    branches, w = _branch_weights(spec, system, ys)
-    totals = w.sum(axis=0)
-    dead = ~(totals > nb * 1e-15)
-    if dead.any():
-        raise DegenerateStep(f"all branch weights vanish at state {float(ys[dead][0])!r}")
-    # shares never decrease, so counting the first N - 1 at or below u
-    # gives the digit and keeps it below N
-    cum = np.cumsum(w[:-1], axis=0) / totals
-    digits = (us >= cum).sum(axis=0)
-    return digits, totals, np.take_along_axis(branches, digits[None, :], axis=0)[0]
+    branches, w = _branch_weights(spec, system, np.array([y]))
+    # one sum in branch order, as over a trial axis: np.sum of a single
+    # column may add N >= 8 weights in another order
+    cum = np.cumsum(w[:, 0])
+    total = cum[-1]
+    if not total > system.scale_n * 1e-15:
+        raise DegenerateStep(f"all branch weights vanish at state {float(y)!r}")
+    return branches[:, 0], total, cum[:-1] / total
 
 
 def sample_path(
@@ -273,18 +277,22 @@ def sample_path(
 ) -> WalkSample:
     """Draw n digits: from state y, digit i with weight W(branch(i, y)).
 
-    The walk step is the one estimate_cylinder takes, run on a single
-    path with one uniform of the (seed, stream) Philox stream per step.
-    Weights are renormalized by their sum each step as a guard against
-    partition error; the per-step sums are logged in the sample.
+    One uniform of the (seed, stream) Philox stream per step picks the
+    digit by the cumulative shares of _shares, the step estimate_cylinder
+    takes.  Weights are renormalized by their sum each step as a guard
+    against partition error; the per-step sums are logged in the sample.
+    Raises DegenerateStep at the first state reached whose branch weights
+    all vanish.
     """
     rng = _rng(seed, stream)
-    y = np.array([frac(x)])
+    y = frac(x)
     digits, norms = [], []
     for _ in range(n):
-        d, total, y = _walk_step(spec, system, y, rng.random(1))
-        digits.append(int(d[0]))
-        norms.append(float(total[0]))
+        branches, total, cum = _shares(spec, system, y)
+        d = int((rng.random() >= cum).sum())
+        digits.append(d)
+        norms.append(float(total))
+        y = branches[d]
     return WalkSample(seed=seed, x0=float(x), digits=DigitWord(tuple(digits)), step_norms=tuple(norms))
 
 
@@ -315,17 +323,33 @@ def estimate_cylinder(
 ) -> CylinderEstimate:
     """Fraction of sampled paths whose prefix equals the word.
 
-    All trials run as one vectorized sweep off a single Philox stream,
-    so the estimate is bit-reproducible for a given (seed, stream).
+    Every trial that still follows the word after s steps sits at the
+    same state, the branch composition of frac(x) along the word's first
+    s digits, and only those trials count.  So the estimate walks that one
+    state: step s draws one uniform per trial off a single Philox stream,
+    keeps the trials whose uniform picks the word's digit, and moves to
+    the branch of that digit.  The estimate is bit-reproducible for a
+    given (seed, stream), and equal to that of walking every trial.
+
+    Raises DigitOutOfRange for a digit outside [0, N), and DegenerateStep
+    when the branch weights all vanish at a state of the word's own path
+    that some trial reaches.  Trials that have left the word are not
+    walked, so a dead state off the path does not raise, and once no
+    trial is left the estimate is 0 whatever the rest of the word.
     """
     if trials < 100:
         raise ValueError("need at least 100 trials")
+    for target in word:
+        system._check_digit(target)
     rng = _rng(seed, stream)
-    y = np.full(trials, frac(x), dtype=np.float64)
+    y = frac(x)
     match = np.ones(trials, dtype=bool)
     for target in word:
-        digit, _, y = _walk_step(spec, system, y, rng.random(trials))
-        match &= digit == target
+        branches, _, cum = _shares(spec, system, y)
+        match &= (rng.random(trials) >= cum[:, None]).sum(axis=0) == target
+        if not match.any():
+            break
+        y = branches[target]
     p_hat = float(match.mean())
     stderr = float(np.sqrt(p_hat * (1.0 - p_hat) / trials))
     return CylinderEstimate(estimate=p_hat, stderr=stderr, trials=trials, seed=seed)

@@ -11,18 +11,24 @@ Everything here is pure arithmetic and safe for concurrent use.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DigitOutOfRange, EmptyWord
+from .errors import DigitOutOfRange, EmptyWord, NonFiniteArgument
 
 #: the smallest normal float; a branch quotient below it may be inexact
 _TINY = np.finfo(np.float64).tiny
 
 
 def frac(x: float) -> float:
-    """Fractional part in [0, 1); the endpoint 1 is identified with 0."""
+    """Fractional part in [0, 1); the endpoint 1 is identified with 0.
+
+    Raises NonFiniteArgument for NaN or an infinity, which have none.
+    """
+    if not math.isfinite(x):
+        raise NonFiniteArgument(f"no fractional part of {x!r}")
     r = x % 1.0
     return r if r < 1.0 else 0.0
 

@@ -276,21 +276,34 @@ def build_slanted(spec: FilterSpec) -> SlantedMatrices:
     )
 
 
-def _analysis_step(taps, signal: np.ndarray) -> np.ndarray:
-    length = len(signal)
+def _wrapped(k: int, length: int):
+    """n -> (2n + k) % length for n < length/2, length even, as strided slices.
+
+    Returns the (n slice, index slice) pairs of the two runs that wrap
+    around the period; the second is empty when nothing wraps.
+    """
     half = length // 2
-    out = np.zeros(half, dtype=np.complex128)
-    ns = np.arange(half)
+    r = k % length
+    m = (length - r + 1) // 2
+    s = 2 * m + r - length
+    return ((slice(0, m), slice(r, r + 2 * m, 2)),
+            (slice(m, half), slice(s, s + 2 * (half - m), 2)))
+
+
+def _analysis_step(taps, signal: np.ndarray) -> np.ndarray:
+    out = np.zeros(len(signal) // 2, dtype=np.complex128)
     for k, c in taps:
-        out += c * signal[(2 * ns + k) % length]
+        for ns, idx in _wrapped(k, len(signal)):
+            out[ns] += c * signal[idx]
     return out / np.sqrt(2.0)
 
 
 def _synthesis_step(taps, coeffs: np.ndarray, length: int) -> np.ndarray:
     out = np.zeros(length, dtype=np.complex128)
-    ns = np.arange(len(coeffs))
     for k, c in taps:
-        np.add.at(out, (2 * ns + k) % length, np.conjugate(c) * coeffs)
+        vals = np.conjugate(c) * coeffs
+        for ns, idx in _wrapped(k, length):
+            out[idx] += vals[ns]
     return out / np.sqrt(2.0)
 
 

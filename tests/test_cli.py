@@ -60,8 +60,15 @@ def test_usage_error_exit(capsys):
         (["atom", "--depth", "0"], "product_depth must be >= 1"),
         (["diagnose", "--x", "0.3", "--max-n", "3"], "max_n must be >= 4"),
         (["harmonic", "--tail-K", "0"], "tail_cutoff_k must be >= 1"),
+        (["simulate", "--x", "0.3", "--word", "0,5"], "digit 5 not in [0, 2)"),
+        (["simulate", "--x", "nan", "--word", "0,1"], "no fractional part of nan"),
+        (["simulate", "--x", "nan"], "no fractional part of nan"),
+        (["simulate", "--x=-inf", "--n", "4"], "no fractional part of -inf"),
+        (["diagnose", "--x", "nan"], "cannot diagnose at nan"),
+        (["diagnose", "--x", "inf"], "cannot diagnose at inf"),
     ],
-    ids=["simulate", "atom", "diagnose", "harmonic"],
+    ids=["simulate", "atom", "diagnose", "harmonic", "simulate-digit", "simulate-word-nan",
+         "simulate-path-nan", "simulate-path-inf", "diagnose-nan", "diagnose-inf"],
 )
 def test_rejected_argument_is_an_error_not_a_traceback(argv, message, capsys):
     argv = argv[:1] + [gpath("d4")] + argv[1:]

@@ -205,3 +205,126 @@ def test_estimate_cylinder_deterministic(d4, system2):
 def test_estimate_cylinder_needs_trials(haar, system2):
     with pytest.raises(ValueError):
         ww.estimate_cylinder(haar, system2, 0.3, DigitWord((0,)), 50, seed=0)
+
+
+# ----------------------------------------------------------------------
+# the cylinder estimate walks the word's own path
+
+
+def per_trial_estimate(spec, system, x, word, trials, seed, stream=0):
+    """The estimate as a walk of every trial: all N weights at every trial's state.
+
+    Draws the same Philox stream and counts digits by the same rule; it
+    raises DegenerateStep at a dead state that any trial reaches.
+    """
+    key = np.array([seed, stream], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key))
+    nb = system.scale_n
+    y = np.full(trials, ww.frac(x))
+    match = np.ones(trials, dtype=bool)
+    for target in word:
+        branches = system.branch_array(np.arange(nb)[:, None], y)
+        w = ww.weight_array(spec, branches)
+        totals = w.sum(axis=0)
+        if not (totals > nb * 1e-15).all():
+            raise ww.DegenerateStep("dead state")
+        cum = np.cumsum(w[:-1], axis=0) / totals
+        digits = (rng.random(trials) >= cum).sum(axis=0)
+        match &= digits == target
+        y = np.take_along_axis(branches, digits[None, :], axis=0)[0]
+    return float(match.mean())
+
+
+def _table_partition():
+    return ww.FilterSpec.from_table([0.0, 0.25, 0.5, 0.75], [1.0, 0.3, 0.0, 0.7], label="partition")
+
+
+def _table_scale9():
+    # one bin per branch, so the N = 9 shares sum nine weights
+    p = np.random.default_rng(4).random(9)
+    return ww.FilterSpec.from_table(np.arange(9) / 9, p / p.sum(), scale_n=9, label="scale 9")
+
+
+ESTIMATE_FILTERS = {
+    "haar": lambda: ww.load_gallery("haar"),
+    "d4": lambda: ww.load_gallery("d4"),
+    "stretched_haar": lambda: ww.load_gallery("stretched_haar"),
+    "shannon": lambda: ww.load_gallery("shannon"),
+    "scale 3": lambda: ww.FilterSpec.from_coefficients({0: 0.3, 1: 0.5, 2: 0.2}, scale_n=3),
+    "table partition": _table_partition,
+    "table scale 9": _table_scale9,
+}
+
+
+@pytest.mark.parametrize("make", list(ESTIMATE_FILTERS.values()), ids=list(ESTIMATE_FILTERS))
+@pytest.mark.parametrize("x", [0.3, 0.71, 1 - 2**-53, 5e-324])
+def test_estimate_cylinder_equals_the_per_trial_walk(make, x):
+    spec = make()
+    system = ww.PathSystem(spec.scale_n)
+    trials = [100, 1000, 10**4, 10**5]
+    for length in range(9):
+        seed = 3 * length + 1
+        # a word the walk itself takes, so its cylinder is rarely empty
+        digits = ww.sample_path(spec, system, x, length, seed + 100).digits.digits
+        for word in (digits, digits[:-1] + ((digits[-1] + 1) % system.scale_n,) if digits else ()):
+            n = trials[(length + len(word)) % 4]
+            stream = length % 3
+            got = ww.estimate_cylinder(spec, system, x, DigitWord(word), n, seed, stream)
+            want = per_trial_estimate(spec, system, x, word, n, seed, stream)
+            assert got.estimate.hex() == want.hex(), (word, n)
+
+
+HOLES = ww.FilterSpec.from_table([0.0, 0.25, 0.5, 0.75], [0.0, 0.6, 0.0, 0.4], label="holes")
+
+
+def test_estimate_cylinder_reads_only_states_on_the_word(system2):
+    # every state in [0, 1/2) is dead; digit 0 from 0.7 reaches 0.35,
+    # but the word (1, 1) never does
+    word = DigitWord((1, 1))
+    est = ww.estimate_cylinder(HOLES, system2, 0.7, word, 10**5, seed=0)
+    p = ww.cylinder_prob(HOLES, system2, 0.7, word)
+    assert p == pytest.approx(0.16)
+    assert abs(est.estimate - p) <= 6 * est.stderr
+    with pytest.raises(ww.DegenerateStep):
+        per_trial_estimate(HOLES, system2, 0.7, word.digits, 10**5, 0)
+
+
+def test_estimate_cylinder_raises_at_a_dead_state_on_the_word(system2):
+    with pytest.raises(ww.DegenerateStep, match="0.35"):
+        ww.estimate_cylinder(HOLES, system2, 0.7, DigitWord((0, 1, 1)), 10**4, seed=0)
+    # the sampled path from 0.7 takes digit 0, into [0, 1/2), at some step
+    with pytest.raises(ww.DegenerateStep):
+        ww.sample_path(HOLES, system2, 0.7, 40, seed=0)
+
+
+def test_estimate_cylinder_stops_once_no_trial_is_left(system2):
+    # digit 0 has weight 0 from 0.7 and leads to the dead state 0.35:
+    # no trial gets there, so the estimate is 0 as the per-trial walk says
+    table = ww.FilterSpec.from_table([0.0, 0.25, 0.5, 0.75], [0.0, 0.0, 0.0, 1.0])
+    est = ww.estimate_cylinder(table, system2, 0.7, DigitWord((0, 1)), 1000, seed=0)
+    assert est.estimate == 0.0
+    assert per_trial_estimate(table, system2, 0.7, (0, 1), 1000, 0) == 0.0
+
+
+@pytest.mark.parametrize("word", [(2,), (0, 5), (1, 0, 2)])
+def test_estimate_cylinder_rejects_digits_out_of_range(d4, system2, word):
+    with pytest.raises(ww.DigitOutOfRange):
+        ww.estimate_cylinder(d4, system2, 0.3, DigitWord(word), 1000, seed=0)
+
+
+# ----------------------------------------------------------------------
+# non-finite points
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_non_finite_points_raise(d4, system2, policy, x):
+    with pytest.raises(ww.NonFiniteArgument):
+        ww.expect_finite(d4, system2, x, FiniteCoordFn.constant(1.0, 1, 2))
+    with pytest.raises(ww.NonFiniteArgument):
+        ww.cylinder_prob(d4, system2, x, DigitWord((0, 1)))
+    with pytest.raises(ww.NonFiniteArgument):
+        ww.estimate_cylinder(_table_partition(), system2, x, DigitWord((0,)), 1000, seed=0)
+    with pytest.raises(ww.NonFiniteArgument):
+        ww.sample_path(d4, system2, x, 4, seed=0)
+    with pytest.raises(ww.NonFiniteArgument):
+        ww.diagnose_convergence(d4, system2, x, 8, policy)

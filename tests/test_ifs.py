@@ -17,6 +17,15 @@ def test_frac_edges():
     assert frac(-1e-20) == 0.0
 
 
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_frac_rejects_non_finite(x):
+    # nan % 1.0 is nan, and inf % 1.0 too: neither may pass for 0
+    with pytest.raises(ww.NonFiniteArgument):
+        frac(x)
+    with pytest.raises(ww.NonFiniteArgument):
+        PathSystem(2).shift(x)
+
+
 def test_shift_examples():
     s2, s3 = PathSystem(2), PathSystem(3)
     assert s2.shift(0.3) == pytest.approx(0.6)

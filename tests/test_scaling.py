@@ -288,6 +288,67 @@ def test_wavelet_coeffs_energy_and_reconstruction(d4):
     assert np.max(np.abs(recon - s)) < 1e-10
 
 
+def _gather_analysis_step(taps, signal):
+    """The analysis step as a gather with a periodic index array per tap."""
+    length = len(signal)
+    ns = np.arange(length // 2)
+    out = np.zeros(length // 2, dtype=np.complex128)
+    for k, c in taps:
+        out += c * signal[(2 * ns + k) % length]
+    return out / np.sqrt(2.0)
+
+
+def _add_at_synthesis_step(taps, coeffs, length):
+    """The synthesis step as an np.add.at scatter per tap."""
+    ns = np.arange(len(coeffs))
+    out = np.zeros(length, dtype=np.complex128)
+    for k, c in taps:
+        np.add.at(out, (2 * ns + k) % length, np.conjugate(c) * coeffs)
+    return out / np.sqrt(2.0)
+
+
+SUBBAND_TAPS = {
+    "haar": {0: 0.5, 1: 0.5},
+    "d4 shifted to k = -3..0": {k - 3: v for k, v in ww.load_gallery("d4").coeffs},
+    "stretched_haar": dict(ww.load_gallery("stretched_haar").coeffs),
+    "complex, k = -9..2": {-9: 0.3, -4: 0.25j, 0: 0.4 - 0.1j, 2: -0.2},
+}
+
+
+@pytest.mark.parametrize("taps", list(SUBBAND_TAPS.values()), ids=list(SUBBAND_TAPS))
+@pytest.mark.parametrize("length", [2, 4, 8, 64, 2**10])
+def test_subband_steps_match_gather_and_add_at(taps, length):
+    from wavewalk.scaling import _analysis_step, _synthesis_step
+
+    spec = ww.FilterSpec.from_coefficients(taps)
+    sl = ww.build_slanted(spec)
+    rng = np.random.default_rng(length + len(taps))
+    signal = rng.standard_normal(length) + 1j * rng.standard_normal(length)
+    coeffs = rng.standard_normal(length // 2) + 1j * rng.standard_normal(length // 2)
+    for band in (sl.low_taps, sl.high_taps):
+        got = _analysis_step(band, signal)
+        assert got.tobytes() == _gather_analysis_step(band, signal).tobytes()
+        got = _synthesis_step(band, coeffs, length)
+        assert got.tobytes() == _add_at_synthesis_step(band, coeffs, length).tobytes()
+
+
+@pytest.mark.parametrize("name", ["haar", "d4", "stretched_haar"])
+def test_subband_round_trip_matches_gather_and_add_at(name):
+    spec = ww.load_gallery(name)
+    sl = ww.build_slanted(spec)
+    s = np.random.default_rng(3).standard_normal(2**12).astype(np.complex128)
+    details, smooth = ww.wavelet_coeffs(spec, s, levels=6)
+    for band in details:
+        assert band.tobytes() == _gather_analysis_step(sl.high_taps, s).tobytes()
+        s = _gather_analysis_step(sl.low_taps, s)
+    assert smooth.tobytes() == s.tobytes()
+    for band in reversed(details):
+        s = _add_at_synthesis_step(sl.low_taps, s, 2 * len(band)) + _add_at_synthesis_step(
+            sl.high_taps, band, 2 * len(band)
+        )
+    assert ww.wavelet_reconstruct(spec, details, smooth).tobytes() == s.tobytes()
+
+
 def test_wavelet_coeffs_length_guard(d4):
     with pytest.raises(ValueError):
         ww.wavelet_coeffs(d4, np.ones(12), levels=3)
