@@ -37,7 +37,14 @@ class _Parser(argparse.ArgumentParser):
 _TAIL_K_HELP = (
     "lattice-sum cutoff K (|k| <= K); harmonic always sums the lattice, scaling "
     "and diagnose use K only for filters with no exact harmonic function "
-    "(tabulated, not a partition, or not low-pass)"
+    "(tabulated, not a partition, or not low-pass); harmonic's tail_bound is the "
+    "sum over the outer decade of |k|, an indicator rather than a proven bound"
+)
+
+_DEPTH_HELP = (
+    "most factors per infinite product; a product stops earlier once its rest is "
+    "closed: by a series within 2**-60 relative for a low-pass coefficient filter, "
+    "exactly for a table, and at 0 on underflow"
 )
 
 
@@ -45,7 +52,7 @@ def _add_common(p, *names):
     if "grid_level" in names:
         p.add_argument("--grid-level", type=int, default=8, dest="grid_level")
     if "depth" in names:
-        p.add_argument("--depth", type=int, default=40)
+        p.add_argument("--depth", type=int, default=40, help=_DEPTH_HELP)
     if "tail_k" in names:
         p.add_argument("--tail-K", type=int, default=2000, dest="tail_k", help=_TAIL_K_HELP)
     if "tol" in names:
@@ -63,19 +70,20 @@ def build_parser() -> _Parser:
     v.add_argument("filter")
     _add_common(v, "grid_level", "tol")
 
-    a = sub.add_parser("atom", help="sweep the all-zero-path atom over a grid")
+    a = sub.add_parser("atom", help="sweep the all-zero-path atom over a grid "
+                       "(tail_bound: proven relative bound on the closed rest)")
     a.add_argument("filter")
-    _add_common(a, "grid_level", "depth", "tol")
+    _add_common(a, "grid_level", "depth")
 
     h = sub.add_parser("harmonic", help="sweep the lattice-mass harmonic function")
     h.add_argument("filter")
-    _add_common(h, "grid_level", "depth", "tail_k", "tol")
+    _add_common(h, "grid_level", "depth", "tail_k")
 
     d = sub.add_parser("diagnose", help="pointwise convergence diagnosis")
     d.add_argument("filter")
     d.add_argument("--x", type=float, required=True)
     d.add_argument("--max-n", type=int, default=30, dest="max_n")
-    _add_common(d, "depth", "tail_k", "tol")
+    _add_common(d, "depth", "tail_k")
 
     t = sub.add_parser("transfer", help="grid power iteration and stationary masses")
     t.add_argument("filter")
@@ -86,7 +94,7 @@ def build_parser() -> _Parser:
     s.add_argument("filter")
     s.add_argument("--iters", type=int, default=10)
     s.add_argument("--function", choices=("phi", "psi"), default="phi")
-    _add_common(s, "grid_level", "depth", "tail_k", "tol")
+    _add_common(s, "grid_level", "depth", "tail_k")
 
     c = sub.add_parser("coeffs", help="subband wavelet coefficients of a signal")
     c.add_argument("filter")
@@ -111,7 +119,6 @@ def _policy(args) -> TruncationPolicy:
     return TruncationPolicy(
         product_depth=getattr(args, "depth", 40),
         tail_cutoff_k=getattr(args, "tail_k", 2000),
-        convergence_tol=getattr(args, "tol", None) or 1e-12,
     )
 
 

@@ -36,6 +36,9 @@ from .transfer import _branch_weights, apply_transfer
 #: atoms at or below this are treated as zero when gating the diagnosis
 ATOM_FLOOR = 1e-12
 
+#: the verdicts read the last VERDICT_WINDOW factors and harmonic values
+VERDICT_WINDOW = 8
+
 
 def _rng(seed: int, stream: int = 0) -> np.random.Generator:
     key = np.array([seed & 0xFFFFFFFFFFFFFFFF, stream & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
@@ -115,7 +118,7 @@ def diagnose_convergence(
     at n = 0; harmonic_values[n] is the minimal harmonic function at
     x/N**n (harmonic_on_grid: exact for a low-pass partition filter,
     the lattice sum truncated at K otherwise).  The product verdict
-    looks at whether the last `stall_window` factors sit within
+    looks at whether the last VERDICT_WINDOW factors sit within
     factor_tol of 1 while the running product stays above atom_floor;
     the harmonic verdict at whether the last values sit within h_tol of
     1, or have stabilized away from 1.  A NaN or infinite x raises
@@ -136,7 +139,7 @@ def diagnose_convergence(
     partials = np.concatenate([[1.0], np.cumprod(factors)])
     h_vals = harmonic_on_grid(spec, system, pts, policy)
 
-    window = min(TruncationPolicy().stall_window, max_n)
+    window = min(VERDICT_WINDOW, max_n)
     atom = zero_path_atom(spec, system, x, policy)
     if atom.converged and atom.value > atom_floor:
         atom_positive, hypothesis = True, "met"

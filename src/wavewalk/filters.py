@@ -20,6 +20,7 @@ import cmath
 import functools
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,12 +53,16 @@ class FilterSpec:
             ks = [k for k, _ in self.coeffs]
             if len(set(ks)) != len(ks):
                 raise ValueError("duplicate coefficient index")
+            if not all(cmath.isfinite(v) for _, v in self.coeffs):
+                raise NonFiniteArgument("coefficients must be finite")
         elif self.kind == KIND_TABULATED:
             if len(self.breakpoints) != len(self.values) or not self.values:
                 raise ValueError("table needs matching nonempty breakpoints/values")
             if self.breakpoints[0] != 0.0:
                 raise ValueError("first breakpoint must be 0")
             bp = self.breakpoints
+            if not all(map(math.isfinite, bp)):
+                raise NonFiniteArgument("breakpoints must be finite")
             if any(b2 <= b1 for b1, b2 in zip(bp, bp[1:])) or bp[-1] >= 1.0:
                 raise ValueError("breakpoints must be strictly increasing in [0, 1)")
             if any(not 0.0 <= v <= 1.0 for v in self.values):
@@ -218,6 +223,139 @@ def _weight_taps(spec: FilterSpec):
     cos_taps = tuple(2.0 * c.real for c in cs)
     sin_taps = tuple(2.0 * c.imag for c in cs) if any(c.imag for c in cs) else ()
     return c0, cos_taps, sin_taps
+
+
+# ----------------------------------------------------------------------
+# closing the zero-path products prod_{m>=1} f(y / N**m)
+
+#: a series closure starts once |y| <= r / CLOSURE_SHRINK, where r is the
+#: radius of a complex disc on which |f - 1| <= 1/2
+CLOSURE_SHRINK = 128
+
+#: the series of log f is cut where the remainder bound first falls below this
+CLOSURE_TARGET = 2.0**-60
+
+
+@dataclass(frozen=True)
+class _Closure:
+    """The rest prod_{m>=1} f(y / N**m) of a zero-path product, in closed form.
+
+    Wherever lo <= y < hi, rest(y) is that infinite product, with
+    relative error at most bound (0: exact).
+    """
+
+    lo: float
+    hi: float
+    rest: Callable[[np.ndarray], np.ndarray]
+    bound: float
+
+
+def _disc_radius(excess) -> float:
+    """The largest r with excess(r) <= 1/2, for excess increasing from excess(0) = 0."""
+    lo, hi = 0.0, 1.0
+    with np.errstate(over="ignore"):
+        while excess(hi) <= 0.5:
+            if hi > 1e300:
+                return math.inf
+            lo, hi = hi, 2.0 * hi
+        for _ in range(64):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if excess(mid) <= 0.5 else (lo, mid)
+    return lo
+
+
+def _series_closure(amps, rates, excess, n: int, real: bool) -> _Closure:
+    """Close prod_{m>=1} f(y / N**m) for f = sum_i amps[i] exp(rates[i] y), f(0) = 1.
+
+    With log f(y) = sum_{k>=1} l_k y^k, the product is
+    exp(sum_k l_k y^k / (N**k - 1)).  The f_k = sum_i amps[i] rates[i]**k / k!
+    are the Taylor coefficients of f at 0, and the l_k follow from
+    k l_k = k f_k - sum_{j<k} j l_j f_{k-j} (f_0 := 1, l_0 := 0).
+    excess(r) bounds |f(z) - 1| on the disc |z| <= r; where it is at most
+    1/2, |log f| <= log 2 there, so |l_k| <= log 2 / r**k (Cauchy).  With
+    rho = r / CLOSURE_SHRINK and |y| <= rho, the terms past the T-th add
+    at most eps = log 2 sum_{k>T} q**k / (N**k - 1) <= log 2 q**(T+1) /
+    (N**(T+1) - 1) / (1 - q/N) to the log, q = 1 / CLOSURE_SHRINK; T is
+    the fewest terms with eps <= CLOSURE_TARGET (7 for N = 2), and the
+    relative bound is expm1(eps).
+    """
+    q = 1.0 / CLOSURE_SHRINK
+
+    def remainder(t):
+        return math.log(2.0) * q ** (t + 1) / (n ** (t + 1) - 1) / (1.0 - q / n)
+
+    terms = 1
+    while remainder(terms) > CLOSURE_TARGET:
+        terms += 1
+    amps, rates = np.asarray(amps, dtype=np.complex128), np.asarray(rates, dtype=np.complex128)
+    f = [complex(np.sum(amps * rates**k)) / math.factorial(k) for k in range(terms + 1)]
+    ell = [0j] * (terms + 1)
+    for k in range(1, terms + 1):
+        ell[k] = f[k] - sum(j * ell[j] * f[k - j] for j in range(1, k)) / k
+    coeffs = [ell[k] / (n**k - 1) for k in range(1, terms + 1)]
+    if real:
+        coeffs = [c.real for c in coeffs]
+
+    def rest(y):
+        s = coeffs[-1]
+        for c in coeffs[-2::-1]:
+            s = s * y + c
+        return np.exp(s * y)
+
+    rho = _disc_radius(excess) / CLOSURE_SHRINK
+    return _Closure(-rho, math.nextafter(rho, math.inf), rest, math.expm1(remainder(terms)))
+
+
+def _rounding(terms) -> float:
+    """The rounding level of a sum of these terms."""
+    return 100.0 * np.finfo(float).eps * float(np.sum(np.abs(terms)))
+
+
+@functools.lru_cache(maxsize=64)
+def _weight_closure(spec: FilterSpec) -> _Closure | None:
+    """How prod_{m>=1} W(y / N**m) closes, or None where it does not.
+
+    A table: once 0 <= y < b_1, or b_last - 1 <= y < 0, every later
+    factor is the value of that end cell, so the rest is exactly 1 (the
+    value is 1) or exactly 0 (it is below 1).  A coefficient filter with
+    W(0) = 1 to rounding level: the series closure of W, whose disc
+    bound is sum_j |a_j| (cosh 2 pi j r - 1) + |s_j| sinh 2 pi j r for
+    the cosine and sine taps a_j, s_j.  Any other coefficient filter:
+    None.  Cached per filter.
+    """
+    if spec.kind != KIND_COEFFICIENTS:
+        bp, vals = spec.breakpoints, spec.values
+        first, last = float(vals[0] == 1.0), float(vals[-1] == 1.0)
+        return _Closure(
+            bp[-1] - 1.0, bp[1] if len(bp) > 1 else 1.0, lambda y: np.where(y < 0.0, last, first), 0.0
+        )
+    c0, cos_taps, sin_taps = _weight_taps(spec)
+    a = np.asarray(cos_taps)
+    s = np.asarray(sin_taps or np.zeros(a.size))
+    if abs(c0 + a.sum() - 1.0) > _rounding(np.concatenate([[c0], a, s])):
+        return None
+    w = 2.0 * np.pi * np.arange(1, a.size + 1)
+    amps = np.concatenate([[c0], (a - 1j * s) / 2, (a + 1j * s) / 2])
+    rates = np.concatenate([[0.0], 1j * w, -1j * w])
+    return _series_closure(
+        amps, rates, lambda r: np.sum(np.abs(a) * (np.cosh(w * r) - 1.0) + np.abs(s) * np.sinh(w * r)),
+        spec.scale_n, real=True,
+    )
+
+
+@functools.lru_cache(maxsize=64)
+def _response_closure(spec: FilterSpec) -> _Closure | None:
+    """How prod_{m>=1} m(y / N**m) closes: the series closure of the
+    response where m(0) = sum_k a_k = 1 to rounding level, with disc bound
+    sum_k |a_k| (exp(2 pi |k| r) - 1); None otherwise.  Cached per filter.
+    """
+    ks, vs = spec.coeff_indices(), spec.coeff_values()
+    if abs(vs.sum() - 1.0) > _rounding(vs):
+        return None
+    w = 2.0 * np.pi * np.abs(ks)
+    return _series_closure(
+        vs, -2j * np.pi * ks, lambda r: np.sum(np.abs(vs) * np.expm1(w * r)), spec.scale_n, real=False
+    )
 
 
 def _clenshaw(taps, c2: np.ndarray):

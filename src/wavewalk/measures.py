@@ -11,10 +11,21 @@ N**k-fold sublattices).  For a low-pass coefficient filter whose weight
 is an exact partition, the lattice mass (the minimal harmonic function)
 is also computed exactly, as a trigonometric polynomial.
 
-Truncation rule for infinite products: a product is declared converged
-once `stall_window` consecutive factors sit within `convergence_tol` of
-1, or once the running product falls below the underflow floor (then
-the value is exactly 0).  Anything else is reported unconverged rather
+Stop rule for the products prod_n f(x/N**n) (the atom, f = W, and in
+scaling the transform of phi, f = m): factors are multiplied in one at a
+time until the rest of the product has a closed form, and that form
+finishes it (filters._weight_closure, _response_closure).
+  * Low-pass coefficient filter (f(0) = 1 to rounding level): once
+    |y| <= rho = r/128, where r is the radius of a disc on which
+    |f - 1| <= 1/2, the rest is exp(sum_{k<=T} l_k y^k / (N**k - 1)) for
+    the series log f = sum_k l_k y^k.  A Cauchy bound on the terms left
+    out makes the relative error at most 2**-60 (T = 7 for N = 2).
+  * Table: once y lies in the first cell, or in the last cell shifted
+    by -1, every later factor is that cell's value, so the rest is
+    exactly 1 or exactly 0.
+  * Any other coefficient filter has no closed rest.
+A product that falls below the underflow floor is exactly 0.  A product
+that none of these stops by product_depth is reported unconverged rather
 than guessed.
 
 All functions are pure; array sweeps use fixed-shape numpy reductions,
@@ -29,12 +40,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArityTooLarge
+from .errors import ArityTooLarge, NonFiniteArgument
 from .filters import (
     DEFAULT_TOL,
     KIND_COEFFICIENTS,
     FilterSpec,
     _trig_series,
+    _weight_closure,
     _weight_taps,
     eval_weight,
     weight_array,
@@ -57,26 +69,22 @@ class TruncationPolicy:
 
     product_depth: int = 40
     tail_cutoff_k: int = 2000
-    convergence_tol: float = 1e-12
-    stall_window: int = 8
 
     def __post_init__(self) -> None:
         if self.product_depth < 1:
             raise ValueError("product_depth must be >= 1")
         if self.tail_cutoff_k < 1:
             raise ValueError("tail_cutoff_k must be >= 1")
-        if self.convergence_tol <= 0:
-            raise ValueError("convergence_tol must be positive")
-        if self.stall_window < 1:
-            raise ValueError("stall_window must be >= 1")
 
 
 @dataclass(frozen=True)
 class MeasureValue:
     """A truncated measure evaluation plus its convergence bookkeeping.
 
-    tail_bound is a heuristic indicator of the truncation residual
-    (None when the evaluation did not converge), never a proven bound.
+    tail_bound is None when the evaluation did not converge.  For an
+    atom it is a proven bound on the relative error of the closed rest
+    of the product (0 where the value is exact); for a lattice mass it
+    is the heuristic outer-decade indicator of lattice_masses.
     route_gap, when present, is the absolute discrepancy between two
     independent evaluation routes of the same quantity.
     """
@@ -124,62 +132,73 @@ def _check_scales(spec: FilterSpec, system: PathSystem) -> None:
 # infinite products along the zero branch
 
 
-def _atom_array(spec, system, xs, policy):
-    """Truncated products prod_n W(x / N**n) over an array of real x.
+def _zero_path_products(factor, closure, n, xs, depth, dtype=np.float64) -> MeasureArray:
+    """The one product kernel: prod_{m>=1} factor(x / N**m) over an array of real x.
 
-    Returns (values, converged, depth_used, stall_deviation) with the
-    shape of xs.  The array is worked through in tiles of ATOM_TILE
-    elements, each taken through all product steps before the next one
-    starts, so the working set stays in cache.  An element leaves its
-    tile at the step its product stalls at 1-ish factors or collapses to
-    exactly 0, and its results are written out once; elements still
-    live at product_depth are reported unconverged.
+    Step m multiplies in factor(y), y = x / N**m, then stops an element
+    (1) at 0 once the product falls below ATOM_UNDERFLOW, or (2) once
+    closure.lo <= y < closure.hi, multiplying in the closed rest
+    closure.rest(y) with relative error at most closure.bound.  Elements
+    still live at `depth` (all of them where closure is None, short of
+    underflow) are unconverged.  tail_bound is closure.bound, 0 for an
+    underflow, NaN where unconverged.  The array is worked through in
+    tiles of ATOM_TILE elements, each taken through all its steps before
+    the next one starts, so the working set stays in cache; an element's
+    stop depends on its own y only.
     """
     xs = np.asarray(xs, dtype=np.float64)
     flat = xs.ravel()
-    values = np.empty(flat.shape, dtype=np.float64)
+    values = np.empty(flat.shape, dtype=dtype)
     converged = np.zeros(flat.shape, dtype=bool)
-    depth_used = np.full(flat.shape, policy.product_depth, dtype=np.int64)
-    last_dev = np.empty(flat.shape, dtype=np.float64)
+    depth_used = np.full(flat.shape, depth, dtype=np.int64)
+    tail_bound = np.full(flat.shape, np.nan)
+    bound = closure.bound if closure is not None else 0.0
+    # a real product is a product of weights, which are >= 0
+    magnitude = np.abs if np.dtype(dtype).kind == "c" else (lambda p: p)
     for start in range(0, flat.size, ATOM_TILE):
         idx = np.arange(start, min(start + ATOM_TILE, flat.size))
         y = flat[idx]
-        p = np.ones(idx.size)
-        streak = np.zeros(idx.size, dtype=np.int64)
-        for step in range(1, policy.product_depth + 1):
-            y /= system.scale_n
-            f = weight_array(spec, y)
-            p *= f
-            dev = np.abs(1.0 - f)
-            # near-1 factors only count toward a stall once the argument
-            # is inside |y| < 1/2: further divisions then stay near 0 and
-            # cannot wrap back onto accidental maxima of the periodic weight
-            near = (dev <= policy.convergence_tol) & (np.abs(y) < 0.5)
-            streak += 1
-            streak *= near
-            dead = p < ATOM_UNDERFLOW
-            stop = dead | (streak >= policy.stall_window)
+        p = np.ones(idx.size, dtype=dtype)
+        for step in range(1, depth + 1):
+            y /= n
+            p *= factor(y)
+            stop = dead = magnitude(p) < ATOM_UNDERFLOW
+            if closure is not None:
+                stop = dead | ((closure.lo <= y) & (y < closure.hi))
             if stop.any():
-                p[dead] = 0.0
-                dev[dead] = 0.0
-                out = idx[stop]
-                values[out] = p[stop]
+                # the few stopping elements, gathered by index
+                sel = np.flatnonzero(stop)
+                ps, gone = p[sel], dead[sel]
+                if closure is not None:
+                    shut = np.flatnonzero(~gone)
+                    ps[shut] *= closure.rest(y[sel[shut]])
+                ps[gone] = 0.0
+                out = idx[sel]
+                values[out] = ps
                 converged[out] = True
                 depth_used[out] = step
-                last_dev[out] = dev[stop]
+                tail_bound[out] = np.where(gone, 0.0, bound)
                 keep = np.flatnonzero(~stop)
-                idx, y, p, streak, dev = idx[keep], y[keep], p[keep], streak[keep], dev[keep]
+                idx, y, p = idx[keep], y[keep], p[keep]
                 if not idx.size:
                     break
         values[idx] = p
-        last_dev[idx] = dev
     shape = xs.shape
-    return (
-        values.reshape(shape),
-        converged.reshape(shape),
-        depth_used.reshape(shape),
-        last_dev.reshape(shape),
+    return MeasureArray(
+        values.reshape(shape), converged.reshape(shape), tail_bound.reshape(shape), depth_used.reshape(shape)
     )
+
+
+def _atom_array(spec, system, xs, policy) -> MeasureArray:
+    """prod_n W(x / N**n) over an array of real x, closed by _weight_closure."""
+    return _zero_path_products(
+        functools.partial(weight_array, spec), _weight_closure(spec), system.scale_n, xs, policy.product_depth
+    )
+
+
+def _check_finite(xs) -> None:
+    if not np.isfinite(xs).all():
+        raise NonFiniteArgument("a NaN or infinite point")
 
 
 def zero_path_atoms(spec: FilterSpec, system: PathSystem, xs, policy: TruncationPolicy) -> MeasureArray:
@@ -187,11 +206,16 @@ def zero_path_atoms(spec: FilterSpec, system: PathSystem, xs, policy: Truncation
 
     Each x is a real number, not reduced mod 1; the weight is read
     1-periodically but the product genuinely depends on x itself.  The
-    tail_bound of a converged atom is |1 - W| at its last factor.
+    product stops as the module docstring says: a converged atom's
+    tail_bound is a proven relative bound on the closed rest (2**-60 or
+    less for a low-pass coefficient filter, the same for every atom of
+    the filter; 0 where the value is exact).  A NaN or infinite x raises
+    NonFiniteArgument.
     """
     _check_scales(spec, system)
-    vals, conv, depth, dev = _atom_array(spec, system, xs, policy)
-    return MeasureArray(vals, conv, np.where(conv, dev, np.nan), depth)
+    xs = np.asarray(xs, dtype=np.float64)
+    _check_finite(xs)
+    return _atom_array(spec, system, xs, policy)
 
 
 def zero_path_atom(spec: FilterSpec, system: PathSystem, x: float, policy: TruncationPolicy) -> MeasureValue:
@@ -245,9 +269,11 @@ def lattice_masses(
     atoms, not a proven bound).  A point is flagged unconverged if any
     of its atoms failed to converge or the decade sums stopped
     decreasing; the tail is reported (K >= 10) only for converged points.
+    A NaN or infinite x raises NonFiniteArgument.
     """
     _check_scales(spec, system)
     xs = np.asarray(xs, dtype=np.float64)
+    _check_finite(xs)
     flat = xs.ravel()
     kk = policy.tail_cutoff_k
     offsets = stride * np.arange(-kk, kk + 1, dtype=np.float64)
@@ -261,10 +287,11 @@ def lattice_masses(
     rows = max(1, ATOM_TILE // offsets.size)
     for r0 in range(0, flat.size, rows):
         sl = slice(r0, min(r0 + rows, flat.size))
-        vals, conv, depth, _ = _atom_array(spec, system, flat[sl, None] + offsets, policy)
+        atoms = _atom_array(spec, system, flat[sl, None] + offsets, policy)
+        vals = atoms.value
         value[sl] = vals.sum(axis=1)
-        converged[sl] = conv.all(axis=1)
-        depth_used[sl] = depth.max(axis=1)
+        converged[sl] = atoms.converged.all(axis=1)
+        depth_used[sl] = atoms.depth_used.max(axis=1)
         if kk >= 10:
             # compress keeps the selected columns C-ordered, so each row
             # sums in the order of a one-point lattice sum
@@ -387,13 +414,16 @@ def harmonic_on_grid(spec, system, xs, policy) -> np.ndarray:
     is the trigonometric polynomial of _harmonic_taps, summed exactly
     (no truncation; policy is not used).  Every other filter takes the
     lattice route, lattice_masses(...).value: the sum over |k| <= K,
-    K = policy.tail_cutoff_k.
+    K = policy.tail_cutoff_k.  A NaN or infinite x raises
+    NonFiniteArgument.
     """
     _check_scales(spec, system)
+    xs = np.asarray(xs, dtype=np.float64)
+    _check_finite(xs)
     taps = _harmonic_taps(spec)
     if taps is None:
         return lattice_masses(spec, system, xs, policy).value
-    return _trig_series(taps, np.asarray(xs, dtype=np.float64))
+    return _trig_series(taps, xs)
 
 
 def lattice_mass(spec: FilterSpec, system: PathSystem, x: float, policy: TruncationPolicy) -> MeasureValue:

@@ -17,14 +17,16 @@ companion wavelet uses b_k = (-1)**(k+1) conj(a_{1-k}).
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FilterKindError, UnsupportedScale
-from .filters import FilterSpec, KIND_COEFFICIENTS, high_pass, response_array
+from .errors import FilterKindError, NonFiniteArgument, UnsupportedScale
+from .filters import FilterSpec, KIND_COEFFICIENTS, _response_closure, high_pass, response_array
 from .ifs import PathSystem
-from .measures import ATOM_UNDERFLOW, TruncationPolicy, harmonic_on_grid
+from .measures import TruncationPolicy, _zero_path_products, harmonic_on_grid
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,33 +84,24 @@ def scaling_hat_partial(spec: FilterSpec, system: PathSystem, x: float, depth: i
 
 
 def scaling_hat(spec: FilterSpec, system: PathSystem, x: float, policy: TruncationPolicy) -> ProductValue:
-    """Truncated Fourier transform of the scaling function at x.
+    """The Fourier transform of the scaling function at x: prod_n m(x/N**n).
 
-    Same stall rule as the zero-path atom: stop once `stall_window`
-    consecutive response factors sit within `convergence_tol` of 1.
-    The squared magnitude agrees with the zero-path atom wherever both
-    converge.
+    The product kernel and stop rule of the zero-path atom (see
+    measures), with the response m for the weight: where m(0) = 1, the
+    series of log m closes the product once |x/N**n| <= r/128, within a
+    relative error of 2**-60.  Where m(0) != 1 only underflow stops it
+    short of product_depth.  The squared magnitude agrees with the
+    zero-path atom wherever both converge.  A NaN or infinite x raises
+    NonFiniteArgument.
     """
     spec._need_coefficients()
-    n = system.scale_n
-    acc = 1.0 + 0.0j
-    y = float(x)
-    streak = 0
-    for step in range(1, policy.product_depth + 1):
-        y = y / n
-        f = complex(response_array(spec, np.array([y]))[0])
-        acc *= f
-        # same stall gate as the atom products: near-1 factors count
-        # only once the argument sits inside |y| < 1/2
-        if abs(1.0 - f) <= policy.convergence_tol and abs(y) < 0.5:
-            streak += 1
-        else:
-            streak = 0
-        if abs(acc) < ATOM_UNDERFLOW:
-            return ProductValue(0.0 + 0.0j, True, step)
-        if streak >= policy.stall_window:
-            return ProductValue(acc, True, step)
-    return ProductValue(acc, False, policy.product_depth)
+    if not math.isfinite(x):
+        raise NonFiniteArgument(f"transform of phi at {x!r}")
+    prod = _zero_path_products(
+        functools.partial(response_array, spec), _response_closure(spec), system.scale_n, [x],
+        policy.product_depth, dtype=np.complex128,
+    )
+    return ProductValue(complex(prod.value[0]), bool(prod.converged[0]), int(prod.depth_used[0]))
 
 
 # ----------------------------------------------------------------------

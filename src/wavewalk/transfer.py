@@ -16,7 +16,7 @@ import numpy as np
 from .errors import DepthTooLarge
 from .filters import FilterSpec, weight_array
 from .ifs import PathSystem, frac
-from .measures import MAX_TREE_WORDS, TruncationPolicy, harmonic_on_grid
+from .measures import MAX_TREE_WORDS, TruncationPolicy, _check_finite, harmonic_on_grid
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,7 +51,11 @@ class GridFunction:
         return float(self.values[int(frac(x) * self.cells) % self.cells])
 
     def values_at(self, xs) -> np.ndarray:
-        xs = np.mod(np.asarray(xs, dtype=np.float64), 1.0)
+        """The cell values at every x in xs, read 1-periodically; a NaN or
+        infinite x raises NonFiniteArgument."""
+        xs = np.asarray(xs, dtype=np.float64)
+        _check_finite(xs)
+        xs = np.mod(xs, 1.0)
         xs[xs >= 1.0] = 0.0
         idx = np.minimum((xs * self.cells).astype(np.int64), self.cells - 1)
         return self.values[idx]

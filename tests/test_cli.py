@@ -77,6 +77,17 @@ def test_rejected_argument_is_an_error_not_a_traceback(argv, message, capsys):
     assert err.startswith("wavewalk: error: ") and message in err
 
 
+@pytest.mark.parametrize("command", ["atom", "harmonic"])
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_filter_is_an_error_not_a_traceback(command, literal, tmp_path, capsys):
+    # JSON as Python reads it accepts NaN and Infinity literals
+    bad = tmp_path / "nan.json"
+    bad.write_text('{"coeffs": [{"k": 0, "re": 0.5}, {"k": 1, "re": %s}]}' % literal)
+    assert main([command, str(bad), "--grid-level", "3"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("wavewalk: error: ") and "coefficients must be finite" in err
+
+
 def test_atom_sweep_csv(tmp_path):
     out = tmp_path / "atom.csv"
     code = main(["atom", gpath("haar"), "--grid-level", "8", "--out", str(out)])

@@ -67,6 +67,16 @@ def test_non_finite_points(shannon, d4, x):
         assert np.isnan(ww.weight_array(d4, np.array([x]))).all()
 
 
+@pytest.mark.parametrize("v", [math.nan, math.inf, -math.inf])
+def test_non_finite_filter_is_refused(v):
+    with pytest.raises(ww.NonFiniteArgument):
+        ww.FilterSpec.from_coefficients({0: 0.5, 1: v})
+    with pytest.raises(ww.NonFiniteArgument):
+        ww.FilterSpec.from_coefficients({0: 0.5, 1: complex(0.5, v)})
+    with pytest.raises(ww.NonFiniteArgument):
+        ww.FilterSpec.from_table([0.0, v], [0.5, 0.5])
+
+
 def test_partition_haar(haar):
     rep = check_partition(haar, grid_level=8)
     assert rep.partition_max_error < 1e-12

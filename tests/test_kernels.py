@@ -3,7 +3,8 @@ the trigonometric-series weight.
 
 Each fast kernel is checked against a plain reference written here:
 a per-element loop of the stop rule, the per-point lattice sum with its
-decade rule, and the weight summed term by term in high precision.
+decade rule, and the weight and the products summed term by term in
+high precision.
 """
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 
 import wavewalk as ww
 from conftest import quadrature_family
-from wavewalk.filters import _weight_taps, eval_weight, weight_array
+from wavewalk.filters import _weight_closure, _weight_taps, eval_weight, weight_array
 from wavewalk.measures import ATOM_TILE, ATOM_UNDERFLOW, _atom_array
 
 
@@ -27,28 +28,27 @@ def stretched_h(xs, p=3):
 
 
 def _reference_atom(spec, system, x, policy):
-    """The stop rule one element at a time: (value, converged, depth, dev)."""
-    p, streak, y = 1.0, 0, float(x)
+    """The stop rule one element at a time, as a MeasureValue."""
+    closure = _weight_closure(spec)
+    p, y = 1.0, float(x)
     for step in range(1, policy.product_depth + 1):
         y = y / system.scale_n
-        f = float(weight_array(spec, np.array([y]))[0])
-        p *= f
-        dev = abs(1.0 - f)
-        streak = streak + 1 if dev <= policy.convergence_tol and abs(y) < 0.5 else 0
+        p *= float(weight_array(spec, np.array([y]))[0])
         if p < ATOM_UNDERFLOW:
-            return 0.0, True, step, 0.0
-        if streak >= policy.stall_window:
-            return p, True, step, dev
-    return p, False, policy.product_depth, dev
+            return ww.MeasureValue(0.0, True, 0.0, step)
+        if closure is not None and closure.lo <= y < closure.hi:
+            return ww.MeasureValue(p * float(closure.rest(np.array([y]))[0]), True, closure.bound, step)
+    return ww.MeasureValue(p, False, None, policy.product_depth)
 
 
 def _reference_lattice_mass(spec, system, x, policy, stride=1.0):
     """One point's lattice sum with the decade rule, on one flat row."""
     kk = policy.tail_cutoff_k
     ks = np.arange(-kk, kk + 1, dtype=np.float64)
-    vals, conv, depth, _ = _atom_array(spec, system, x + stride * ks, policy)
+    atoms = _atom_array(spec, system, x + stride * ks, policy)
+    vals = atoms.value
     absk = np.abs(ks)
-    converged = bool(conv.all())
+    converged = bool(atoms.converged.all())
     tail = None
     if kk >= 10:
         tail = float(np.sum(vals[absk > kk // 10]))
@@ -56,38 +56,40 @@ def _reference_lattice_mass(spec, system, x, policy, stride=1.0):
             inner = float(np.sum(vals[(absk > kk // 100) & (absk <= kk // 10)]))
             if tail > inner + 1e-15:
                 converged = False
-    return float(np.sum(vals)), converged, tail if converged else None, int(depth.max())
+    return float(np.sum(vals)), converged, tail if converged else None, int(atoms.depth_used.max())
 
 
 @pytest.mark.parametrize("name", ["highpass_haar", "shannon", "stretched_haar", "d4"])
 def test_atom_array_over_tiles_matches_elementwise_rule(name, system2, policy):
     spec = ww.load_gallery(name)
+    if name == "stretched_haar":
+        # short of the depth its series closure needs, so elements run out
+        policy = ww.TruncationPolicy(product_depth=12)
     ks = np.arange(-2000, 2001, dtype=np.float64)
     xs = (np.array([0.3, 0.0, 0.71, 0.125, 1 / 3])[:, None] + ks).ravel()
     assert xs.size > ATOM_TILE
-    vals, conv, depth, dev = _atom_array(spec, system2, xs, policy)
+    atoms = _atom_array(spec, system2, xs, policy)
     # every 9th element, plus both sides of each tile seam
     seams = np.arange(ATOM_TILE, xs.size, ATOM_TILE)
     picks = np.unique(np.concatenate([np.arange(0, xs.size, 9), seams - 1, seams]))
     for i in picks:
-        ref = _reference_atom(spec, system2, xs[i], policy)
-        got = (float(vals[i]), bool(conv[i]), int(depth[i]), float(dev[i]))
-        assert got == ref, (i, xs[i])
+        assert atoms.at(i) == _reference_atom(spec, system2, xs[i], policy), (i, xs[i])
     # the array mixes elements that leave their tile at the first step
     # with elements that run to the depth limit
+    depth = atoms.depth_used
     assert depth.min() == 1
     if name in ("highpass_haar", "stretched_haar"):
         first = slice(0, ATOM_TILE)
-        assert (depth[first] == policy.product_depth).any() and (~conv[first]).any()
+        assert (depth[first] == policy.product_depth).any() and (~atoms.converged[first]).any()
+    else:
+        assert atoms.converged.all()
 
 
 def test_zero_path_atom_is_the_kernel_at_one_point(stretched, system2, policy):
-    xs = np.array([0.3 + 7, 0.3 - 1500, 0.5])
-    vals, conv, depth, dev = _atom_array(stretched, system2, xs, policy)
+    xs = np.array([0.3 + 7, 0.3 - 1500, 0.5, -2.0**-11, 2.0**-11])
+    atoms = _atom_array(stretched, system2, xs, policy)
     for i, x in enumerate(xs):
-        mv = ww.zero_path_atom(stretched, system2, float(x), policy)
-        assert (mv.value, mv.converged, mv.depth_used) == (vals[i], conv[i], depth[i])
-        assert mv.tail_bound == (dev[i] if conv[i] else None)
+        assert ww.zero_path_atom(stretched, system2, float(x), policy) == atoms.at(i)
 
 
 @pytest.mark.parametrize("kk", [5, 50, 2000])
@@ -189,17 +191,17 @@ def test_single_coefficient_weight_is_constant():
 
 
 def test_zero_path_atoms_record(d4, stretched, system2):
-    # the public record carries the kernel's columns, NaN tail where unconverged
+    # the public record is the kernel's, NaN tail where unconverged
     policy = ww.TruncationPolicy(product_depth=12)
     xs = np.array([[0.0, 0.3, 5.5], [-7.25, 1e3, 0.49]])
     for spec in (d4, stretched):
         atoms = ww.zero_path_atoms(spec, system2, xs, policy)
-        vals, conv, depth, dev = _atom_array(spec, system2, xs, policy)
+        kernel = _atom_array(spec, system2, xs, policy)
         assert atoms.value.shape == xs.shape
-        assert np.array_equal(atoms.value, vals) and np.array_equal(atoms.converged, conv)
-        assert np.array_equal(atoms.depth_used, depth)
-        assert np.array_equal(np.isnan(atoms.tail_bound), ~conv)
-        assert np.array_equal(atoms.tail_bound[conv], dev[conv])
+        for field in ("value", "converged", "depth_used", "tail_bound"):
+            assert np.array_equal(getattr(atoms, field), getattr(kernel, field), equal_nan=True)
+        assert np.array_equal(np.isnan(atoms.tail_bound), ~atoms.converged)
+        assert (~atoms.converged).any()
         for i, x in enumerate(xs.ravel()):
             assert atoms.at(i) == ww.zero_path_atom(spec, system2, float(x), policy)
 
@@ -305,3 +307,113 @@ def test_filters_off_the_exact_route_keep_the_lattice_sum(system2):
     for spec in specs:
         got = ww.harmonic_on_grid(spec, system2, xs, policy)
         np.testing.assert_array_equal(got, ww.lattice_masses(spec, system2, xs, policy).value)
+
+
+# ----------------------------------------------------------------------
+# the closed rest of the products
+
+
+def _closure_filters():
+    """Low-pass coefficient filters: (spec, id)."""
+    specs = [(ww.load_gallery(n), n) for n in ("haar", "d4", "stretched_haar")]
+    specs.append((_complex_quadrature_filter(7), "complex"))
+    specs.append((ww.FilterSpec.from_coefficients({0: 1 / 3, 2: 1 / 3, 4: 1 / 3}, scale_n=3), "scale3"))
+    specs += [(quadrature_family(t), f"qmf{t}") for t in (0.7, 2.0, 4.5)]
+    return specs
+
+
+@pytest.mark.parametrize("spec", [s for s, _ in _closure_filters()], ids=[i for _, i in _closure_filters()])
+def test_atoms_match_the_exact_product(spec):
+    mpmath = pytest.importorskip("mpmath")
+    n = spec.scale_n
+    system = ww.PathSystem(n)
+    policy = ww.TruncationPolicy()
+    terms = {2: 7, 3: 6}[n]  # the fewest series terms whose remainder bound is <= 2**-60
+    rng = np.random.default_rng(29)
+    ks = np.concatenate([[-2000, -1, 0, 1, 2000], rng.integers(-2000, 2001, 27)])
+    xs = np.concatenate([0.3 + ks[:16], 0.71 + ks[16:]])
+    with mpmath.workprec(200):
+        taps = [(k, mpmath.mpc(v.real, v.imag)) for k, v in spec.coeffs]
+
+        def response(y):
+            return abs(sum(v * mpmath.expj(-2 * mpmath.pi * k * y) for k, v in taps)) ** 2
+
+        # the weight of the exactly low-pass filter nearest the taps, W(0) = 1
+        w0 = response(0)
+
+        def weight(y):
+            return response(y) / w0
+
+        def product(y):
+            """prod_{m>=1} W(y / N**m) and its smallest factor, to far below 2**-60."""
+            p, low, y = mpmath.mpf(1), mpmath.inf, mpmath.mpf(y)
+            while abs(y) >= mpmath.mpf(2) ** -80:
+                y /= n
+                f = weight(y)
+                p, low = p * f, min(low, f)
+            return p, low
+
+        ell = mpmath.taylor(lambda z: mpmath.log(weight(z)), 0, terms)
+        compared = 0
+        for x in xs.tolist():
+            atom = ww.zero_path_atom(spec, system, x, policy)
+            assert atom.converged and 0 < atom.tail_bound <= 2.0**-60
+            # the kernel's factors at its own arguments (x / N**m rounds for N = 3),
+            # then the exact rest from the point where it closed
+            exact, low, y = mpmath.mpf(1), mpmath.inf, x
+            for _ in range(atom.depth_used):
+                y = y / n
+                f = weight(mpmath.mpf(y))
+                exact, low = exact * f, min(low, f)
+            rest, rest_low = product(y)
+            exact *= rest
+            if min(low, rest_low) >= 1e-3:
+                assert abs(atom.value - exact) <= 1e-13 * exact, x
+                compared += 1
+            # what the closure leaves out: the series terms past the last one kept
+            series = sum(ell[k] * mpmath.mpf(y) ** k / (n**k - 1) for k in range(1, terms + 1))
+            assert abs(mpmath.log(rest) - series) <= atom.tail_bound, x
+        assert compared >= 5
+
+
+def test_fair_coin_table_atoms_are_exactly_zero(system2):
+    fair = ww.FilterSpec.from_table([0.0], [0.5], label="fair")
+    xs = np.linspace(-1.0, 1.0, 41)[:-1]
+    atoms = ww.zero_path_atoms(fair, system2, xs, ww.TruncationPolicy())
+    assert (atoms.value == 0.0).all() and atoms.converged.all()
+    assert (atoms.depth_used == 1).all() and (atoms.tail_bound == 0.0).all()
+    mass = ww.lattice_mass(fair, system2, 0.3, ww.TruncationPolicy(tail_cutoff_k=20_000))
+    assert mass.value == 0.0 and mass.converged
+
+
+def test_tables_close_at_their_end_cells(system2):
+    # the first cell holds 1, so the rest is exactly 1 there; the last
+    # cell holds 0.8, so every later factor is 0.8 and the atom is 0
+    table = ww.FilterSpec.from_table([0.0, 0.25, 0.5, 0.75], [1.0, 0.6, 0.9, 0.8])
+    policy = ww.TruncationPolicy()
+    for x, value, depth in ((0.2, 1.0, 1), (-0.3, 0.0, 1), (5.1, 0.9 * 0.6 * 0.9 * 0.6, 5), (-5.1, 0.0, 5)):
+        atom = ww.zero_path_atom(table, system2, x, policy)
+        assert atom == ww.MeasureValue(value, True, 0.0, depth), x
+
+
+def test_underflow_is_exactly_zero(system2, policy):
+    # 1e-9**34 < ATOM_UNDERFLOW < 1e-9**33, long before y reaches the table's cell
+    tiny = ww.FilterSpec.from_table([0.0], [1e-9])
+    assert ww.zero_path_atom(tiny, system2, 2.0**45, policy) == ww.MeasureValue(0.0, True, 0.0, 34)
+
+
+@pytest.mark.parametrize("spec", [s for s, _ in _closure_filters() if s.scale_n == 2],
+                         ids=[i for s, i in _closure_filters() if s.scale_n == 2])
+def test_scaling_hat_squared_is_the_atom_to_rounding(spec, system2, policy):
+    # where every factor is >= 0.1, so that rounding near a zero of W
+    # (about 1e-16 / W per factor) stays out of the comparison
+    compared = 0
+    for x in np.random.default_rng(31).uniform(-3.0, 3.0, 80).tolist():
+        if weight_array(spec, x / 2.0 ** np.arange(1, 41)).min() < 0.1:
+            continue
+        hat = ww.scaling_hat(spec, system2, x, policy)
+        atom = ww.zero_path_atom(spec, system2, x, policy)
+        assert hat.converged and atom.converged
+        assert abs(abs(hat.value) ** 2 - atom.value) <= 1e-14 * atom.value, x
+        compared += 1
+    assert compared >= 10

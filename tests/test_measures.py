@@ -273,8 +273,24 @@ def test_policy_validation():
         ww.TruncationPolicy(product_depth=0)
     with pytest.raises(ValueError):
         ww.TruncationPolicy(tail_cutoff_k=0)
-    with pytest.raises(ValueError):
-        ww.TruncationPolicy(convergence_tol=0.0)
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_non_finite_points_raise(d4, shannon, system2, policy, x):
+    # d4 takes the exact harmonic route, shannon the lattice sum
+    for spec in (d4, shannon):
+        with pytest.raises(ww.NonFiniteArgument):
+            ww.zero_path_atom(spec, system2, x, policy)
+        with pytest.raises(ww.NonFiniteArgument):
+            ww.zero_path_atoms(spec, system2, np.array([0.3, x]), policy)
+        with pytest.raises(ww.NonFiniteArgument):
+            ww.lattice_mass(spec, system2, x, policy)
+        with pytest.raises(ww.NonFiniteArgument):
+            ww.lattice_masses(spec, system2, np.array([x, 0.3]), policy)
+        with pytest.raises(ww.NonFiniteArgument):
+            ww.harmonic_on_grid(spec, system2, np.array([0.3, x]), policy)
+    with pytest.raises(ww.NonFiniteArgument):
+        ww.scaling_hat(d4, system2, x, policy)
 
 
 def test_scale_mismatch_guard(haar):

@@ -36,8 +36,8 @@ def test_scaling_hat_haar_values(haar, system2, policy):
 
 
 def test_scaling_hat_squared_is_atom(haar, d4, system2, policy):
-    # scaling_hat's own stop rule rarely flags convergence by depth 40, so
-    # only the atom's flag gates the comparison, and every draw is compared
+    # both products close by their series well within depth 40, so every
+    # draw converges on both routes and is compared
     rng = np.random.Generator(np.random.Philox(key=np.uint64(23)))
     compared = 0
     for spec in (haar, d4):
@@ -45,6 +45,7 @@ def test_scaling_hat_squared_is_atom(haar, d4, system2, policy):
             x = float(6 * rng.random() - 3)
             hat = ww.scaling_hat(spec, system2, x, policy)
             atom = ww.zero_path_atom(spec, system2, x, policy)
+            assert hat.converged
             if atom.converged:
                 assert abs(hat.value) ** 2 == pytest.approx(atom.value, abs=1e-9)
                 compared += 1

@@ -114,6 +114,11 @@ def test_gridfunction_reads():
     assert g.value_at(0.999) == 4.0
     assert g.value_at(1.25) == 2.0
     assert list(g.values_at(np.array([0.1, 0.6]))) == [1.0, 3.0]
+    for x in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ww.NonFiniteArgument):
+            g.values_at(np.array([0.1, x]))
+        with pytest.raises(ww.NonFiniteArgument):
+            g.value_at(x)
 
 
 def test_harmonic_residual_constant(haar, system2):
