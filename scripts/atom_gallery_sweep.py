@@ -21,7 +21,8 @@ def main():
     ap.add_argument(
         "--tail-K", type=int, default=2000, dest="tail_k",
         help="lattice-sum cutoff K, used only for filters with no exact harmonic "
-        "function (tabulated, not a partition, or not low-pass)",
+        "function (off-grid or non-partition tables, or coefficient filters that "
+        "are not a low-pass partition)",
     )
     ap.add_argument("--outdir", default="sweeps")
     args = ap.parse_args()

@@ -17,7 +17,7 @@ import numpy as np
 from . import __version__
 from .diagnostics import diagnose_convergence, estimate_cylinder, sample_path
 from .errors import WavewalkError
-from .filters import FilterSpec, validate_filter
+from .filters import DEFAULT_TOL, FilterSpec, validate_filter
 from .ifs import DigitWord, PathSystem
 from .measures import TruncationPolicy, lattice_masses, zero_path_atoms
 from .scaling import cascade, scaling_norm_sq, wavelet_coeffs, wavelet_from_scaling
@@ -37,8 +37,9 @@ class _Parser(argparse.ArgumentParser):
 _TAIL_K_HELP = (
     "lattice-sum cutoff K (|k| <= K); harmonic always sums the lattice, scaling "
     "and diagnose use K only for filters with no exact harmonic function "
-    "(tabulated, not a partition, or not low-pass); harmonic's tail_bound is the "
-    "sum over the outer decade of |k|, an indicator rather than a proven bound"
+    "(off-grid or non-partition tables, or coefficient filters that are not a "
+    "low-pass partition); harmonic's tail_bound is the sum over the outer decade "
+    "of |k|, an indicator rather than a proven bound"
 )
 
 _DEPTH_HELP = (
@@ -187,7 +188,9 @@ def main(argv=None) -> int:
 
 
 def _validate(args, spec, system, meta_doc) -> int:
-    tol = args.tol or 1e-9
+    tol = DEFAULT_TOL if args.tol is None else args.tol
+    if not tol >= 0.0:
+        raise CliUsageError(f"--tol must be >= 0, got {tol!r}")
     report = validate_filter(spec, grid_level=args.grid_level, tol=tol)
     doc = report.to_json_dict()
     keys = {"partition": "partition_max_error", "quadrature": "quadrature_max_error",

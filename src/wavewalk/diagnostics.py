@@ -116,8 +116,10 @@ def diagnose_convergence(
 
     partial_products[n] = prod_{j<=n} W(x/N**j) with the empty product
     at n = 0; harmonic_values[n] is the minimal harmonic function at
-    x/N**n (harmonic_on_grid: exact for a low-pass partition filter,
-    the lattice sum truncated at K otherwise).  The product verdict
+    x/N**n (harmonic_on_grid: exact for a low-pass partition coefficient
+    filter and for a tabulated partition whose breakpoints lie on an
+    N-adic grid of at most measures.MAX_CHAIN_CELLS cells, the lattice
+    sum truncated at K otherwise).  The product verdict
     looks at whether the last VERDICT_WINDOW factors sit within
     factor_tol of 1 while the running product stays above atom_floor;
     the harmonic verdict at whether the last values sit within h_tol of
@@ -346,10 +348,17 @@ def estimate_cylinder(
         system._check_digit(target)
     rng = _rng(seed, stream)
     y = frac(x)
+    last = system.scale_n - 1
     match = np.ones(trials, dtype=bool)
     for target in word:
         branches, _, cum = _shares(spec, system, y)
-        match &= (rng.random(trials) >= cum[:, None]).sum(axis=0) == target
+        u = rng.random(trials)
+        # u draws the target digit when exactly `target` shares are <= u;
+        # the shares never decrease, so that is cum[t-1] <= u < cum[t]
+        if target > 0:
+            match &= cum[target - 1] <= u
+        if target < last:
+            match &= u < cum[target]
         if not match.any():
             break
         y = branches[target]

@@ -7,9 +7,16 @@ inverse-branch walk.  This module evaluates those masses exactly
 (cylinder probabilities, expectations of finite-coordinate functions)
 and by controlled truncation (the atom at the all-zero string, atoms at
 embedded integers, the mass of the embedded integer lattice and of its
-N**k-fold sublattices).  For a low-pass coefficient filter whose weight
-is an exact partition, the lattice mass (the minimal harmonic function)
-is also computed exactly, as a trigonometric polynomial.
+N**k-fold sublattices).  The lattice mass (the minimal harmonic function
+h) is also computed exactly where the filter allows it:
+  * a low-pass coefficient filter whose weight is an exact partition:
+    h is a trigonometric polynomial, the fixed point of the transfer
+    operator on such polynomials (_harmonic_taps);
+  * a tabulated partition whose breakpoints lie on the N**-L grid: the
+    walk on level-L cells is a finite Markov chain, and h is a level-L
+    step function, its absorption probability into the end cells
+    (_chain_harmonic).
+Every other filter keeps the truncated lattice sum.
 
 Stop rule for the products prod_n f(x/N**n) (the atom, f = W, and in
 scaling the transform of phi, f = m): factors are multiplied in one at a
@@ -61,6 +68,10 @@ ATOM_TILE = 1 << 14
 
 #: hard cap on the number of enumerated words in exact tree sums
 MAX_TREE_WORDS = 1 << 20
+
+#: most level-L cells in the chain of a tabulated filter; its dense solve
+#: holds a (cells x cells) float64 matrix, 2 MiB at 2**9 cells
+MAX_CHAIN_CELLS = 1 << 9
 
 
 @dataclass(frozen=True)
@@ -199,6 +210,17 @@ def _atom_array(spec, system, xs, policy) -> MeasureArray:
 def _check_finite(xs) -> None:
     if not np.isfinite(xs).all():
         raise NonFiniteArgument("a NaN or infinite point")
+
+
+def _cell_index(xs: np.ndarray, cells: int) -> np.ndarray:
+    """The level cell [m/cells, (m+1)/cells) of every finite x mod 1.
+
+    Right-continuous, as weight_array reads a table: x mod 1 is taken in
+    [0, 1) (a rounded 1 is 0), and the index is clamped below cells.
+    """
+    r = np.mod(xs, 1.0)
+    r = np.where(r < 1.0, r, 0.0)
+    return np.minimum((r * cells).astype(np.int64), cells - 1)
 
 
 def zero_path_atoms(spec: FilterSpec, system: PathSystem, xs, policy: TruncationPolicy) -> MeasureArray:
@@ -407,13 +429,138 @@ def _harmonic_taps(spec: FilterSpec):
     return float(b[ell].real), tuple((pos.real + neg.real).tolist()), sines if any(sines) else ()
 
 
+def _grid_flows(spec: FilterSpec, system: PathSystem, level: int):
+    """Branch weights and cells of the grid transfer operator.
+
+    For cell m and branch j the branch point is (m + j*N**L) / N**(L+1);
+    it carries weight W of that point and lies in cell (m + j*N**L) // N.
+    Returns (weights, cells), each of shape (N, N**L).
+    """
+    n = system.scale_n
+    cells = n**level
+    shifted = np.arange(cells, dtype=np.int64) + cells * np.arange(n, dtype=np.int64)[:, None]
+    return weight_array(spec, shifted.astype(np.float64) / (n * cells)), shifted // n
+
+
+def _absorption_solve(inner, leak, rhs):
+    """Solve (D - Q) x = rhs for a chain's free cells, by GTH elimination.
+
+    inner[i, j] >= 0 is the weight from free cell i to free cell j (zero
+    diagonal), leak[i] >= 0 the weight from i out of the free cells, and
+    D = diag(leak + the row sums of inner): the weight leaving each cell,
+    which is 1 - Q_ii for an exact partition.  Gaussian elimination
+    takes every pivot as the weight leaving a cell of the chain censored
+    to the cells not yet eliminated (Grassmann, Taksar and Heyman 1985),
+    so nothing is ever subtracted: a chain slow to leave its free cells
+    loses no accuracy to cancellation, as 1 - Q_ii and a pivoting LU
+    solve do.  Returns None at a pivot that is not positive.
+    """
+    inner, leak, rhs = inner.copy(), leak.copy(), rhs.copy()
+    size = leak.size
+    pivots = np.empty(size)
+    for k in range(size):
+        pivots[k] = leak[k] + inner[k, k + 1 :].sum()
+        if not pivots[k] > 0.0:
+            return None
+        share = inner[k + 1 :, k] / pivots[k]
+        inner[k + 1 :, k + 1 :] += np.outer(share, inner[k, k + 1 :])
+        leak[k + 1 :] += share * leak[k]
+        rhs[k + 1 :] += np.outer(share, rhs[k])
+    sol = np.empty_like(rhs)
+    for k in range(size - 1, -1, -1):
+        sol[k] = (rhs[k] + inner[k, k + 1 :] @ sol[k + 1 :]) / pivots[k]
+    return sol
+
+
+@functools.lru_cache(maxsize=64)
+def _chain_harmonic(spec: FilterSpec, n: int):
+    """The minimal harmonic function of a tabulated filter, exactly.
+
+    Let L >= 1 be the least level with every breakpoint on the N**-L grid
+    (as a rational: 0.1 or a float ninth is on no grid).  W is then
+    constant on each level-(L+1) cell, so the walk on level-L cells is a
+    finite Markov chain: cell m goes to cell (m + j*N**L) // N with weight
+    W at (m + j*N**L) / N**(L+1) (_grid_flows).  h(x) = P_x(the digits end
+    in 0^inf or in (N-1)^inf) is its probability of absorption in the end
+    cells whose digit repeats forever, a level-L step function
+    (Kemeny-Snell, Finite Markov Chains, 1960): the bottom cell counts
+    when its digit-0 weight is exactly 1, the top cell when its
+    digit-(N-1) weight is; h = 1 there and 0 on every cell that cannot
+    reach one along positive weights; the rest solve (I - Q) h = b
+    (_absorption_solve).
+
+    Returns (L, the N**L cell values of h), or None where the route does
+    not apply: a coefficient filter, N**L above MAX_CHAIN_CELLS, a weight
+    that is not an exact partition on the cells (to rounding level), or a
+    solve whose condition number (in the infinity norm) times the unit
+    roundoff, or whose residual, exceeds DEFAULT_TOL.  Cached per filter,
+    as tuples.
+    """
+    if spec.kind == KIND_COEFFICIENTS:
+        return None
+    # a float is a rational p/q, q a power of 2: on the N**-L grid when q divides N**L
+    denominators = [b.as_integer_ratio()[1] for b in spec.breakpoints]
+    level, cells = 1, n
+    while any(cells % q for q in denominators) and cells <= MAX_CHAIN_CELLS:
+        level, cells = level + 1, cells * n
+    if cells > MAX_CHAIN_CELLS:
+        return None
+    flows, dest = _grid_flows(spec, PathSystem(n), level)
+    total = flows.sum(axis=0)
+    if np.any(np.abs(total - 1.0) > 100 * np.finfo(float).eps * total):
+        return None
+    target = np.zeros(cells, dtype=bool)
+    target[0], target[-1] = flows[0, 0] == 1.0, flows[-1, -1] == 1.0
+    # the cells from which a target is reachable: grown backward along
+    # positive weights until it stops growing
+    live = target.copy()
+    while True:
+        grown = live | ((flows > 0.0) & live[dest]).any(axis=0)
+        if (grown == live).all():
+            break
+        live = grown
+    h = target.astype(np.float64)
+    free = live & ~target
+    if free.any():
+        # every cell goes to N distinct cells, so no entry is written twice
+        step = np.zeros((cells, cells))
+        step[np.arange(cells), dest] = flows
+        np.fill_diagonal(step, 0.0)
+        inner = step[np.ix_(free, free)]
+        leak = step[np.ix_(free, ~free)].sum(axis=1)
+        rhs = np.column_stack([step[np.ix_(free, target)].sum(axis=1), np.ones(inner.shape[0])])
+        sol = _absorption_solve(inner, leak, rhs)
+        if sol is None:
+            return None
+        # I - Q, with its diagonal the weight leaving each cell, is an
+        # M-matrix: its inverse is >= 0, and the infinity norm of the
+        # inverse is the largest entry of inverse @ 1 (sol[:, 1])
+        system = np.diag(leak + inner.sum(axis=1)) - inner
+        norm = np.abs(system).sum(axis=1).max()
+        residual = np.max(np.abs(system @ sol[:, 0] - rhs[:, 0]))
+        # the condition number is norm * max(inverse @ 1), tested unmultiplied
+        well_conditioned = sol[:, 1].max() <= DEFAULT_TOL / (norm * np.finfo(float).eps)
+        if not (well_conditioned and residual <= DEFAULT_TOL):
+            return None
+        h[free] = sol[:, 0]
+    return level, tuple(h.tolist())
+
+
 def harmonic_on_grid(spec, system, xs, policy) -> np.ndarray:
     """The minimal harmonic function h(x) = sum_k atom(x + k) at every x in xs.
 
-    For a coefficient filter that is an exact partition and low-pass, h
-    is the trigonometric polynomial of _harmonic_taps, summed exactly
-    (no truncation; policy is not used).  Every other filter takes the
-    lattice route, lattice_masses(...).value: the sum over |k| <= K,
+    Two kinds of filter have h exactly, with no truncation (policy is
+    not used):
+      * a low-pass coefficient filter that is an exact partition: the
+        trigonometric polynomial of _harmonic_taps;
+      * a tabulated partition whose breakpoints lie on the N**-L grid,
+        N**L <= MAX_CHAIN_CELLS: the level-L step function of
+        _chain_harmonic, read at the cell of x mod 1 as weight_array
+        reads a table.
+    Every other filter (a table off the grid or not a partition, a
+    coefficient filter that is not a low-pass partition, or one of
+    either kind whose exact solve is declined) takes the lattice route,
+    lattice_masses(...).value: the sum over |k| <= K,
     K = policy.tail_cutoff_k.  A NaN or infinite x raises
     NonFiniteArgument.
     """
@@ -421,9 +568,13 @@ def harmonic_on_grid(spec, system, xs, policy) -> np.ndarray:
     xs = np.asarray(xs, dtype=np.float64)
     _check_finite(xs)
     taps = _harmonic_taps(spec)
-    if taps is None:
-        return lattice_masses(spec, system, xs, policy).value
-    return _trig_series(taps, xs)
+    if taps is not None:
+        return _trig_series(taps, xs)
+    chain = _chain_harmonic(spec, system.scale_n)
+    if chain is not None:
+        level, cell_values = chain
+        return np.asarray(cell_values)[_cell_index(xs, system.scale_n**level)]
+    return lattice_masses(spec, system, xs, policy).value
 
 
 def lattice_mass(spec: FilterSpec, system: PathSystem, x: float, policy: TruncationPolicy) -> MeasureValue:

@@ -7,7 +7,8 @@ on a dyadic sample grid.  On top of those sit the norm and
 autocorrelation checks (via the minimal harmonic function
 h(x) = sum_k |phi^(x + k)|^2 of measures.harmonic_on_grid, so cascade
 error cannot contaminate them; h is exact for a low-pass partition
-filter and a lattice sum truncated at K otherwise) and the banded
+filter and for an on-grid tabulated partition, and a lattice sum
+truncated at K otherwise) and the banded
 analysis operators that compute wavelet coefficients of discrete
 signals.
 
@@ -188,8 +189,10 @@ def scaling_norm_sq(spec: FilterSpec, system: PathSystem, policy: TruncationPoli
     Midpoint quadrature of h = harmonic_on_grid over one period;
     unfolding the integer sum turns the period integral into the line
     integral of the squared Fourier transform.  Where h is the exact
-    trigonometric polynomial of degree L < N**level, the quadrature is
-    exact too; elsewhere h is the lattice sum truncated at K.
+    trigonometric polynomial of degree L < N**level, or the exact step
+    function of a table on the N**-L grid with L <= level, the
+    quadrature is exact too; elsewhere h is the lattice sum truncated
+    at K.
     """
     cells = system.scale_n**level
     mids = (np.arange(cells, dtype=np.float64) + 0.5) / cells

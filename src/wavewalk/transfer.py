@@ -16,7 +16,14 @@ import numpy as np
 from .errors import DepthTooLarge
 from .filters import FilterSpec, weight_array
 from .ifs import PathSystem, frac
-from .measures import MAX_TREE_WORDS, TruncationPolicy, _check_finite, harmonic_on_grid
+from .measures import (
+    MAX_TREE_WORDS,
+    TruncationPolicy,
+    _cell_index,
+    _check_finite,
+    _grid_flows,
+    harmonic_on_grid,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,10 +62,7 @@ class GridFunction:
         infinite x raises NonFiniteArgument."""
         xs = np.asarray(xs, dtype=np.float64)
         _check_finite(xs)
-        xs = np.mod(xs, 1.0)
-        xs[xs >= 1.0] = 0.0
-        idx = np.minimum((xs * self.cells).astype(np.int64), self.cells - 1)
-        return self.values[idx]
+        return self.values[_cell_index(xs, self.cells)]
 
     @classmethod
     def from_callable(cls, fn, level: int, n_branches: int) -> "GridFunction":
@@ -72,8 +76,11 @@ def harmonic_gridfunction(
 ) -> GridFunction:
     """The minimal harmonic function (harmonic_on_grid) sampled on the level-L grid.
 
-    Exact for a low-pass partition coefficient filter; the lattice sum
-    truncated at K = policy.tail_cutoff_k for every other filter.
+    Exact for a low-pass partition coefficient filter (a trigonometric
+    polynomial) and for a tabulated partition with breakpoints on the
+    N**-L' grid, N**L' <= MAX_CHAIN_CELLS (a level-L' step function); the
+    lattice sum truncated at K = policy.tail_cutoff_k for every other
+    filter.
     """
     cells = system.scale_n**level
     pts = np.arange(cells, dtype=np.float64) / cells
@@ -149,19 +156,6 @@ def harmonic_residual(
     ys, weights = _branch_weights(spec, system, xs)
     acc = (weights * h.values_at(ys)).sum(axis=0)
     return float(np.max(np.abs(acc - h.values_at(xs))))
-
-
-def _grid_flows(spec: FilterSpec, system: PathSystem, level: int):
-    """Branch weights and cells of the grid transfer operator.
-
-    For cell m and branch j the branch point is (m + j*N**L) / N**(L+1);
-    it carries weight W of that point and lies in cell (m + j*N**L) // N.
-    Returns (weights, cells), each of shape (N, N**L).
-    """
-    n = system.scale_n
-    cells = n**level
-    shifted = np.arange(cells, dtype=np.int64) + cells * np.arange(n, dtype=np.int64)[:, None]
-    return weight_array(spec, shifted.astype(np.float64) / (n * cells)), shifted // n
 
 
 def power_iterate(

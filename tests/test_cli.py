@@ -33,6 +33,23 @@ def test_validate_highpass_verdict_exit(tmp_path):
     assert doc["report"]["verdicts"]["partition"] is True
 
 
+@pytest.mark.parametrize("tol", ["0", "1e-30"])
+def test_validate_tol_zero_is_taken_as_given(tmp_path, tol):
+    # d4's partition error is a few ulp, above a zero tolerance
+    code, doc = run_json(["validate", gpath("d4"), "--tol", tol], tmp_path)
+    assert code == 2
+    assert doc["meta"]["config"]["tol"] == float(tol)
+    assert 0.0 < doc["report"]["partition_max_error"] < 1e-14
+    assert doc["report"]["verdicts"]["partition"] is False
+    assert run_json(["validate", gpath("d4")], tmp_path)[0] == 0
+
+
+@pytest.mark.parametrize("tol", ["-1e-9", "-0.5", "nan"])
+def test_validate_rejects_a_negative_tol(tol, capsys):
+    assert main(["validate", gpath("d4"), f"--tol={tol}"]) == 1
+    assert "--tol must be >= 0" in capsys.readouterr().err
+
+
 def test_malformed_filter_file(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"label": "x", \n "scale_N": }')

@@ -214,7 +214,9 @@ def test_estimate_cylinder_needs_trials(haar, system2):
 def per_trial_estimate(spec, system, x, word, trials, seed, stream=0):
     """The estimate as a walk of every trial: all N weights at every trial's state.
 
-    Draws the same Philox stream and counts digits by the same rule; it
+    Draws the same Philox stream and takes as digit the number of
+    cumulative shares at or below the uniform, the rule that the
+    estimate's test cum[t-1] <= u < cum[t] must match bit for bit; it
     raises DegenerateStep at a dead state that any trial reaches.
     """
     key = np.array([seed, stream], dtype=np.uint64)
@@ -245,6 +247,13 @@ def _table_scale9():
     return ww.FilterSpec.from_table(np.arange(9) / 9, p / p.sum(), scale_n=9, label="scale 9")
 
 
+def _table_scale4_ties():
+    # zero weights make equal cumulative shares, which a uniform never
+    # falls between
+    values = [0.5, 0, 1, 0.25, 0, 0, 0, 0.25, 0.5, 0, 0, 0.5, 0, 1, 0, 0]
+    return ww.FilterSpec.from_table(np.arange(16) / 16, values, scale_n=4, label="scale 4 ties")
+
+
 ESTIMATE_FILTERS = {
     "haar": lambda: ww.load_gallery("haar"),
     "d4": lambda: ww.load_gallery("d4"),
@@ -253,6 +262,7 @@ ESTIMATE_FILTERS = {
     "scale 3": lambda: ww.FilterSpec.from_coefficients({0: 0.3, 1: 0.5, 2: 0.2}, scale_n=3),
     "table partition": _table_partition,
     "table scale 9": _table_scale9,
+    "table scale 4 ties": _table_scale4_ties,
 }
 
 

@@ -13,7 +13,7 @@ import pytest
 import wavewalk as ww
 from conftest import quadrature_family
 from wavewalk.filters import _weight_closure, _weight_taps, eval_weight, weight_array
-from wavewalk.measures import ATOM_TILE, ATOM_UNDERFLOW, _atom_array
+from wavewalk.measures import ATOM_TILE, ATOM_UNDERFLOW, MAX_CHAIN_CELLS, _atom_array, _chain_harmonic
 
 
 def stretched_h(xs, p=3):
@@ -294,19 +294,107 @@ def test_exact_harmonic_gridfunction_is_harmonic(system2, policy):
 def test_filters_off_the_exact_route_keep_the_lattice_sum(system2):
     policy = ww.TruncationPolicy(tail_cutoff_k=50)
     xs = np.random.default_rng(23).random(9)
+    off_grid = ww.FilterSpec.from_table([0.0, 0.1, 0.5, 0.6], [1.0, 0.5, 0.0, 0.5])
+    over_cap = ww.FilterSpec.from_table([0.0, 2.0**-10, 0.5, 0.5 + 2.0**-10], [1.0, 0.5, 0.0, 0.5])
+    assert 2**10 > MAX_CHAIN_CELLS
     specs = [
-        ww.load_gallery("shannon"),
         ww.load_gallery("highpass_haar"),
-        ww.FilterSpec.from_table([0.0, 0.25, 0.5, 0.75], [0.3, 0.0, 0.7, 1.0]),
+        off_grid,
+        ww.FilterSpec.from_table([0.0], [0.4]),  # on the grid, not a partition
+        over_cap,
         ww.FilterSpec.from_coefficients({0: 0.6, 1: 0.4}),  # low-pass, not a partition
         quadrature_family(np.pi + 1e-4),  # a fixed point too ill-conditioned to solve for
         # eigenvalue 1 neither simple nor double at rounding level
         quadrature_family(np.pi + 1e-5),
         quadrature_family(np.pi + 1e-6),
     ]
+    assert ww.check_partition(off_grid, 10).all_ok and ww.check_partition(over_cap, 10).all_ok
     for spec in specs:
         got = ww.harmonic_on_grid(spec, system2, xs, policy)
         np.testing.assert_array_equal(got, ww.lattice_masses(spec, system2, xs, policy).value)
+    # a float ninth is on no 3-adic grid
+    ninth = ww.FilterSpec.from_table([0.0, 1 / 9], [1 / 3, 1 / 3], scale_n=3)
+    system3 = ww.PathSystem(3)
+    got = ww.harmonic_on_grid(ninth, system3, xs, policy)
+    np.testing.assert_array_equal(got, ww.lattice_masses(ninth, system3, xs, policy).value)
+
+
+# ----------------------------------------------------------------------
+# the exact harmonic function of a table on the N-adic grid
+
+
+#: on 16 bins, with h = 3/13, 6/13 and 8/13 on cells 6, 10 and 12
+TABLE16 = ww.FilterSpec.from_table(
+    np.arange(16) / 16, [1, 0, 1, 0.5, 1, 0.25, 0.5, 0, 0, 1, 0, 0.5, 0, 0.75, 0.5, 1]
+)
+
+#: a partition whose lattice sums approach h = 1 slowly
+SLOW_TAIL = ww.FilterSpec.from_table(np.arange(8) / 8, [1, 0.0276, 0.7535, 0, 0, 0.9724, 0.2465, 1])
+
+
+def _end_cell_fraction(spec, system, xs, trials, steps, seed):
+    """Per start point, the fraction of dyadic walks that sit in a 16-bin end
+    cell after `steps` steps: the end cells of TABLE16 have W = 1 on the
+    digit that keeps a walk inside them, so this estimates h there."""
+    rng = np.random.default_rng(seed)
+    y = np.repeat(np.asarray(xs, dtype=np.float64), trials)
+    for _ in range(steps):
+        one = rng.random(y.size) >= weight_array(spec, system.branch_array(0, y))
+        y = system.branch_array(one.astype(np.float64), y)
+    ends = (y < 1 / 16) | (y >= 15 / 16)
+    return ends.reshape(len(xs), trials).mean(axis=1)
+
+
+def test_chain_harmonic_of_shannon_is_one(system2):
+    shannon = ww.load_gallery("shannon")
+    assert _chain_harmonic(shannon, 2) is not None
+    policy = ww.TruncationPolicy(tail_cutoff_k=2000)
+    xs = _far_points(400)
+    assert np.max(np.abs(ww.harmonic_on_grid(shannon, system2, xs, policy) - 1.0)) <= 1e-14
+    mids = (np.arange(32) + 0.37) / 32
+    lattice = ww.lattice_masses(shannon, system2, mids, policy).value
+    assert np.max(np.abs(ww.harmonic_on_grid(shannon, system2, mids, policy) - lattice)) <= 1e-12
+
+
+def test_chain_harmonic_without_a_target_is_zero(system2, policy):
+    xs = _far_points(400)
+    for spec in (
+        ww.FilterSpec.from_table([0.0], [0.5]),
+        # W = 1 on the cycle {1/3, 2/3}, and 0 at both ends
+        ww.FilterSpec.from_table([0.0, 0.25, 0.5, 0.75], [0.0, 1.0, 1.0, 0.0]),
+    ):
+        assert _chain_harmonic(spec, 2) is not None
+        np.testing.assert_array_equal(ww.harmonic_on_grid(spec, system2, xs, policy), 0.0)
+
+
+def test_chain_harmonic_of_a_slow_lattice_tail(system2, policy):
+    xs = np.array([0.0625, 0.3125, 0.4375])
+    assert np.max(np.abs(ww.harmonic_on_grid(SLOW_TAIL, system2, xs, policy) - 1.0)) <= 1e-12
+
+
+def test_chain_harmonic_against_walks_and_the_lattice_sum(system2):
+    policy = ww.TruncationPolicy(tail_cutoff_k=2000)
+    xs = (np.array([6, 10, 12]) + 0.5) / 16
+    want = np.array([3, 6, 8]) / 13
+    h = ww.harmonic_on_grid(TABLE16, system2, xs, policy)
+    assert np.max(np.abs(h - want)) <= 1e-14
+    # the whole cell carries the value, edges included
+    edges = np.array([6, 10, 12]) / 16
+    np.testing.assert_array_equal(ww.harmonic_on_grid(TABLE16, system2, edges, policy), h)
+    trials = 20_000
+    walked = _end_cell_fraction(TABLE16, system2, xs, trials, 200, seed=29)
+    stderr = np.sqrt(walked * (1.0 - walked) / trials)
+    assert np.all(np.abs(walked - h) <= 6 * stderr)
+    lattice = ww.lattice_masses(TABLE16, system2, xs, policy).value
+    assert np.max(np.abs(lattice - h)) <= 1e-3
+
+
+def test_chain_harmonic_reads_cells_as_the_grid_function_does(system2, policy):
+    level, cells = _chain_harmonic(TABLE16, 2)
+    xs = np.concatenate([_far_points(400), [1 - 2.0**-53, -(2.0**-60), 15 / 16, 1 / 16]])
+    grid = ww.GridFunction(level, 2, np.asarray(cells))
+    np.testing.assert_array_equal(ww.harmonic_on_grid(TABLE16, system2, xs, policy), grid.values_at(xs))
+    np.testing.assert_array_equal(ww.harmonic_gridfunction(TABLE16, system2, level, policy).values, cells)
 
 
 # ----------------------------------------------------------------------

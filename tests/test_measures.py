@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import wavewalk as ww
 from wavewalk.ifs import DigitWord
-from wavewalk.measures import FiniteCoordFn
+from wavewalk.measures import FiniteCoordFn, _chain_harmonic
 
 from conftest import quadrature_family, sinc_sq
 
@@ -255,6 +255,32 @@ def test_total_mass_random_partition_filters(spec, x):
     system2 = ww.PathSystem(2)
     one = FiniteCoordFn.constant(1.0, 5, 2)
     assert ww.expect_finite(spec, system2, x, one).real == pytest.approx(1.0, abs=1e-10)
+
+
+@given(spec=dyadic_partition_filter())
+@example(spec=ww.FilterSpec.from_table([0.0, 0.25, 0.5, 0.75], [0.3, 0.0, 0.7, 1.0]))
+@settings(max_examples=60, deadline=None)
+def test_chain_harmonic_of_random_partition_tables(spec):
+    # h is exact on these tables: a probability, 1 on an end cell whose
+    # digit repeats with weight 1, and a fixed point of the transfer operator
+    system, policy = ww.PathSystem(2), ww.TruncationPolicy(tail_cutoff_k=50)
+    level = len(spec.breakpoints).bit_length() - 1
+    xs = (np.arange(2**level) + 0.5) / 2**level
+    h = ww.harmonic_on_grid(spec, system, xs, policy)
+    chain = _chain_harmonic(spec, 2)
+    if chain is None:
+        # declined: weights so small that the walk takes more steps to
+        # leave the inner cells than DEFAULT_TOL allows the solve
+        np.testing.assert_array_equal(h, ww.lattice_masses(spec, system, xs, policy).value)
+        return
+    assert chain[0] == level
+    assert h.min() >= 0.0 and h.max() <= 1.0 + 1e-12
+    if spec.values[0] == 1.0:
+        assert h[0] == 1.0
+    if spec.values[-1] == 1.0:
+        assert h[-1] == 1.0
+    grid = ww.harmonic_gridfunction(spec, system, level + 1, policy)
+    assert ww.harmonic_residual(spec, system, grid, eval_level=level) <= 1e-12
 
 
 @given(theta=st.floats(min_value=0.05, max_value=6.2), x=st.floats(min_value=0, max_value=1, exclude_max=True))
