@@ -35,6 +35,19 @@ A product that falls below the underflow floor is exactly 0.  A product
 that none of these stops by product_depth is reported unconverged rather
 than guessed.
 
+The lattice sum is a sum over the tree of integer words.  The atom at
+x + k is the mass of k's digit word times the atom at the word's end
+point (integer_atom), so all k with the same residue r mod N**m share
+their first m factors W((x - floor(x) + r) / N**n), n <= m.
+lattice_masses grows those products over all N**m words once per point,
+m the most levels with N**m <= 2K+1, and the product kernel carries each
+atom on from its word's product at (x + k) / N**m.  So a row keeps the
+stop rule of its atoms taken whole: a word whose product falls below
+the underflow floor at level s makes its atoms 0 at depth s, an atom
+whose closure comes within the first m levels is taken whole, and
+every other atom stops where it would have, up to the rounding of its
+first m factors.
+
 All functions are pure; array sweeps use fixed-shape numpy reductions,
 so results are deterministic for a given input.
 """
@@ -143,15 +156,17 @@ def _check_scales(spec: FilterSpec, system: PathSystem) -> None:
 # infinite products along the zero branch
 
 
-def _zero_path_products(factor, closure, n, xs, depth, dtype=np.float64) -> MeasureArray:
+def _zero_path_products(factor, closure, n, xs, depth, dtype=np.float64, prefix=None) -> MeasureArray:
     """The one product kernel: prod_{m>=1} factor(x / N**m) over an array of real x.
 
-    Step m multiplies in factor(y), y = x / N**m, then stops an element
-    (1) at 0 once the product falls below ATOM_UNDERFLOW, or (2) once
-    closure.lo <= y < closure.hi, multiplying in the closed rest
-    closure.rest(y) with relative error at most closure.bound.  Elements
-    still live at `depth` (all of them where closure is None, short of
-    underflow) are unconverged.  tail_bound is closure.bound, 0 for an
+    Step m multiplies in factor(y), y = x / N**m, into a product that
+    starts at the element's entry of prefix (the factors taken before x,
+    as lattice_masses takes a word's; 1 where prefix is None), then
+    stops an element (1) at 0 once the product falls below
+    ATOM_UNDERFLOW, or (2) once closure.lo <= y < closure.hi,
+    multiplying in the closed rest closure.rest(y) with relative error
+    at most closure.bound.  Elements still live at `depth` (all of them
+    where closure is None, short of underflow) are unconverged.  tail_bound is closure.bound, 0 for an
     underflow, NaN where unconverged.  The array is worked through in
     tiles of ATOM_TILE elements, each taken through all its steps before
     the next one starts, so the working set stays in cache; an element's
@@ -159,6 +174,8 @@ def _zero_path_products(factor, closure, n, xs, depth, dtype=np.float64) -> Meas
     """
     xs = np.asarray(xs, dtype=np.float64)
     flat = xs.ravel()
+    if prefix is not None:
+        prefix = np.asarray(prefix).ravel()
     values = np.empty(flat.shape, dtype=dtype)
     converged = np.zeros(flat.shape, dtype=bool)
     depth_used = np.full(flat.shape, depth, dtype=np.int64)
@@ -169,7 +186,7 @@ def _zero_path_products(factor, closure, n, xs, depth, dtype=np.float64) -> Meas
     for start in range(0, flat.size, ATOM_TILE):
         idx = np.arange(start, min(start + ATOM_TILE, flat.size))
         y = flat[idx]
-        p = np.ones(idx.size, dtype=dtype)
+        p = np.ones(idx.size, dtype=dtype) if prefix is None else prefix[idx].astype(dtype, copy=False)
         for step in range(1, depth + 1):
             y /= n
             p *= factor(y)
@@ -254,7 +271,9 @@ def integer_atom(spec: FilterSpec, system: PathSystem, x: float, k: int, policy:
     that terminal point is the real-line continuation of the modular
     word, which makes the value independent of the admissible word
     length.  Route 2 evaluates the zero-path atom at x + k directly;
-    the two must agree and their gap is reported.
+    the two must agree and their gap is reported.  lattice_masses sums
+    route 1 over a whole row, sharing the words' first factors (see the
+    module docstring).
     """
     _check_scales(spec, system)
     word = system.word_of_int(k)
@@ -276,29 +295,102 @@ def integer_atom(spec: FilterSpec, system: PathSystem, x: float, k: int, policy:
 # lattice masses
 
 
+def _word_products(spec, fracs, n, levels):
+    """The first `levels` factors of the atoms at x + j for every integer j.
+
+    For f = x - floor(x) (which may round up to 1) and r = j mod N**levels,
+    the s-th factor W((f + j) / N**s) is W((f + r) / N**s), W having
+    period 1: it depends on the word r alone.  The words grow one digit at
+    a time, the product of r + d N**(s-1) at level s being that of r times
+    W((f + r + d N**(s-1)) / N**s), so level s evaluates N**s weights.
+    Returns, of shape (len(fracs), N**levels) and indexed by r, the
+    products over the `levels` factors and the level at which each first
+    fell below ATOM_UNDERFLOW (0 where none did).
+    """
+    p = np.ones((fracs.size, 1))
+    dead_at = np.zeros(p.shape, dtype=np.int64)
+    for level in range(1, levels + 1):
+        words = n**level
+        p = np.tile(p, n) * weight_array(spec, (fracs[:, None] + np.arange(words)) / words)
+        dead_at = np.tile(dead_at, n)
+        dead_at[(dead_at == 0) & (p < ATOM_UNDERFLOW)] = level
+    return p, dead_at
+
+
+def _row_atoms(spec, system, xs, policy, stride):
+    """atom(x + stride*k), |k| <= K, for every x in xs, over the tree of integer words.
+
+    With m the most levels with N**m <= 2K+1 (and m <= product_depth),
+    the atom is the product of the first m factors of its word
+    r = (floor(x) + stride*k) mod N**m (_word_products at x - floor(x)),
+    carried on by the product kernel from z = (x + stride*k) / N**m, z
+    reached by the kernel's own chain of divisions.  A word that
+    underflows at level s gives 0 at depth s; an atom whose closure comes
+    within the first m levels (z closed) goes whole through the kernel
+    from x + stride*k.  Returns values, convergence flags and depths of
+    shape (len(xs), 2K+1).
+    """
+    n = system.scale_n
+    ks = np.arange(-policy.tail_cutoff_k, policy.tail_cutoff_k + 1)
+    levels = 0
+    while n ** (levels + 1) <= ks.size and levels < policy.product_depth:
+        levels += 1
+    words = n**levels
+    closure = _weight_closure(spec)
+    base = np.floor(xs)
+    tree, dead_at = _word_products(spec, xs - base, n, levels)
+    row = np.arange(xs.size)[:, None]
+    word = (np.mod(base, words).astype(np.int64)[:, None] + stride % words * ks) % words
+    depth = dead_at[row, word]
+    offsets = float(stride) * ks
+    z = xs[:, None] + offsets
+    for _ in range(levels):
+        z /= n
+    whole = (closure.lo <= z) & (z < closure.hi) if closure is not None else np.zeros(z.shape, dtype=bool)
+    rest = (depth == 0) & ~whole
+    value = np.zeros(z.shape)
+    converged = np.ones(z.shape, dtype=bool)
+    wrows, wcols = np.nonzero(whole)
+    for mask, atoms, taken in (
+        (whole, _atom_array(spec, system, xs[wrows] + offsets[wcols], policy), 0),
+        (rest, _zero_path_products(functools.partial(weight_array, spec), closure, n, z[rest],
+                                   policy.product_depth - levels, prefix=tree[row, word][rest]), levels),
+    ):
+        value[mask], converged[mask], depth[mask] = atoms.value, atoms.converged, atoms.depth_used + taken
+    return value, converged, depth
+
+
 def lattice_masses(
-    spec: FilterSpec, system: PathSystem, xs, policy: TruncationPolicy, stride: float = 1.0
+    spec: FilterSpec, system: PathSystem, xs, policy: TruncationPolicy, stride: int = 1
 ) -> MeasureArray:
     """Sums of atom(x + stride*k) over |k| <= K for every x in xs.
 
-    K = policy.tail_cutoff_k; stride 1 gives the mass of the embedded
-    integer lattice, stride N**j that of the sublattice N**j * Z.  Rows
-    of 2K+1 atoms go through the product kernel a tile at a time, so
-    nothing of size len(xs) * (2K+1) is held at once.
+    K = policy.tail_cutoff_k.  stride is a positive integer (2 and 2.0
+    alike; anything else raises ValueError): 1 for the mass of the
+    embedded integer lattice, N**j for that of the sublattice N**j * Z.
+    A row is summed over the tree of integer words, as the module
+    docstring says: the first m factors of an atom, N**m <= 2K+1, are
+    read at x - floor(x) plus an integer below N**m, that is at the
+    exact x + stride*k rather than at its rounding.  Rows go through the
+    product kernel about a tile at a time, so nothing of size
+    len(xs) * (2K+1) is held at once.
 
     The tail_bound of a point is the contribution of the outermost
     decade of |k| (a conservative indicator for polynomially decaying
     atoms, not a proven bound).  A point is flagged unconverged if any
     of its atoms failed to converge or the decade sums stopped
     decreasing; the tail is reported (K >= 10) only for converged points.
-    A NaN or infinite x raises NonFiniteArgument.
+    The depth_used of a point is the most factors any of its atoms took,
+    counted from x + stride*k as zero_path_atoms counts them.  A NaN or
+    infinite x raises NonFiniteArgument.
     """
     _check_scales(spec, system)
+    if not (stride > 0 and float(stride).is_integer()):
+        raise ValueError(f"stride must be a positive integer, got {stride!r}")
     xs = np.asarray(xs, dtype=np.float64)
     _check_finite(xs)
     flat = xs.ravel()
     kk = policy.tail_cutoff_k
-    offsets = stride * np.arange(-kk, kk + 1, dtype=np.float64)
     absk = np.abs(np.arange(-kk, kk + 1))
     outer_cols = absk > kk // 10
     inner_cols = (absk > kk // 100) & ~outer_cols
@@ -306,14 +398,13 @@ def lattice_masses(
     converged = np.empty(flat.shape, dtype=bool)
     tail = np.full(flat.shape, np.nan)
     depth_used = np.empty(flat.shape, dtype=np.int64)
-    rows = max(1, ATOM_TILE // offsets.size)
+    rows = max(1, ATOM_TILE // absk.size)
     for r0 in range(0, flat.size, rows):
         sl = slice(r0, min(r0 + rows, flat.size))
-        atoms = _atom_array(spec, system, flat[sl, None] + offsets, policy)
-        vals = atoms.value
+        vals, done, depth = _row_atoms(spec, system, flat[sl], policy, int(stride))
         value[sl] = vals.sum(axis=1)
-        converged[sl] = atoms.converged.all(axis=1)
-        depth_used[sl] = atoms.depth_used.max(axis=1)
+        converged[sl] = done.all(axis=1)
+        depth_used[sl] = depth.max(axis=1)
         if kk >= 10:
             # compress keeps the selected columns C-ordered, so each row
             # sums in the order of a one-point lattice sum
@@ -605,7 +696,7 @@ def scaled_lattice_mass(spec: FilterSpec, system: PathSystem, x: float, k: int, 
         prefix *= eval_weight(spec, y)
     base = lattice_mass(spec, system, y, policy)
     value = prefix * base.value
-    direct = lattice_masses(spec, system, [x], policy, stride=float(n) ** k).at(0)
+    direct = lattice_masses(spec, system, [x], policy, stride=n**k).at(0)
     return MeasureValue(
         value=value,
         converged=base.converged and direct.converged,

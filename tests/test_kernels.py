@@ -2,10 +2,13 @@
 the trigonometric-series weight.
 
 Each fast kernel is checked against a plain reference written here:
-a per-element loop of the stop rule, the per-point lattice sum with its
-decade rule, and the weight and the products summed term by term in
-high precision.
+the stop rule stepped element by element under masks, the per-point
+lattice sum over the integer words k by k with its decade rule, and the
+weight, the products and the lattice rows summed term by term in high
+precision.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -13,7 +16,14 @@ import pytest
 import wavewalk as ww
 from conftest import quadrature_family
 from wavewalk.filters import _weight_closure, _weight_taps, eval_weight, weight_array
-from wavewalk.measures import ATOM_TILE, ATOM_UNDERFLOW, MAX_CHAIN_CELLS, _atom_array, _chain_harmonic
+from wavewalk.measures import (
+    ATOM_TILE,
+    ATOM_UNDERFLOW,
+    MAX_CHAIN_CELLS,
+    _atom_array,
+    _chain_harmonic,
+    _word_products,
+)
 
 
 def stretched_h(xs, p=3):
@@ -27,25 +37,48 @@ def stretched_h(xs, p=3):
     return sum((p - abs(n)) / p**2 * np.cos(2 * np.pi * n * r) for n in range(1 - p, p))
 
 
-def _reference_atom(spec, system, x, policy):
-    """The stop rule one element at a time, as a MeasureValue."""
+def _reference_atoms(spec, system, xs, policy, prefix=1.0, taken=0):
+    """The stop rule element by element, by masks over the whole array.
+
+    No tiles, gathers or compaction: every element steps to the depth,
+    and the step at which it first stops decides it.  Each product
+    starts at prefix, the product of the `taken` factors before xs (a
+    lattice row's word product), and goes on at step taken + 1.
+    """
     closure = _weight_closure(spec)
-    p, y = 1.0, float(x)
-    for step in range(1, policy.product_depth + 1):
+    y = np.array(xs, dtype=np.float64)
+    p = np.broadcast_to(np.asarray(prefix, dtype=np.float64), y.shape).copy()
+    value = np.zeros(y.shape)
+    converged = np.zeros(y.shape, dtype=bool)
+    tail = np.full(y.shape, np.nan)
+    depth = np.full(y.shape, policy.product_depth)
+    live = np.ones(y.shape, dtype=bool)
+    for step in range(taken + 1, policy.product_depth + 1):
         y = y / system.scale_n
-        p *= float(weight_array(spec, np.array([y]))[0])
-        if p < ATOM_UNDERFLOW:
-            return ww.MeasureValue(0.0, True, 0.0, step)
-        if closure is not None and closure.lo <= y < closure.hi:
-            return ww.MeasureValue(p * float(closure.rest(np.array([y]))[0]), True, closure.bound, step)
-    return ww.MeasureValue(p, False, None, policy.product_depth)
+        p = p * weight_array(spec, y)
+        dead = live & (p < ATOM_UNDERFLOW)
+        shut = live & ~dead & ((closure.lo <= y) & (y < closure.hi) if closure is not None else False)
+        if shut.any():
+            value[shut] = p[shut] * closure.rest(y[shut])
+            tail[shut] = closure.bound
+        tail[dead] = 0.0
+        converged |= dead | shut
+        depth[dead | shut] = step
+        live &= ~(dead | shut)
+    value[live] = p[live]
+    return ww.MeasureArray(value, converged, tail, depth)
 
 
-def _reference_lattice_mass(spec, system, x, policy, stride=1.0):
-    """One point's lattice sum with the decade rule, on one flat row."""
-    kk = policy.tail_cutoff_k
-    ks = np.arange(-kk, kk + 1, dtype=np.float64)
-    atoms = _atom_array(spec, system, x + stride * ks, policy)
+def _word_count(n, policy):
+    """The levels m of the words of a lattice row: the most with N**m <= 2K+1."""
+    m = 0
+    while n ** (m + 1) <= 2 * policy.tail_cutoff_k + 1 and m < policy.product_depth:
+        m += 1
+    return m
+
+
+def _row_sum(atoms, ks, kk):
+    """A row's value, flag, tail and depth from its atoms, by the decade rule."""
     vals = atoms.value
     absk = np.abs(ks)
     converged = bool(atoms.converged.all())
@@ -57,6 +90,51 @@ def _reference_lattice_mass(spec, system, x, policy, stride=1.0):
             if tail > inner + 1e-15:
                 converged = False
     return float(np.sum(vals)), converged, tail if converged else None, int(atoms.depth_used.max())
+
+
+def _direct_lattice_row(spec, system, x, policy, stride=1):
+    """One point's lattice sum over atoms taken whole at the rounded x + stride*k."""
+    kk = policy.tail_cutoff_k
+    ks = np.arange(-kk, kk + 1)
+    return _row_sum(_atom_array(spec, system, x + float(stride) * ks, policy), ks, kk)
+
+
+def _reference_lattice_mass(spec, system, x, policy, stride=1):
+    """One point's lattice sum over the tree of integer words, k by k.
+
+    The atom at x + stride*k is the product of the first m factors of
+    its word r = (floor(x) + stride*k) mod N**m, read level by level at
+    (x - floor(x) + r mod N**s) / N**s, and then the stop rule goes on
+    from z_k = (x + stride*k) / N**m.  A word whose product underflows
+    at level s gives 0 at depth s; an atom whose closure comes within
+    the first m levels (z_k closed) is taken whole at x + stride*k.
+    """
+    n, stride = system.scale_n, int(stride)
+    kk = policy.tail_cutoff_k
+    ks = np.arange(-kk, kk + 1)
+    m = _word_count(n, policy)
+    base = math.floor(x)
+    words = (base + stride * ks) % n**m
+    prefix = np.ones(ks.size)
+    dead_at = np.zeros(ks.size, dtype=np.int64)
+    for s in range(1, m + 1):
+        prefix = prefix * weight_array(spec, (x - base + words % n**s) / n**s)
+        dead_at[(dead_at == 0) & (prefix < ATOM_UNDERFLOW)] = s
+    points = x + float(stride) * ks
+    z = points.copy()
+    for _ in range(m):
+        z = z / n
+    closure = _weight_closure(spec)
+    whole = (closure.lo <= z) & (z < closure.hi) if closure is not None else np.zeros(ks.size, dtype=bool)
+    atoms = _reference_atoms(spec, system, z, policy, prefix, m)
+    atoms.depth_used[dead_at > 0] = dead_at[dead_at > 0]
+    atoms.value[dead_at > 0] = 0.0
+    atoms.converged[dead_at > 0] = True
+    direct = _reference_atoms(spec, system, points[whole], policy)
+    atoms.value[whole], atoms.converged[whole], atoms.depth_used[whole] = (
+        direct.value, direct.converged, direct.depth_used
+    )
+    return _row_sum(atoms, ks, kk)
 
 
 @pytest.mark.parametrize("name", ["highpass_haar", "shannon", "stretched_haar", "d4"])
@@ -72,8 +150,12 @@ def test_atom_array_over_tiles_matches_elementwise_rule(name, system2, policy):
     # every 9th element, plus both sides of each tile seam
     seams = np.arange(ATOM_TILE, xs.size, ATOM_TILE)
     picks = np.unique(np.concatenate([np.arange(0, xs.size, 9), seams - 1, seams]))
-    for i in picks:
-        assert atoms.at(i) == _reference_atom(spec, system2, xs[i], policy), (i, xs[i])
+    ref = _reference_atoms(spec, system2, xs[picks], policy)
+    for got, want in zip(
+        (atoms.value, atoms.converged, atoms.tail_bound, atoms.depth_used),
+        (ref.value, ref.converged, ref.tail_bound, ref.depth_used),
+    ):
+        np.testing.assert_array_equal(got[picks], want)
     # the array mixes elements that leave their tile at the first step
     # with elements that run to the depth limit
     depth = atoms.depth_used
@@ -135,6 +217,90 @@ def test_lattice_masses_with_stride_sum_the_sublattice(haar, system2):
         got = ww.lattice_masses(haar, system2, [0.37], policy, stride=stride).at(0)
         assert got.value == pytest.approx(value, rel=1e-15)
         assert (got.converged, got.depth_used) == (converged, depth)
+
+
+BOX3 = ww.FilterSpec.from_coefficients({0: 1 / 3, 1: 1 / 3, 2: 1 / 3}, scale_n=3, label="box3")
+
+#: the end cells carry the closures: 1 on the first, 0.7 (so a rest of 0) on the last
+END_CELLS = ww.FilterSpec.from_table([0.0, 0.25, 0.5, 0.75], [1.0, 0.3, 0.0, 0.7], label="end cells")
+
+
+@pytest.mark.parametrize("kk", [5, 50, 2000])
+@pytest.mark.parametrize("name", ["box3", "end cells", "highpass_haar", "d4"])
+def test_lattice_rows_keep_the_stop_rule_of_the_direct_rows(name, kk):
+    spec = {"box3": BOX3, "end cells": END_CELLS}.get(name) or ww.load_gallery(name)
+    n = spec.scale_n
+    system = ww.PathSystem(n)
+    policy = ww.TruncationPolicy(tail_cutoff_k=kk)
+    inside = np.random.default_rng(kk + n).random(3)
+    # n * x is the point cocycle_residual sums its sublattice at
+    xs = np.concatenate([inside, [0.0], n * inside[:1], [-7.25, 1e6 + 0.3]])
+    for stride in (1, n, n**2):
+        masses = ww.lattice_masses(spec, system, xs, policy, stride=stride)
+        for i, x in enumerate(xs):
+            got = masses.at(i)
+            value, converged, tail, depth = _reference_lattice_mass(spec, system, float(x), policy, stride)
+            assert got.value == pytest.approx(value, rel=1e-15, abs=1e-300), (stride, x)
+            assert (got.converged, got.depth_used) == (converged, depth), (stride, x)
+            assert (got.tail_bound is None) == (tail is None)
+            _, direct_converged, direct_tail, direct_depth = _direct_lattice_row(spec, system, float(x), policy, stride)
+            assert (got.converged, got.depth_used) == (direct_converged, direct_depth), (stride, x)
+            assert (got.tail_bound is None) == (direct_tail is None)
+    if name == "highpass_haar":
+        # W(0) = 0: at x = 0 the word 0 underflows at its first level
+        _, dead_at = _word_products(spec, np.zeros(1), n, _word_count(n, policy))
+        assert dead_at[0, 0] == 1
+
+
+def test_lattice_masses_take_only_a_positive_integral_stride(haar, system2):
+    policy = ww.TruncationPolicy(tail_cutoff_k=50)
+    for stride in (0, -1, 0.5, -2.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            ww.lattice_masses(haar, system2, [0.3], policy, stride=stride)
+    two = ww.lattice_masses(haar, system2, [0.3], policy, stride=2)
+    assert two.at(0) == ww.lattice_masses(haar, system2, [0.3], policy, stride=2.0).at(0)
+    assert two.at(0) == ww.lattice_masses(haar, system2, [0.3], policy, stride=np.int64(2)).at(0)
+
+
+def _exact_row(c, x, kk):
+    """sum_{|k| <= K} sinc^2(c (x + k)) in 200-bit arithmetic, for x not an integer."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workprec(200):
+        x = mpmath.mpf(float(x))
+        # sin^2(pi c (x + k)) = sin^2(pi c x) for integers c and k
+        num = mpmath.sin(mpmath.pi * c * x) ** 2 / (mpmath.pi * c) ** 2
+        return float(num * mpmath.fsum(1 / (x + k) ** 2 for k in range(-kk, kk + 1)))
+
+
+@pytest.mark.parametrize("kk", [50, 2000])
+def test_lattice_rows_match_the_exact_sum(kk):
+    pytest.importorskip("mpmath")
+    # phi is the box on [0, 1) for Haar and for the N = 3 box filter, and
+    # on [0, 3) over 3 for the stretched Haar filter: the atoms are sinc^2
+    # of x and of 3x
+    cases = [(ww.load_gallery("haar"), 1), (BOX3, 1), (ww.load_gallery("stretched_haar"), 3)]
+    xs = np.random.default_rng(29).random(40)
+    xs = xs[stretched_h(xs) >= 0.1][:6]
+    assert xs.size == 6
+    policy = ww.TruncationPolicy(tail_cutoff_k=kk)
+    for spec, c in cases:
+        got = ww.lattice_masses(spec, ww.PathSystem(spec.scale_n), xs, policy).value
+        want = np.array([_exact_row(c, x, kk) for x in xs])
+        assert np.max(np.abs(got - want) / want) <= 1e-14, spec.label
+
+
+@pytest.mark.parametrize("name", ["haar", "d4", "stretched_haar"])
+def test_lattice_rows_are_sums_of_integer_atoms(name, system2):
+    # the embedding identity: the atom at x + k is the mass of k's digit
+    # word times the atom at the word's end point
+    spec = ww.load_gallery(name)
+    kk = 50
+    policy = ww.TruncationPolicy(tail_cutoff_k=kk)
+    xs = np.random.default_rng(31).random(5)
+    rows = ww.lattice_masses(spec, system2, xs, policy).value
+    for x, row in zip(xs, rows):
+        atoms = [ww.integer_atom(spec, system2, float(x), k, policy).value for k in range(-kk, kk + 1)]
+        assert abs(math.fsum(atoms) - row) <= 1e-13 * row
 
 
 # ----------------------------------------------------------------------
