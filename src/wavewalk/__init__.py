@@ -9,6 +9,7 @@ from .errors import (
     DigitOutOfRange,
     EmptyWord,
     FilterKindError,
+    GridTooLarge,
     NonFiniteArgument,
     UnsupportedScale,
     WavewalkError,

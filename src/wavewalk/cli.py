@@ -18,7 +18,7 @@ from . import __version__
 from .diagnostics import diagnose_convergence, estimate_cylinder, sample_path
 from .errors import WavewalkError
 from .filters import DEFAULT_TOL, FilterSpec, validate_filter
-from .ifs import DigitWord, PathSystem
+from .ifs import DigitWord, PathSystem, cell_grid
 from .measures import TruncationPolicy, lattice_masses, zero_path_atoms
 from .scaling import cascade, scaling_norm_sq, wavelet_coeffs, wavelet_from_scaling
 from .serialize import csv_text, json_text
@@ -171,11 +171,6 @@ def _load_spec(path: str) -> FilterSpec:
         raise CliUsageError(f"{path}: bad filter spec: {exc}")
 
 
-def _grid(system: PathSystem, level: int) -> np.ndarray:
-    cells = system.scale_n**level
-    return np.arange(cells, dtype=np.float64) / cells
-
-
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -204,7 +199,7 @@ def _validate(args, spec, system, meta_doc) -> int:
 
 def _sweep(measure, args, spec, system, meta_doc) -> int:
     """atom / harmonic: one MeasureArray over the grid, one row per point."""
-    xs = _grid(system, args.grid_level)
+    xs = cell_grid(system.scale_n, args.grid_level)
     arr = measure(spec, system, xs, _policy(args))
     columns = [xs, arr.value, arr.converged, arr.tail_bound, arr.depth_used]
     # JSON writes the NaN of a missing tail bound as null, as CSV does

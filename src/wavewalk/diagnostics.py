@@ -22,8 +22,9 @@ import numpy as np
 
 from .errors import DegenerateStep, NonFiniteArgument
 from .filters import FilterSpec, eval_weight, weight_array
-from .ifs import DigitWord, PathSystem, frac
+from .ifs import DigitWord, PathSystem, cell_grid, frac
 from .measures import (
+    ATOM_TILE,
     TruncationPolicy,
     expect_finite,
     harmonic_on_grid,
@@ -221,9 +222,8 @@ def harmonic_from_cocycle(
 
     value = h(x)
 
-    cells = system.scale_n**grid_level
-    residual = max(abs(apply_transfer(spec, system, h, m / cells) - h(m / cells))
-                   for m in range(cells))
+    residual = max(abs(apply_transfer(spec, system, h, y) - h(y))
+                   for y in cell_grid(system.scale_n, grid_level).tolist())
 
     arity = candidate(x).arity
     violation = 0.0
@@ -287,8 +287,10 @@ def sample_path(
     takes.  Weights are renormalized by their sum each step as a guard
     against partition error; the per-step sums are logged in the sample.
     Raises DegenerateStep at the first state reached whose branch weights
-    all vanish.
+    all vanish, and ValueError for a negative n.
     """
+    if n < 0:
+        raise ValueError(f"path length must be >= 0, got {n}")
     rng = _rng(seed, stream)
     y = frac(x)
     digits, norms = [], []
@@ -333,8 +335,11 @@ def estimate_cylinder(
     s digits, and only those trials count.  So the estimate walks that one
     state: step s draws one uniform per trial off a single Philox stream,
     keeps the trials whose uniform picks the word's digit, and moves to
-    the branch of that digit.  The estimate is bit-reproducible for a
-    given (seed, stream), and equal to that of walking every trial.
+    the branch of that digit.  A step's uniforms are drawn ATOM_TILE at a
+    time into one reused buffer: the same draws of the same stream, in
+    the same order, as one array of `trials` uniforms per step.  The
+    estimate is bit-reproducible for a given (seed, stream), and equal to
+    that of walking every trial.
 
     Raises DigitOutOfRange for a digit outside [0, N), and DegenerateStep
     when the branch weights all vanish at a state of the word's own path
@@ -350,15 +355,18 @@ def estimate_cylinder(
     y = frac(x)
     last = system.scale_n - 1
     match = np.ones(trials, dtype=bool)
+    buf = np.empty(min(trials, ATOM_TILE))
     for target in word:
         branches, _, cum = _shares(spec, system, y)
-        u = rng.random(trials)
-        # u draws the target digit when exactly `target` shares are <= u;
-        # the shares never decrease, so that is cum[t-1] <= u < cum[t]
-        if target > 0:
-            match &= cum[target - 1] <= u
-        if target < last:
-            match &= u < cum[target]
+        for start in range(0, trials, buf.size):
+            tile = match[start : start + buf.size]
+            u = rng.random(out=buf[: tile.size])
+            # u draws the target digit when exactly `target` shares are <= u;
+            # the shares never decrease, so that is cum[t-1] <= u < cum[t]
+            if target > 0:
+                tile &= cum[target - 1] <= u
+            if target < last:
+                tile &= u < cum[target]
         if not match.any():
             break
         y = branches[target]

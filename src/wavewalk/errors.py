@@ -29,6 +29,10 @@ class ArityTooLarge(WavewalkError):
     """Tabulated-function arity would exceed the configured tree budget."""
 
 
+class GridTooLarge(WavewalkError):
+    """The N**L cells of a level-L grid cannot be allocated."""
+
+
 class DepthTooLarge(WavewalkError):
     """Exact transfer-operator power would exceed the configured tree budget."""
 

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FilterKindError, NonFiniteArgument, UnsupportedScale
+from .ifs import cell_grid
 
 KIND_COEFFICIENTS = "coefficients"
 KIND_TABULATED = "tabulated_w"
@@ -443,7 +444,7 @@ def check_partition(spec: FilterSpec, grid_level: int, tol: float = DEFAULT_TOL)
     if grid_level < 1:
         raise ValueError("grid_level must be >= 1")
     n = spec.scale_n
-    xs = np.arange(n**grid_level, dtype=np.float64) / n**grid_level
+    xs = cell_grid(n, grid_level)
     total = np.zeros_like(xs)
     for j in range(n):
         total += weight_array(spec, (xs + j) / n)

@@ -4,19 +4,21 @@ The expanding map x -> N*x mod 1, its N inverse branches
 (x + j)/N, and the digit-word bookkeeping that ties nonnegative
 integers (base-N expansion, least significant digit first) and
 negative integers (modular complement) to branch compositions and
-to N-adic subintervals.
+to N-adic subintervals.  The level-L grids of N**L cells that the
+package's grid functions sample are built here too (cell_grid).
 
 Everything here is pure arithmetic and safe for concurrent use.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DigitOutOfRange, EmptyWord, NonFiniteArgument
+from .errors import DigitOutOfRange, EmptyWord, GridTooLarge, NonFiniteArgument
 
 #: the smallest normal float; a branch quotient below it may be inexact
 _TINY = np.finfo(np.float64).tiny
@@ -31,6 +33,31 @@ def frac(x: float) -> float:
         raise NonFiniteArgument(f"no fractional part of {x!r}")
     r = x % 1.0
     return r if r < 1.0 else 0.0
+
+
+@contextlib.contextmanager
+def grid_cells(n: int, level: int):
+    """The cell count N**level of the level-L N-adic grid, for its allocation.
+
+    Raises ValueError for a negative level.  The body allocates the grid's
+    arrays and nothing else: numpy's failure to allocate them (MemoryError,
+    or ValueError for a size past its limit) becomes GridTooLarge.
+    """
+    if level < 0:
+        raise ValueError(f"grid level must be >= 0, got {level}")
+    try:
+        yield n**level
+    except (MemoryError, ValueError) as exc:
+        raise GridTooLarge(f"grid level {level}: {n}**{level} cells cannot be allocated") from exc
+
+
+def cell_grid(n: int, level: int, offset: float = 0.0) -> np.ndarray:
+    """The points (m + offset) / N**level of the N**level level-L cells m."""
+    with grid_cells(n, level) as cells:
+        pts = np.arange(cells, dtype=np.float64)
+    pts += offset
+    pts /= cells
+    return pts
 
 
 @dataclass(frozen=True)

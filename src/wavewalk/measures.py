@@ -48,6 +48,15 @@ whose closure comes within the first m levels is taken whole, and
 every other atom stops where it would have, up to the rounding of its
 first m factors.
 
+Exact expectations of functions of the first n digits are tree sums
+over the N**n words, streamed so that no array of N**n words is built
+(expect_finite).  The tree grows breadth-first while a level fits in
+ATOM_TILE words; each block of those states is then carried through the
+remaining levels on its own and summed against its slice of the table,
+and the block sums are added in halves.  For N = 2 that is the order of
+numpy's pairwise sum of the whole array, so the result is bit-identical
+to it; for other N it is that sum reordered, equal to rounding level.
+
 All functions are pure; array sweeps use fixed-shape numpy reductions,
 so results are deterministic for a given input.
 """
@@ -71,7 +80,7 @@ from .filters import (
     eval_weight,
     weight_array,
 )
-from .ifs import DigitWord, PathSystem, frac
+from .ifs import DigitWord, PathSystem, frac, grid_cells
 
 ATOM_UNDERFLOW = 1e-300
 
@@ -528,8 +537,8 @@ def _grid_flows(spec: FilterSpec, system: PathSystem, level: int):
     Returns (weights, cells), each of shape (N, N**L).
     """
     n = system.scale_n
-    cells = n**level
-    shifted = np.arange(cells, dtype=np.int64) + cells * np.arange(n, dtype=np.int64)[:, None]
+    with grid_cells(n, level) as cells:
+        shifted = np.arange(cells, dtype=np.int64) + cells * np.arange(n, dtype=np.int64)[:, None]
     return weight_array(spec, shifted.astype(np.float64) / (n * cells)), shifted // n
 
 
@@ -788,40 +797,72 @@ def cylinder_prob(spec: FilterSpec, system: PathSystem, x: float, word: DigitWor
     return p
 
 
-def _chain_weights(spec, system, x, arity):
-    """Cylinder weights of all words of the given length, flat-indexed.
+def _grow(spec, system, weights, ys, levels):
+    """Carry states and their cylinder weights `levels` digits deeper.
 
-    The words grow one digit at a time (index * N + digit), so step s
-    evaluates only the N**s states of the words of length s.
+    A word grows as index * N + digit, so the words below one state stay
+    consecutive, in the order of the flat table.
     """
-    n = system.scale_n
-    if n**arity > MAX_TREE_WORDS:
-        raise ArityTooLarge(f"{n}**{arity} words exceed the tree budget {MAX_TREE_WORDS}")
-    weights = np.ones(1)
-    y = np.array([frac(x)])
-    for _ in range(arity):
-        y = system.branch_array(np.arange(n), y[:, None])
-        weights = (weights[:, None] * weight_array(spec, y)).ravel()
-        y = y.ravel()
-    return weights
+    digits = np.arange(system.scale_n)
+    for _ in range(levels):
+        ys = system.branch_array(digits, ys[:, None])
+        weights = (weights[:, None] * weight_array(spec, ys)).ravel()
+        ys = ys.ravel()
+    return weights, ys
+
+
+def _sum_halves(parts):
+    """Add a list's entries by splitting it in halves, as numpy's pairwise sum does."""
+    if len(parts) == 1:
+        return parts[0]
+    mid = len(parts) // 2
+    return _sum_halves(parts[:mid]) + _sum_halves(parts[mid:])
 
 
 def expect_finite(spec: FilterSpec, system: PathSystem, x: float, f: FiniteCoordFn) -> complex:
-    """Expectation of a finite-coordinate function: the exact tree sum."""
+    """Expectation of a finite-coordinate function: the exact tree sum.
+
+    The sum of W-products times f over all N**arity words, streamed.  The
+    word tree grows breadth-first while a level fits in ATOM_TILE words;
+    then each block of those states is carried through the remaining
+    levels on its own, at most ATOM_TILE words at a time, and summed
+    against its own slice of f.table.  The block sums are added in
+    halves.  For N = 2 each block holds 2**14 words and there are a power
+    of 2 of them, so every addition falls where numpy's pairwise sum of
+    the whole power-of-two array of terms puts it: the result is
+    bit-identical to np.sum(weights * f.table), with the array of all
+    word weights never built.  For other N the blocks do not fall on
+    numpy's splits, and the result is that sum reordered, equal to
+    rounding level.  N**arity above MAX_TREE_WORDS raises ArityTooLarge.
+    """
     _check_scales(spec, system)
-    if f.n_branches != system.scale_n:
+    n = system.scale_n
+    if f.n_branches != n:
         raise ValueError("function branch count does not match the system")
     if f.arity == 0:
         return complex(f.table[0])
-    weights = _chain_weights(spec, system, x, f.arity)
-    return complex(np.sum(weights * f.table))
+    if n**f.arity > MAX_TREE_WORDS:
+        raise ArityTooLarge(f"{n}**{f.arity} words exceed the tree budget {MAX_TREE_WORDS}")
+    top = 0
+    while top < f.arity and n ** (top + 1) <= ATOM_TILE:
+        top += 1
+    weights, ys = _grow(spec, system, np.ones(1), np.array([frac(x)]), top)
+    span = n ** (f.arity - top)
+    step = max(1, ATOM_TILE // span)
+    sums = []
+    for start in range(0, weights.size, step):
+        block, _ = _grow(spec, system, weights[start : start + step], ys[start : start + step], f.arity - top)
+        sums.append(np.sum(block * f.table[start * span : start * span + block.size]))
+    return complex(_sum_halves(sums))
 
 
 def consistency_check(spec: FilterSpec, system: PathSystem, x: float, f: FiniteCoordFn) -> float:
     """Discrepancy between the arity-n and lifted arity-(n+1) expectations.
 
     Zero (up to rounding) exactly when the weight is a partition of
-    unity over the branches.
+    unity over the branches.  Both sides are streamed tree sums
+    (expect_finite): for N = 2 bit-identical to numpy's pairwise sum of
+    the whole array of terms, for other N that sum reordered.
     """
     a = expect_finite(spec, system, x, f)
     b = expect_finite(spec, system, x, f.lifted())
@@ -832,7 +873,9 @@ def refinement_check(spec: FilterSpec, system: PathSystem, x: float, f: FiniteCo
     """Residual of the one-step self-similarity of the measure family.
 
     Compares sum_i W(branch_i x) * E_{branch_i x}[f(i, .)] against
-    E_x[f].
+    E_x[f], each expectation a streamed tree sum (expect_finite): for
+    N = 2 bit-identical to numpy's pairwise sum of the whole array of
+    terms, for other N that sum reordered.
     """
     _check_scales(spec, system)
     if f.arity < 1:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import FilterKindError, NonFiniteArgument, UnsupportedScale
 from .filters import FilterSpec, KIND_COEFFICIENTS, _response_closure, high_pass, response_array
-from .ifs import PathSystem
+from .ifs import PathSystem, cell_grid, grid_cells
 from .measures import TruncationPolicy, _zero_path_products, harmonic_on_grid
 
 
@@ -146,16 +146,19 @@ def cascade(spec: FilterSpec, system: PathSystem, iters: int, level: int) -> Sam
     """Cascade iteration from the unit box, sampled at step N**-level.
 
     The sample window is the hull of [0, 1) and the limit support
-    [k_min, k_max] / (N - 1).
+    [k_min, k_max] / (N - 1).  A negative iteration count or level raises
+    ValueError, and a window whose samples cannot be allocated
+    GridTooLarge.
     """
     spec._need_coefficients()
+    if iters < 0:
+        raise ValueError(f"iters must be >= 0, got {iters}")
     n = system.scale_n
     k_lo, k_hi = _coeff_span(spec)
     t_min = min(0, int(np.floor(k_lo / (n - 1))))
     t_max = max(1, int(np.ceil(k_hi / (n - 1))) + 1)
-    cells = n**level
-    total = (t_max - t_min) * cells
-    start = np.zeros(total, dtype=np.complex128)
+    with grid_cells(n, level) as cells:
+        start = np.zeros((t_max - t_min) * cells, dtype=np.complex128)
     start[(0 - t_min) * cells : (1 - t_min) * cells] = 1.0
     phi = SampledFunction(float(t_min), float(t_max), 1.0 / cells, start)
     for _ in range(iters):
@@ -194,8 +197,7 @@ def scaling_norm_sq(spec: FilterSpec, system: PathSystem, policy: TruncationPoli
     quadrature is exact too; elsewhere h is the lattice sum truncated
     at K.
     """
-    cells = system.scale_n**level
-    mids = (np.arange(cells, dtype=np.float64) + 0.5) / cells
+    mids = cell_grid(system.scale_n, level, 0.5)
     return float(np.mean(harmonic_on_grid(spec, system, mids, policy)))
 
 
@@ -223,8 +225,7 @@ def autocorrelation(
     truncated at K otherwise.  The imaginary part must vanish for any
     real filter and is reported as a sanity residual.
     """
-    cells = system.scale_n**level
-    mids = (np.arange(cells, dtype=np.float64) + 0.5) / cells
+    mids = cell_grid(system.scale_n, level, 0.5)
     h = harmonic_on_grid(spec, system, mids, policy)
     vals = [complex(np.mean(h * np.exp(2j * np.pi * k * mids))) for k in lags]
     return [Autocorrelation(value=v.real, imag_residual=abs(v.imag)) for v in vals]
@@ -306,10 +307,12 @@ def _synthesis_step(taps, coeffs: np.ndarray, length: int) -> np.ndarray:
 def wavelet_coeffs(spec: FilterSpec, signal, levels: int) -> tuple[list[np.ndarray], np.ndarray]:
     """Detail bands [G s, G F s, ...] and the final smooth band F**levels s.
 
-    Periodic wrap; the signal length must be divisible by 2**levels.
-    For quadrature filters total coefficient energy equals signal
-    energy.
+    Periodic wrap; the signal length must be divisible by 2**levels, and
+    levels must be >= 0.  For quadrature filters total coefficient energy
+    equals signal energy.
     """
+    if levels < 0:
+        raise ValueError(f"levels must be >= 0, got {levels}")
     sl = build_slanted(spec)
     s = np.asarray(signal, dtype=np.complex128)
     if len(s) % (1 << levels):

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DepthTooLarge
 from .filters import FilterSpec, weight_array
-from .ifs import PathSystem, frac
+from .ifs import PathSystem, cell_grid, frac
 from .measures import (
     MAX_TREE_WORDS,
     TruncationPolicy,
@@ -52,7 +52,7 @@ class GridFunction:
         return self.n_branches**self.level
 
     def grid_points(self) -> np.ndarray:
-        return np.arange(self.cells, dtype=np.float64) / self.cells
+        return cell_grid(self.n_branches, self.level)
 
     def value_at(self, x: float) -> float:
         return float(self.values[int(frac(x) * self.cells) % self.cells])
@@ -66,7 +66,7 @@ class GridFunction:
 
     @classmethod
     def from_callable(cls, fn, level: int, n_branches: int) -> "GridFunction":
-        pts = np.arange(n_branches**level, dtype=np.float64) / n_branches**level
+        pts = cell_grid(n_branches, level)
         vals = np.asarray([float(fn(p)) for p in pts])
         return cls(level, n_branches, vals)
 
@@ -82,8 +82,7 @@ def harmonic_gridfunction(
     lattice sum truncated at K = policy.tail_cutoff_k for every other
     filter.
     """
-    cells = system.scale_n**level
-    pts = np.arange(cells, dtype=np.float64) / cells
+    pts = cell_grid(system.scale_n, level)
     return GridFunction(level, system.scale_n, harmonic_on_grid(spec, system, pts, policy))
 
 
@@ -151,8 +150,7 @@ def harmonic_residual(
         raise ValueError("need a grid of level >= 1")
     if lev > h.level:
         raise ValueError("cannot evaluate on a finer grid than h carries")
-    cells = system.scale_n**lev
-    xs = np.arange(cells, dtype=np.float64) / cells
+    xs = cell_grid(system.scale_n, lev)
     ys, weights = _branch_weights(spec, system, xs)
     acc = (weights * h.values_at(ys)).sum(axis=0)
     return float(np.max(np.abs(acc - h.values_at(xs))))

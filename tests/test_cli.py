@@ -83,9 +83,20 @@ def test_usage_error_exit(capsys):
         (["simulate", "--x=-inf", "--n", "4"], "no fractional part of -inf"),
         (["diagnose", "--x", "nan"], "cannot diagnose at nan"),
         (["diagnose", "--x", "inf"], "cannot diagnose at inf"),
+        (["atom", "--grid-level", "-1"], "grid level must be >= 0, got -1"),
+        # numpy cannot allocate these grids: MemoryError at 2**40 float64,
+        # a size past its limit (ValueError) at 2**60 and 2**70
+        (["atom", "--grid-level", "40"], "grid level 40: 2**40 cells cannot be allocated"),
+        (["transfer", "--grid-level", "60"], "grid level 60: 2**60 cells cannot be allocated"),
+        (["validate", "--grid-level", "70"], "grid level 70: 2**70 cells cannot be allocated"),
+        (["scaling", "--iters", "-1"], "iters must be >= 0, got -1"),
+        (["simulate", "--x", "0.3", "--n", "-1"], "path length must be >= 0, got -1"),
+        (["coeffs", "--random-n", "64", "--levels", "-1"], "levels must be >= 0, got -1"),
     ],
     ids=["simulate", "atom", "diagnose", "harmonic", "simulate-digit", "simulate-word-nan",
-         "simulate-path-nan", "simulate-path-inf", "diagnose-nan", "diagnose-inf"],
+         "simulate-path-nan", "simulate-path-inf", "diagnose-nan", "diagnose-inf",
+         "atom-negative-level", "atom-level-40", "transfer-level-60", "validate-level-70",
+         "scaling-negative-iters", "simulate-negative-n", "coeffs-negative-levels"],
 )
 def test_rejected_argument_is_an_error_not_a_traceback(argv, message, capsys):
     argv = argv[:1] + [gpath("d4")] + argv[1:]

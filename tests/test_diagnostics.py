@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import wavewalk as ww
+from wavewalk.diagnostics import _rng, _shares
 from wavewalk.ifs import DigitWord
-from wavewalk.measures import FiniteCoordFn
+from wavewalk.measures import ATOM_TILE, FiniteCoordFn
 
 from conftest import sinc_sq
 
@@ -314,6 +315,60 @@ def test_estimate_cylinder_stops_once_no_trial_is_left(system2):
     est = ww.estimate_cylinder(table, system2, 0.7, DigitWord((0, 1)), 1000, seed=0)
     assert est.estimate == 0.0
     assert per_trial_estimate(table, system2, 0.7, (0, 1), 1000, 0) == 0.0
+
+
+def one_array_estimate(spec, system, x, word, trials, seed, stream=0):
+    """The estimate drawing each step's uniforms as one array of `trials`.
+
+    The word's-own-path walk with every step's draws made at once, the
+    reference for the tile-wise draws of estimate_cylinder.
+    """
+    rng = _rng(seed, stream)
+    y = ww.frac(x)
+    last = system.scale_n - 1
+    match = np.ones(trials, dtype=bool)
+    for target in word:
+        branches, _, cum = _shares(spec, system, y)
+        u = rng.random(trials)
+        if target > 0:
+            match &= cum[target - 1] <= u
+        if target < last:
+            match &= u < cum[target]
+        if not match.any():
+            break
+        y = branches[target]
+    p_hat = float(match.mean())
+    return p_hat, float(np.sqrt(p_hat * (1.0 - p_hat) / trials))
+
+
+@pytest.mark.parametrize("name", ["d4", "stretched_haar", "shannon"])
+def test_estimate_cylinder_draws_as_one_array_per_step(name, system2):
+    spec = ww.load_gallery(name)
+    rng = np.random.default_rng(11)
+    # both sides of a tile of ATOM_TILE uniforms, and many tiles
+    for trials in (100, 12345, ATOM_TILE, ATOM_TILE + 1, 10**6):
+        for length in (1, 2, 3, 4):
+            word = tuple(int(d) for d in rng.integers(0, 2, length))
+            seed = int(rng.integers(0, 2**32))
+            x = float(rng.random())
+            got = ww.estimate_cylinder(spec, system2, x, DigitWord(word), trials, seed, stream=length)
+            want = one_array_estimate(spec, system2, x, word, trials, seed, stream=length)
+            assert (got.estimate, got.stderr) == want, (trials, word, seed)
+
+
+@pytest.mark.parametrize("trials", [1000, ATOM_TILE + 1, 10**5])
+def test_estimate_cylinder_early_exit_and_dead_states_draw_as_one_array(trials, system2):
+    # no trial is left after digit 0 from 0.7, so the dead state 0.35 is
+    # never read and later digits draw nothing
+    table = ww.FilterSpec.from_table([0.0, 0.25, 0.5, 0.75], [0.0, 0.0, 0.0, 1.0])
+    got = ww.estimate_cylinder(table, system2, 0.7, DigitWord((0, 1)), trials, seed=0)
+    assert (got.estimate, got.stderr) == one_array_estimate(table, system2, 0.7, (0, 1), trials, 0) == (0.0, 0.0)
+    word = (1, 1, 1, 0)
+    got = ww.estimate_cylinder(HOLES, system2, 0.7, DigitWord(word), trials, seed=3)
+    assert (got.estimate, got.stderr) == one_array_estimate(HOLES, system2, 0.7, word, trials, 3)
+    for estimate in (ww.estimate_cylinder, one_array_estimate):
+        with pytest.raises(ww.DegenerateStep, match="0.35"):
+            estimate(HOLES, system2, 0.7, DigitWord((0, 1, 1)), trials, 0)
 
 
 @pytest.mark.parametrize("word", [(2,), (0, 5), (1, 0, 2)])

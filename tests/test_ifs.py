@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import wavewalk as ww
-from wavewalk.ifs import DigitWord, PathSystem, frac
+from wavewalk.ifs import DigitWord, PathSystem, cell_grid, frac
 
 
 def test_frac_edges():
@@ -24,6 +24,34 @@ def test_frac_rejects_non_finite(x):
         frac(x)
     with pytest.raises(ww.NonFiniteArgument):
         PathSystem(2).shift(x)
+
+
+def test_cell_grid_checks_its_level():
+    assert cell_grid(3, 2, 0.5).tolist() == [(m + 0.5) / 9 for m in range(9)]
+    assert cell_grid(2, 0).tolist() == [0.0]
+    with pytest.raises(ValueError, match="grid level must be >= 0"):
+        cell_grid(2, -1)
+    # past numpy's size limit; GridTooLarge is a WavewalkError
+    with pytest.raises(ww.WavewalkError, match="grid level 70: 2\\*\\*70 cells"):
+        cell_grid(2, 70)
+
+
+def test_negative_counts_raise_at_the_api(d4):
+    s2 = PathSystem(2)
+    with pytest.raises(ValueError, match="iters"):
+        ww.cascade(d4, s2, iters=-1, level=4)
+    with pytest.raises(ValueError, match="grid level"):
+        ww.cascade(d4, s2, iters=2, level=-1)
+    with pytest.raises(ww.GridTooLarge, match="grid level 70"):
+        ww.cascade(d4, s2, iters=2, level=70)
+    with pytest.raises(ValueError, match="path length"):
+        ww.sample_path(d4, s2, 0.3, -1, seed=0)
+    with pytest.raises(ValueError, match="levels"):
+        ww.wavelet_coeffs(d4, np.ones(8), -1)
+    with pytest.raises(ValueError, match="grid level"):
+        ww.scaling_norm_sq(d4, s2, ww.TruncationPolicy(), level=-1)
+    with pytest.raises(ValueError, match="grid level"):
+        ww.harmonic_gridfunction(d4, s2, -1, ww.TruncationPolicy())
 
 
 def test_shift_examples():

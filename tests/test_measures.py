@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -82,6 +83,69 @@ def test_expect_first_digit_parity_at_zero(haar, system2):
 def test_expect_arity_budget(haar, system2):
     with pytest.raises(ww.ArityTooLarge):
         ww.expect_finite(haar, system2, 0.0, FiniteCoordFn.constant(1.0, 25, 2))
+
+
+def whole_array_terms(spec, system, x, f):
+    """The terms weight(w) * f(w) of the tree sum, as one flat array.
+
+    The breadth-first word tree: every level built whole, the words
+    growing as index * N + digit; the reference for the streamed sum of
+    expect_finite.
+    """
+    n = system.scale_n
+    weights = np.ones(1)
+    y = np.array([ww.frac(x)])
+    for _ in range(f.arity):
+        y = system.branch_array(np.arange(n), y[:, None])
+        weights = (weights[:, None] * ww.weight_array(spec, y)).ravel()
+        y = y.ravel()
+    return weights * f.table
+
+
+TABLE_PARTITION = ww.FilterSpec.from_table([0.0, 0.25, 0.5, 0.75], [1.0, 0.3, 0.0, 0.7], label="partition")
+
+
+@pytest.mark.parametrize("name", ["d4", "stretched_haar", "shannon", "partition"])
+@pytest.mark.parametrize("arity", [1, 13, 14, 15, 16, 20])
+def test_tree_sum_is_the_whole_array_sum_bit_for_bit(name, arity, system2):
+    # arity 14 is the last one whose tree is one ATOM_TILE of words
+    spec = TABLE_PARTITION if name == "partition" else ww.load_gallery(name)
+    rng = np.random.default_rng(arity)
+    table = rng.standard_normal(2**arity) + 1j * rng.standard_normal(2**arity)
+    f = FiniteCoordFn(arity, 2, table)
+    for x in (0.0, 1 - 2**-52, float(rng.random())):
+        want = complex(np.sum(whole_array_terms(spec, system2, x, f)))
+        got = ww.expect_finite(spec, system2, x, f)
+        assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex()), x
+
+
+@pytest.mark.parametrize("arity", range(1, 13))
+def test_tree_sum_for_n3_is_the_whole_array_sum_reordered(arity):
+    # the blocks of a base-3 tree do not fall on numpy's pairwise splits
+    system = ww.PathSystem(3)
+    rng = np.random.default_rng(arity)
+    table = rng.standard_normal(3**arity) + 1j * rng.standard_normal(3**arity)
+    f = FiniteCoordFn(arity, 3, table)
+    for spec in (
+        ww.FilterSpec.from_coefficients({0: 1 / 3, 1: 1 / 3, 2: 1 / 3}, scale_n=3),
+        ww.FilterSpec.from_coefficients({0: 0.3, 1: 0.5, 2: 0.2}, scale_n=3),
+    ):
+        for x in (0.0, 1 - 2**-52, float(rng.random())):
+            terms = whole_array_terms(spec, system, x, f)
+            got = ww.expect_finite(spec, system, x, f)
+            assert abs(got - np.sum(terms)) <= 4 * np.finfo(float).eps * np.sum(np.abs(terms))
+
+
+def test_tree_sum_never_holds_the_whole_tree(d4, system2):
+    f = FiniteCoordFn.constant(1.0, 20, 2)
+    tracemalloc.start()
+    try:
+        ww.expect_finite(d4, system2, 0.3, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the 2**20 words' weights alone would take 8 MiB, their products 16
+    assert peak < 4 * 2**20
 
 
 # ----------------------------------------------------------------------
