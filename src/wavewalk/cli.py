@@ -42,20 +42,13 @@ _TAIL_K_HELP = (
     "of |k|, an indicator rather than a proven bound"
 )
 
-_DEPTH_HELP = (
-    "most factors per infinite product; a product stops earlier once its rest is "
-    "closed: by a series within 2**-60 relative for a low-pass coefficient filter, "
-    "exactly for a table, and at 0 on underflow"
-)
-
 
 def _add_common(p, *names):
     if "grid_level" in names:
         p.add_argument("--grid-level", type=int, default=8, dest="grid_level")
-    if "depth" in names:
-        p.add_argument("--depth", type=int, default=40, help=_DEPTH_HELP)
     if "tail_k" in names:
-        p.add_argument("--tail-K", type=int, default=2000, dest="tail_k", help=_TAIL_K_HELP)
+        p.add_argument("--tail-K", type=int, default=TruncationPolicy.tail_cutoff_k, dest="tail_k",
+                       help=_TAIL_K_HELP)
     if "tol" in names:
         p.add_argument("--tol", type=float, default=None)
     p.add_argument("--out", default="-")
@@ -71,20 +64,21 @@ def build_parser() -> _Parser:
     v.add_argument("filter")
     _add_common(v, "grid_level", "tol")
 
-    a = sub.add_parser("atom", help="sweep the all-zero-path atom over a grid "
-                       "(tail_bound: proven relative bound on the closed rest)")
+    a = sub.add_parser("atom", help="sweep the all-zero-path atom over a grid; a product stops at "
+                       "its closed rest (tail_bound: proven relative bound on it), at 0 on "
+                       "underflow, or unconverged with value null where it has no limit")
     a.add_argument("filter")
-    _add_common(a, "grid_level", "depth")
+    _add_common(a, "grid_level")
 
     h = sub.add_parser("harmonic", help="sweep the lattice-mass harmonic function")
     h.add_argument("filter")
-    _add_common(h, "grid_level", "depth", "tail_k")
+    _add_common(h, "grid_level", "tail_k")
 
     d = sub.add_parser("diagnose", help="pointwise convergence diagnosis")
     d.add_argument("filter")
     d.add_argument("--x", type=float, required=True)
     d.add_argument("--max-n", type=int, default=30, dest="max_n")
-    _add_common(d, "depth", "tail_k")
+    _add_common(d, "tail_k")
 
     t = sub.add_parser("transfer", help="grid power iteration and stationary masses")
     t.add_argument("filter")
@@ -95,7 +89,7 @@ def build_parser() -> _Parser:
     s.add_argument("filter")
     s.add_argument("--iters", type=int, default=10)
     s.add_argument("--function", choices=("phi", "psi"), default="phi")
-    _add_common(s, "grid_level", "depth", "tail_k")
+    _add_common(s, "grid_level", "tail_k")
 
     c = sub.add_parser("coeffs", help="subband wavelet coefficients of a signal")
     c.add_argument("filter")
@@ -117,10 +111,7 @@ def build_parser() -> _Parser:
 
 
 def _policy(args) -> TruncationPolicy:
-    return TruncationPolicy(
-        product_depth=getattr(args, "depth", 40),
-        tail_cutoff_k=getattr(args, "tail_k", 2000),
-    )
+    return TruncationPolicy(tail_cutoff_k=args.tail_k) if hasattr(args, "tail_k") else TruncationPolicy()
 
 
 def _meta(args, spec: FilterSpec) -> dict:
@@ -177,7 +168,7 @@ def main(argv=None) -> int:
         spec = _load_spec(args.filter)
         return _COMMANDS[args.command](args, spec, PathSystem(spec.scale_n), _meta(args, spec))
     except (CliUsageError, WavewalkError, ValueError) as exc:
-        # ValueError: an argument the API rejects, such as --depth 0
+        # ValueError: an argument the API rejects, such as --tail-K 0
         print(f"wavewalk: error: {exc}", file=sys.stderr)
         return 1
 

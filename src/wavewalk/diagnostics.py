@@ -40,6 +40,9 @@ ATOM_FLOOR = 1e-12
 #: the verdicts read the last VERDICT_WINDOW factors and harmonic values
 VERDICT_WINDOW = 8
 
+#: how near 1 those factors and harmonic values sit for "converged" and "limit-one"
+FACTOR_TOL, H_TOL = 1e-10, 1e-3
+
 
 def _rng(seed: int, stream: int = 0) -> np.random.Generator:
     key = np.array([seed & 0xFFFFFFFFFFFFFFFF, stream & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
@@ -109,9 +112,6 @@ def diagnose_convergence(
     x: float,
     max_n: int,
     policy: TruncationPolicy,
-    factor_tol: float = 1e-10,
-    h_tol: float = 1e-3,
-    atom_floor: float = ATOM_FLOOR,
 ) -> DiagnosisReport:
     """Fill both sequences at x and judge the convergence equivalence.
 
@@ -122,8 +122,8 @@ def diagnose_convergence(
     N-adic grid of at most measures.MAX_CHAIN_CELLS cells, the lattice
     sum truncated at K otherwise).  The product verdict
     looks at whether the last VERDICT_WINDOW factors sit within
-    factor_tol of 1 while the running product stays above atom_floor;
-    the harmonic verdict at whether the last values sit within h_tol of
+    FACTOR_TOL of 1 while the running product stays above ATOM_FLOOR;
+    the harmonic verdict at whether the last values sit within H_TOL of
     1, or have stabilized away from 1.  A NaN or infinite x raises
     NonFiniteArgument.
     """
@@ -144,24 +144,24 @@ def diagnose_convergence(
 
     window = min(VERDICT_WINDOW, max_n)
     atom = zero_path_atom(spec, system, x, policy)
-    if atom.converged and atom.value > atom_floor:
+    if atom.converged and atom.value > ATOM_FLOOR:
         atom_positive, hypothesis = True, "met"
     elif atom.converged:
         atom_positive, hypothesis = False, "not-met"
     else:
         atom_positive, hypothesis = False, "inconclusive"
 
-    if partials[-1] <= atom_floor:
+    if partials[-1] <= ATOM_FLOOR:
         product_verdict = "diverged"
-    elif np.all(np.abs(1.0 - factors[-window:]) <= factor_tol):
+    elif np.all(np.abs(1.0 - factors[-window:]) <= FACTOR_TOL):
         product_verdict = "converged"
     else:
         product_verdict = "inconclusive"
 
     tail = h_vals[-window:]
-    if np.all(np.abs(tail - 1.0) <= h_tol):
+    if np.all(np.abs(tail - 1.0) <= H_TOL):
         harmonic_verdict = "limit-one"
-    elif np.all(np.abs(np.diff(tail)) <= h_tol) and np.all(np.abs(tail - 1.0) > h_tol):
+    elif np.all(np.abs(np.diff(tail)) <= H_TOL) and np.all(np.abs(tail - 1.0) > H_TOL):
         harmonic_verdict = "limit-below-one"
     else:
         harmonic_verdict = "inconclusive"

@@ -242,7 +242,8 @@ class _Closure:
     """The rest prod_{m>=1} f(y / N**m) of a zero-path product, in closed form.
 
     Wherever lo <= y < hi, rest(y) is that infinite product, with
-    relative error at most bound (0: exact).
+    relative error at most bound (0: exact; NaN, with a NaN rest: the
+    product has no limit).  Every closure holds y = 0.
     """
 
     lo: float
@@ -312,9 +313,16 @@ def _rounding(terms) -> float:
     return 100.0 * np.finfo(float).eps * float(np.sum(np.abs(terms)))
 
 
+def _limit_closure(f0: complex) -> _Closure:
+    """Close prod_{m>=1} f(y / N**m) for f(0) != 1 on the whole line: the factors
+    tend to f(0), so the rest is exactly 0 where |f(0)| < 1 and NaN (no limit) otherwise."""
+    rest = 0.0 if abs(f0) < 1.0 else math.nan
+    return _Closure(-math.inf, math.inf, lambda y: np.full(y.shape, rest), rest)
+
+
 @functools.lru_cache(maxsize=64)
-def _weight_closure(spec: FilterSpec) -> _Closure | None:
-    """How prod_{m>=1} W(y / N**m) closes, or None where it does not.
+def _weight_closure(spec: FilterSpec) -> _Closure:
+    """How prod_{m>=1} W(y / N**m) closes.
 
     A table: once 0 <= y < b_1, or b_last - 1 <= y < 0, every later
     factor is the value of that end cell, so the rest is exactly 1 (the
@@ -322,7 +330,7 @@ def _weight_closure(spec: FilterSpec) -> _Closure | None:
     W(0) = 1 to rounding level: the series closure of W, whose disc
     bound is sum_j |a_j| (cosh 2 pi j r - 1) + |s_j| sinh 2 pi j r for
     the cosine and sine taps a_j, s_j.  Any other coefficient filter:
-    None.  Cached per filter.
+    the limit closure of W(0).  Cached per filter.
     """
     if spec.kind != KIND_COEFFICIENTS:
         bp, vals = spec.breakpoints, spec.values
@@ -334,7 +342,7 @@ def _weight_closure(spec: FilterSpec) -> _Closure | None:
     a = np.asarray(cos_taps)
     s = np.asarray(sin_taps or np.zeros(a.size))
     if abs(c0 + a.sum() - 1.0) > _rounding(np.concatenate([[c0], a, s])):
-        return None
+        return _limit_closure(c0 + a.sum())
     w = 2.0 * np.pi * np.arange(1, a.size + 1)
     amps = np.concatenate([[c0], (a - 1j * s) / 2, (a + 1j * s) / 2])
     rates = np.concatenate([[0.0], 1j * w, -1j * w])
@@ -345,14 +353,15 @@ def _weight_closure(spec: FilterSpec) -> _Closure | None:
 
 
 @functools.lru_cache(maxsize=64)
-def _response_closure(spec: FilterSpec) -> _Closure | None:
+def _response_closure(spec: FilterSpec) -> _Closure:
     """How prod_{m>=1} m(y / N**m) closes: the series closure of the
     response where m(0) = sum_k a_k = 1 to rounding level, with disc bound
-    sum_k |a_k| (exp(2 pi |k| r) - 1); None otherwise.  Cached per filter.
+    sum_k |a_k| (exp(2 pi |k| r) - 1); the limit closure of m(0)
+    otherwise.  Cached per filter.
     """
     ks, vs = spec.coeff_indices(), spec.coeff_values()
     if abs(vs.sum() - 1.0) > _rounding(vs):
-        return None
+        return _limit_closure(complex(vs.sum()))
     w = 2.0 * np.pi * np.abs(ks)
     return _series_closure(
         vs, -2j * np.pi * ks, lambda r: np.sum(np.abs(vs) * np.expm1(w * r)), spec.scale_n, real=False

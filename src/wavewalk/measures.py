@@ -30,10 +30,12 @@ finishes it (filters._weight_closure, _response_closure).
   * Table: once y lies in the first cell, or in the last cell shifted
     by -1, every later factor is that cell's value, so the rest is
     exactly 1 or exactly 0.
-  * Any other coefficient filter has no closed rest.
-A product that falls below the underflow floor is exactly 0.  A product
-that none of these stops by product_depth is reported unconverged rather
-than guessed.
+  * Any other coefficient filter: the factors tend to f(0), so from the
+    first step the rest is exactly 0 where |f(0)| < 1; otherwise the
+    product has no limit (NaN, unconverged).
+A product that falls below the underflow floor is exactly 0.  Every
+closure holds y = 0, so every product stops, for N = 2 within about
+1,030 + log2(1/rho) steps even at |x| near the float maximum.
 
 The lattice sum is a sum over the tree of integer words.  The atom at
 x + k is the mass of k's digit word times the atom at the word's end
@@ -98,14 +100,11 @@ MAX_CHAIN_CELLS = 1 << 9
 
 @dataclass(frozen=True)
 class TruncationPolicy:
-    """Knobs for truncating infinite products and lattice sums."""
+    """The lattice-sum cutoff |k| <= tail_cutoff_k; the products read nothing from it."""
 
-    product_depth: int = 40
     tail_cutoff_k: int = 2000
 
     def __post_init__(self) -> None:
-        if self.product_depth < 1:
-            raise ValueError("product_depth must be >= 1")
         if self.tail_cutoff_k < 1:
             raise ValueError("tail_cutoff_k must be >= 1")
 
@@ -165,8 +164,8 @@ def _check_scales(spec: FilterSpec, system: PathSystem) -> None:
 # infinite products along the zero branch
 
 
-def _zero_path_products(factor, closure, n, xs, depth, dtype=np.float64, prefix=None) -> MeasureArray:
-    """The one product kernel: prod_{m>=1} factor(x / N**m) over an array of real x.
+def _zero_path_products(factor, closure, n, xs, dtype=np.float64, prefix=None) -> MeasureArray:
+    """The one product kernel: prod_{m>=1} factor(x / N**m) over an array of finite real x.
 
     Step m multiplies in factor(y), y = x / N**m, into a product that
     starts at the element's entry of prefix (the factors taken before x,
@@ -174,63 +173,58 @@ def _zero_path_products(factor, closure, n, xs, depth, dtype=np.float64, prefix=
     stops an element (1) at 0 once the product falls below
     ATOM_UNDERFLOW, or (2) once closure.lo <= y < closure.hi,
     multiplying in the closed rest closure.rest(y) with relative error
-    at most closure.bound.  Elements still live at `depth` (all of them
-    where closure is None, short of underflow) are unconverged.  tail_bound is closure.bound, 0 for an
-    underflow, NaN where unconverged.  The array is worked through in
-    tiles of ATOM_TILE elements, each taken through all its steps before
-    the next one starts, so the working set stays in cache; an element's
-    stop depends on its own y only.
+    at most closure.bound; the closure holds y = 0, so every element
+    stops.  tail_bound is closure.bound, 0 for an underflow, and NaN
+    where the value is not finite (a NaN rest: no limit), which is
+    unconverged.  The array is worked through in tiles of ATOM_TILE
+    elements, each taken through all its steps before the next one
+    starts, so the working set stays in cache; an element's stop depends
+    on its own y only.
     """
     xs = np.asarray(xs, dtype=np.float64)
     flat = xs.ravel()
     if prefix is not None:
         prefix = np.asarray(prefix).ravel()
     values = np.empty(flat.shape, dtype=dtype)
-    converged = np.zeros(flat.shape, dtype=bool)
-    depth_used = np.full(flat.shape, depth, dtype=np.int64)
-    tail_bound = np.full(flat.shape, np.nan)
-    bound = closure.bound if closure is not None else 0.0
+    depth_used = np.empty(flat.shape, dtype=np.int64)
+    tail_bound = np.empty(flat.shape)
     # a real product is a product of weights, which are >= 0
     magnitude = np.abs if np.dtype(dtype).kind == "c" else (lambda p: p)
     for start in range(0, flat.size, ATOM_TILE):
         idx = np.arange(start, min(start + ATOM_TILE, flat.size))
         y = flat[idx]
         p = np.ones(idx.size, dtype=dtype) if prefix is None else prefix[idx].astype(dtype, copy=False)
-        for step in range(1, depth + 1):
+        step = 0
+        while idx.size:
+            step += 1
             y /= n
             p *= factor(y)
-            stop = dead = magnitude(p) < ATOM_UNDERFLOW
-            if closure is not None:
-                stop = dead | ((closure.lo <= y) & (y < closure.hi))
+            dead = magnitude(p) < ATOM_UNDERFLOW
+            stop = dead | ((closure.lo <= y) & (y < closure.hi))
             if stop.any():
                 # the few stopping elements, gathered by index
                 sel = np.flatnonzero(stop)
                 ps, gone = p[sel], dead[sel]
-                if closure is not None:
-                    shut = np.flatnonzero(~gone)
-                    ps[shut] *= closure.rest(y[sel[shut]])
+                shut = np.flatnonzero(~gone)
+                ps[shut] *= closure.rest(y[sel[shut]])
                 ps[gone] = 0.0
                 out = idx[sel]
                 values[out] = ps
-                converged[out] = True
                 depth_used[out] = step
-                tail_bound[out] = np.where(gone, 0.0, bound)
+                tail_bound[out] = np.where(gone, 0.0, closure.bound)
                 keep = np.flatnonzero(~stop)
                 idx, y, p = idx[keep], y[keep], p[keep]
-                if not idx.size:
-                    break
-        values[idx] = p
+    converged = np.isfinite(values)
+    tail_bound[~converged] = np.nan
     shape = xs.shape
     return MeasureArray(
         values.reshape(shape), converged.reshape(shape), tail_bound.reshape(shape), depth_used.reshape(shape)
     )
 
 
-def _atom_array(spec, system, xs, policy) -> MeasureArray:
-    """prod_n W(x / N**n) over an array of real x, closed by _weight_closure."""
-    return _zero_path_products(
-        functools.partial(weight_array, spec), _weight_closure(spec), system.scale_n, xs, policy.product_depth
-    )
+def _atom_array(spec, system, xs) -> MeasureArray:
+    """prod_n W(x / N**n) over an array of finite real x, closed by _weight_closure."""
+    return _zero_path_products(functools.partial(weight_array, spec), _weight_closure(spec), system.scale_n, xs)
 
 
 def _check_finite(xs) -> None:
@@ -257,17 +251,19 @@ def zero_path_atoms(spec: FilterSpec, system: PathSystem, xs, policy: Truncation
     product stops as the module docstring says: a converged atom's
     tail_bound is a proven relative bound on the closed rest (2**-60 or
     less for a low-pass coefficient filter, the same for every atom of
-    the filter; 0 where the value is exact).  A NaN or infinite x raises
+    the filter; 0 where the value is exact).  An atom is unconverged
+    only where its value is not finite, NaN where the product has no
+    limit.  policy is not read.  A NaN or infinite x raises
     NonFiniteArgument.
     """
     _check_scales(spec, system)
     xs = np.asarray(xs, dtype=np.float64)
     _check_finite(xs)
-    return _atom_array(spec, system, xs, policy)
+    return _atom_array(spec, system, xs)
 
 
 def zero_path_atom(spec: FilterSpec, system: PathSystem, x: float, policy: TruncationPolicy) -> MeasureValue:
-    """The single-point view of zero_path_atoms."""
+    """The single-point view of zero_path_atoms; policy is not read."""
     return zero_path_atoms(spec, system, [x], policy).at(0)
 
 
@@ -282,7 +278,7 @@ def integer_atom(spec: FilterSpec, system: PathSystem, x: float, k: int, policy:
     length.  Route 2 evaluates the zero-path atom at x + k directly;
     the two must agree and their gap is reported.  lattice_masses sums
     route 1 over a whole row, sharing the words' first factors (see the
-    module docstring).
+    module docstring).  policy is not read.
     """
     _check_scales(spec, system)
     word = system.word_of_int(k)
@@ -329,8 +325,8 @@ def _word_products(spec, fracs, n, levels):
 def _row_atoms(spec, system, xs, policy, stride):
     """atom(x + stride*k), |k| <= K, for every x in xs, over the tree of integer words.
 
-    With m the most levels with N**m <= 2K+1 (and m <= product_depth),
-    the atom is the product of the first m factors of its word
+    With m the most levels with N**m <= 2K+1, the atom is the product
+    of the first m factors of its word
     r = (floor(x) + stride*k) mod N**m (_word_products at x - floor(x)),
     carried on by the product kernel from z = (x + stride*k) / N**m, z
     reached by the kernel's own chain of divisions.  A word that
@@ -342,7 +338,7 @@ def _row_atoms(spec, system, xs, policy, stride):
     n = system.scale_n
     ks = np.arange(-policy.tail_cutoff_k, policy.tail_cutoff_k + 1)
     levels = 0
-    while n ** (levels + 1) <= ks.size and levels < policy.product_depth:
+    while n ** (levels + 1) <= ks.size:
         levels += 1
     words = n**levels
     closure = _weight_closure(spec)
@@ -355,15 +351,15 @@ def _row_atoms(spec, system, xs, policy, stride):
     z = xs[:, None] + offsets
     for _ in range(levels):
         z /= n
-    whole = (closure.lo <= z) & (z < closure.hi) if closure is not None else np.zeros(z.shape, dtype=bool)
+    whole = (closure.lo <= z) & (z < closure.hi)
     rest = (depth == 0) & ~whole
     value = np.zeros(z.shape)
     converged = np.ones(z.shape, dtype=bool)
     wrows, wcols = np.nonzero(whole)
     for mask, atoms, taken in (
-        (whole, _atom_array(spec, system, xs[wrows] + offsets[wcols], policy), 0),
+        (whole, _atom_array(spec, system, xs[wrows] + offsets[wcols]), 0),
         (rest, _zero_path_products(functools.partial(weight_array, spec), closure, n, z[rest],
-                                   policy.product_depth - levels, prefix=tree[row, word][rest]), levels),
+                                   prefix=tree[row, word][rest]), levels),
     ):
         value[mask], converged[mask], depth[mask] = atoms.value, atoms.converged, atoms.depth_used + taken
     return value, converged, depth
@@ -529,16 +525,16 @@ def _harmonic_taps(spec: FilterSpec):
     return float(b[ell].real), tuple((pos.real + neg.real).tolist()), sines if any(sines) else ()
 
 
-def _grid_flows(spec: FilterSpec, system: PathSystem, level: int):
+def _grid_flows(spec: FilterSpec, system: PathSystem, level: int, every: int = 1):
     """Branch weights and cells of the grid transfer operator.
 
     For cell m and branch j the branch point is (m + j*N**L) / N**(L+1);
     it carries weight W of that point and lies in cell (m + j*N**L) // N.
-    Returns (weights, cells), each of shape (N, N**L).
+    Returns (weights, cells) at the cells m = 0, every, 2*every, ...: shape (N, N**L // every).
     """
     n = system.scale_n
     with grid_cells(n, level) as cells:
-        shifted = np.arange(cells, dtype=np.int64) + cells * np.arange(n, dtype=np.int64)[:, None]
+        shifted = np.arange(0, cells, every, dtype=np.int64) + cells * np.arange(n, dtype=np.int64)[:, None]
     return weight_array(spec, shifted.astype(np.float64) / (n * cells)), shifted // n
 
 
@@ -920,7 +916,7 @@ def check_negative_embedding(
     n_values,
     policy: TruncationPolicy,
 ) -> NegativeEmbeddingReport:
-    """Measure how the negative-integer atom depends on the word length."""
+    """Measure how the negative-integer atom depends on the word length; policy is not read."""
     _check_scales(spec, system)
     if k >= 0:
         raise ValueError("embedding check is for negative k")

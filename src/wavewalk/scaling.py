@@ -90,17 +90,17 @@ def scaling_hat(spec: FilterSpec, system: PathSystem, x: float, policy: Truncati
     The product kernel and stop rule of the zero-path atom (see
     measures), with the response m for the weight: where m(0) = 1, the
     series of log m closes the product once |x/N**n| <= r/128, within a
-    relative error of 2**-60.  Where m(0) != 1 only underflow stops it
-    short of product_depth.  The squared magnitude agrees with the
-    zero-path atom wherever both converge.  A NaN or infinite x raises
-    NonFiniteArgument.
+    relative error of 2**-60.  Where m(0) != 1 it stops at the first
+    step: at 0 for |m(0)| < 1, else unconverged at NaN (no limit, as
+    for m(0) = i).  The squared magnitude agrees with the zero-path atom
+    wherever both converge.  policy is not read.  A NaN or infinite x
+    raises NonFiniteArgument.
     """
     spec._need_coefficients()
     if not math.isfinite(x):
         raise NonFiniteArgument(f"transform of phi at {x!r}")
     prod = _zero_path_products(
-        functools.partial(response_array, spec), _response_closure(spec), system.scale_n, [x],
-        policy.product_depth, dtype=np.complex128,
+        functools.partial(response_array, spec), _response_closure(spec), system.scale_n, [x], dtype=np.complex128
     )
     return ProductValue(complex(prod.value[0]), bool(prod.converged[0]), int(prod.depth_used[0]))
 

@@ -55,7 +55,7 @@ class GridFunction:
         return cell_grid(self.n_branches, self.level)
 
     def value_at(self, x: float) -> float:
-        return float(self.values[int(frac(x) * self.cells) % self.cells])
+        return float(self.values_at([x])[0])
 
     def values_at(self, xs) -> np.ndarray:
         """The cell values at every x in xs, read 1-periodically; a NaN or
@@ -140,20 +140,23 @@ def harmonic_residual(
 ) -> float:
     """Max of |(Rh)(x) - h(x)| over the level-`eval_level` grid points.
 
-    Values of h at the branch points are read by piecewise-constant
-    extension from h's own grid.  With eval_level = h.level - 1 every
-    read lands exactly on a grid point of h, so the residual measures
-    the function rather than the interpolation.
+    Rh is the grid transfer operator on h's own grid (_grid_flows), which
+    finds each branch point's cell in integers, not from a rounded point,
+    taken at the level-`eval_level` points: every N**(L - eval_level)-th.
+    With eval_level = h.level - 1 every read lands on a grid point of h,
+    so the residual measures the function, not the interpolation.
     """
     lev = h.level if eval_level is None else eval_level
     if lev < 1:
         raise ValueError("need a grid of level >= 1")
     if lev > h.level:
         raise ValueError("cannot evaluate on a finer grid than h carries")
-    xs = cell_grid(system.scale_n, lev)
-    ys, weights = _branch_weights(spec, system, xs)
-    acc = (weights * h.values_at(ys)).sum(axis=0)
-    return float(np.max(np.abs(acc - h.values_at(xs))))
+    if h.n_branches != system.scale_n:
+        raise ValueError(f"grid scale {h.n_branches} != path-system scale {system.scale_n}")
+    every = system.scale_n ** (h.level - lev)
+    weights, cells = _grid_flows(spec, system, h.level, every)
+    acc = (weights * h.values[cells]).sum(axis=0)
+    return float(np.max(np.abs(acc - h.values[::every])))
 
 
 def power_iterate(

@@ -47,6 +47,11 @@ def sinc_sq(x: float) -> float:
     return (math.sin(math.pi * x) / (math.pi * x)) ** 2
 
 
+#: W(0) = 1.44: the factors of its zero-path products tend to 1.44, so
+#: those products have no limit
+DIVERGENT = ww.FilterSpec.from_coefficients({0: 0.6, 1: 0.6}, label="divergent")
+
+
 def quadrature_family(theta: float) -> ww.FilterSpec:
     """Real orthogonal 4-tap family; theta = pi/3 recovers the d4 taps."""
     c, s = math.cos(theta), math.sin(theta)

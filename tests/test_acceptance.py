@@ -27,7 +27,7 @@ def _rng(seed):
 
 
 def test_criterion_01_haar_closed_form(haar, system2):
-    policy = ww.TruncationPolicy(product_depth=40)
+    policy = ww.TruncationPolicy()
     xs = np.arange(256, dtype=np.float64) / 256
     # independent oracle confirmed first: brute-force partial products
     for x in xs[::16]:
@@ -71,7 +71,7 @@ def test_criterion_02_convergence_equivalence(haar, d4, stretched, system2):
 
 
 def test_criterion_03_cocycle_identity(haar, d4, stretched, system2):
-    policy = ww.TruncationPolicy(tail_cutoff_k=2000, product_depth=40)
+    policy = ww.TruncationPolicy(tail_cutoff_k=2000)
     t0 = time.time()
     worst = 0.0
     xs = np.arange(64, dtype=np.float64) / 64
@@ -197,10 +197,14 @@ def test_criterion_09_degenerate_filter(highpass, system2):
     atoms = ww.zero_path_atoms(highpass, system2, xs, policy)
     assert np.all(atoms.value == 0.0)
     assert atoms.converged.all()
-    worst_mass = max(
-        ww.lattice_mass(highpass, system2, float(x), policy).value for x in xs[::4]
-    )
+    # out to |x| = K: W(0) = 0 makes every atom exactly 0 at its first step
+    kk = policy.tail_cutoff_k
+    far = ww.zero_path_atoms(highpass, system2, np.concatenate([xs - kk, xs + kk - 1]), policy)
+    assert np.all(far.value == 0.0) and far.converged.all() and np.all(far.depth_used == 1)
+    masses = [ww.lattice_mass(highpass, system2, float(x), policy) for x in xs[::4]]
+    worst_mass = max(m.value for m in masses)
     assert worst_mass <= 1e-200
+    assert worst_mass == 0.0 and all(m.converged for m in masses)
     for x in xs[1::8]:
         rep = ww.diagnose_convergence(highpass, system2, float(x), 16, policy)
         assert rep.hypothesis == "not-met"

@@ -74,7 +74,8 @@ def test_usage_error_exit(capsys):
     "argv, message",
     [
         (["simulate", "--x", "0.3", "--word", "0,1", "--trials", "50"], "at least 100 trials"),
-        (["atom", "--depth", "0"], "product_depth must be >= 1"),
+        # products stop by themselves: there is no depth to set
+        (["atom", "--depth", "40"], "unrecognized arguments: --depth 40"),
         (["diagnose", "--x", "0.3", "--max-n", "3"], "max_n must be >= 4"),
         (["harmonic", "--tail-K", "0"], "tail_cutoff_k must be >= 1"),
         (["simulate", "--x", "0.3", "--word", "0,5"], "digit 5 not in [0, 2)"),
@@ -129,6 +130,25 @@ def test_atom_sweep_csv(tmp_path):
     half = rows[128].split(",")
     assert float(half[0]) == 0.5
     assert float(half[1]) == pytest.approx(0.4052847345693511, abs=1e-9)
+
+
+@pytest.mark.parametrize("command", ["atom", "harmonic", "diagnose", "scaling"])
+def test_config_records_the_policy_default(command, tmp_path):
+    extra = ["--x", "0.3"] if command == "diagnose" else ["--grid-level", "3"]
+    code, doc = run_json([command, gpath("d4")] + extra, tmp_path)
+    assert code == 0
+    config = doc["meta"]["config"]
+    assert "depth" not in config
+    # the one lattice cutoff default is the policy's
+    assert config.get("tail_k") == (None if command == "atom" else ww.TruncationPolicy().tail_cutoff_k)
+
+
+def test_highpass_harmonic_rows_are_exact_zeros(tmp_path):
+    out = tmp_path / "h.csv"
+    assert main(["harmonic", gpath("highpass_haar"), "--grid-level", "3", "--out", str(out)]) == 0
+    rows = [l for l in out.read_text().splitlines() if not l.startswith("#")][1:]
+    assert len(rows) == 8
+    assert all(row.split(",")[1:] == ["0.0", "true", "0.0", "1"] for row in rows)
 
 
 def test_diagnose_json(tmp_path):

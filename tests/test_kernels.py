@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import wavewalk as ww
-from conftest import quadrature_family
+from conftest import DIVERGENT, quadrature_family
 from wavewalk.filters import _weight_closure, _weight_taps, eval_weight, weight_array
 from wavewalk.measures import (
     ATOM_TILE,
@@ -37,42 +37,44 @@ def stretched_h(xs, p=3):
     return sum((p - abs(n)) / p**2 * np.cos(2 * np.pi * n * r) for n in range(1 - p, p))
 
 
-def _reference_atoms(spec, system, xs, policy, prefix=1.0, taken=0):
+def _reference_atoms(spec, system, xs, prefix=1.0, taken=0):
     """The stop rule element by element, by masks over the whole array.
 
-    No tiles, gathers or compaction: every element steps to the depth,
-    and the step at which it first stops decides it.  Each product
-    starts at prefix, the product of the `taken` factors before xs (a
-    lattice row's word product), and goes on at step taken + 1.
+    No tiles, gathers or compaction: every element steps until all have
+    stopped, and the step at which it first stops decides it.  Each
+    product starts at prefix, the product of the `taken` factors before
+    xs (a lattice row's word product), and goes on at step taken + 1.
     """
     closure = _weight_closure(spec)
     y = np.array(xs, dtype=np.float64)
     p = np.broadcast_to(np.asarray(prefix, dtype=np.float64), y.shape).copy()
     value = np.zeros(y.shape)
-    converged = np.zeros(y.shape, dtype=bool)
     tail = np.full(y.shape, np.nan)
-    depth = np.full(y.shape, policy.product_depth)
+    depth = np.zeros(y.shape, dtype=np.int64)
     live = np.ones(y.shape, dtype=bool)
-    for step in range(taken + 1, policy.product_depth + 1):
+    step = taken
+    while live.any():
+        step += 1
         y = y / system.scale_n
         p = p * weight_array(spec, y)
         dead = live & (p < ATOM_UNDERFLOW)
-        shut = live & ~dead & ((closure.lo <= y) & (y < closure.hi) if closure is not None else False)
+        shut = live & ~dead & (closure.lo <= y) & (y < closure.hi)
         if shut.any():
             value[shut] = p[shut] * closure.rest(y[shut])
             tail[shut] = closure.bound
         tail[dead] = 0.0
-        converged |= dead | shut
         depth[dead | shut] = step
         live &= ~(dead | shut)
-    value[live] = p[live]
+    # a value that is not finite (a NaN rest: no limit) is unconverged
+    converged = np.isfinite(value)
+    tail[~converged] = np.nan
     return ww.MeasureArray(value, converged, tail, depth)
 
 
-def _word_count(n, policy):
+def _word_count(n, kk):
     """The levels m of the words of a lattice row: the most with N**m <= 2K+1."""
     m = 0
-    while n ** (m + 1) <= 2 * policy.tail_cutoff_k + 1 and m < policy.product_depth:
+    while n ** (m + 1) <= 2 * kk + 1:
         m += 1
     return m
 
@@ -96,7 +98,7 @@ def _direct_lattice_row(spec, system, x, policy, stride=1):
     """One point's lattice sum over atoms taken whole at the rounded x + stride*k."""
     kk = policy.tail_cutoff_k
     ks = np.arange(-kk, kk + 1)
-    return _row_sum(_atom_array(spec, system, x + float(stride) * ks, policy), ks, kk)
+    return _row_sum(_atom_array(spec, system, x + float(stride) * ks), ks, kk)
 
 
 def _reference_lattice_mass(spec, system, x, policy, stride=1):
@@ -112,7 +114,7 @@ def _reference_lattice_mass(spec, system, x, policy, stride=1):
     n, stride = system.scale_n, int(stride)
     kk = policy.tail_cutoff_k
     ks = np.arange(-kk, kk + 1)
-    m = _word_count(n, policy)
+    m = _word_count(n, kk)
     base = math.floor(x)
     words = (base + stride * ks) % n**m
     prefix = np.ones(ks.size)
@@ -125,51 +127,57 @@ def _reference_lattice_mass(spec, system, x, policy, stride=1):
     for _ in range(m):
         z = z / n
     closure = _weight_closure(spec)
-    whole = (closure.lo <= z) & (z < closure.hi) if closure is not None else np.zeros(ks.size, dtype=bool)
-    atoms = _reference_atoms(spec, system, z, policy, prefix, m)
+    whole = (closure.lo <= z) & (z < closure.hi)
+    atoms = _reference_atoms(spec, system, z, prefix, m)
     atoms.depth_used[dead_at > 0] = dead_at[dead_at > 0]
     atoms.value[dead_at > 0] = 0.0
     atoms.converged[dead_at > 0] = True
-    direct = _reference_atoms(spec, system, points[whole], policy)
+    direct = _reference_atoms(spec, system, points[whole])
     atoms.value[whole], atoms.converged[whole], atoms.depth_used[whole] = (
         direct.value, direct.converged, direct.depth_used
     )
     return _row_sum(atoms, ks, kk)
 
 
-@pytest.mark.parametrize("name", ["highpass_haar", "shannon", "stretched_haar", "d4"])
-def test_atom_array_over_tiles_matches_elementwise_rule(name, system2, policy):
-    spec = ww.load_gallery(name)
-    if name == "stretched_haar":
-        # short of the depth its series closure needs, so elements run out
-        policy = ww.TruncationPolicy(product_depth=12)
+@pytest.mark.parametrize("name", ["highpass_haar", "shannon", "stretched_haar", "d4", "divergent"])
+def test_atom_array_over_tiles_matches_elementwise_rule(name, system2):
+    spec = DIVERGENT if name == "divergent" else ww.load_gallery(name)
     ks = np.arange(-2000, 2001, dtype=np.float64)
     xs = (np.array([0.3, 0.0, 0.71, 0.125, 1 / 3])[:, None] + ks).ravel()
     assert xs.size > ATOM_TILE
-    atoms = _atom_array(spec, system2, xs, policy)
+    atoms = _atom_array(spec, system2, xs)
     # every 9th element, plus both sides of each tile seam
     seams = np.arange(ATOM_TILE, xs.size, ATOM_TILE)
     picks = np.unique(np.concatenate([np.arange(0, xs.size, 9), seams - 1, seams]))
-    ref = _reference_atoms(spec, system2, xs[picks], policy)
+    ref = _reference_atoms(spec, system2, xs[picks])
     for got, want in zip(
         (atoms.value, atoms.converged, atoms.tail_bound, atoms.depth_used),
         (ref.value, ref.converged, ref.tail_bound, ref.depth_used),
     ):
         np.testing.assert_array_equal(got[picks], want)
-    # the array mixes elements that leave their tile at the first step
-    # with elements that run to the depth limit
     depth = atoms.depth_used
     assert depth.min() == 1
-    if name in ("highpass_haar", "stretched_haar"):
-        first = slice(0, ATOM_TILE)
-        assert (depth[first] == policy.product_depth).any() and (~atoms.converged[first]).any()
+    if name in ("highpass_haar", "divergent"):
+        # W(0) != 1: every product stops at its first step, at exactly 0
+        # where |W(0)| < 1 and with no limit otherwise; a first factor of
+        # exactly 0 (at the odd integers) underflows and makes the atom 0
+        assert (depth == 1).all()
+        zero = (atoms.value == 0.0) & atoms.converged & (atoms.tail_bound == 0.0)
+        if name == "highpass_haar":
+            assert zero.all()
+        else:
+            nan = np.isnan(atoms.value) & ~atoms.converged & np.isnan(atoms.tail_bound)
+            np.testing.assert_array_equal(zero, weight_array(spec, xs / 2) == 0.0)
+            assert (zero | nan).all() and zero.sum() == 2000
     else:
-        assert atoms.converged.all()
+        # the array mixes elements that leave their tile at the first step
+        # with elements that take ten steps or more to reach the closure
+        assert atoms.converged.all() and depth.max() >= 10
 
 
 def test_zero_path_atom_is_the_kernel_at_one_point(stretched, system2, policy):
     xs = np.array([0.3 + 7, 0.3 - 1500, 0.5, -2.0**-11, 2.0**-11])
-    atoms = _atom_array(stretched, system2, xs, policy)
+    atoms = _atom_array(stretched, system2, xs)
     for i, x in enumerate(xs):
         assert ww.zero_path_atom(stretched, system2, float(x), policy) == atoms.at(i)
 
@@ -248,7 +256,7 @@ def test_lattice_rows_keep_the_stop_rule_of_the_direct_rows(name, kk):
             assert (got.tail_bound is None) == (direct_tail is None)
     if name == "highpass_haar":
         # W(0) = 0: at x = 0 the word 0 underflows at its first level
-        _, dead_at = _word_products(spec, np.zeros(1), n, _word_count(n, policy))
+        _, dead_at = _word_products(spec, np.zeros(1), n, _word_count(n, kk))
         assert dead_at[0, 0] == 1
 
 
@@ -356,20 +364,20 @@ def test_single_coefficient_weight_is_constant():
     np.testing.assert_array_equal(weight_array(spec, np.array([0.0, 0.3, 1234.5])), 1.0)
 
 
-def test_zero_path_atoms_record(d4, stretched, system2):
+def test_zero_path_atoms_record(d4, stretched, system2, policy):
     # the public record is the kernel's, NaN tail where unconverged
-    policy = ww.TruncationPolicy(product_depth=12)
     xs = np.array([[0.0, 0.3, 5.5], [-7.25, 1e3, 0.49]])
-    for spec in (d4, stretched):
+    for spec in (d4, stretched, DIVERGENT):
         atoms = ww.zero_path_atoms(spec, system2, xs, policy)
-        kernel = _atom_array(spec, system2, xs, policy)
+        kernel = _atom_array(spec, system2, xs)
         assert atoms.value.shape == xs.shape
         for field in ("value", "converged", "depth_used", "tail_bound"):
             assert np.array_equal(getattr(atoms, field), getattr(kernel, field), equal_nan=True)
         assert np.array_equal(np.isnan(atoms.tail_bound), ~atoms.converged)
-        assert (~atoms.converged).any()
+        assert atoms.converged.all() == (spec is not DIVERGENT)
         for i, x in enumerate(xs.ravel()):
-            assert atoms.at(i) == ww.zero_path_atom(spec, system2, float(x), policy)
+            # MeasureValue compares NaN values as unequal, so compare them as text
+            assert repr(atoms.at(i)) == repr(ww.zero_path_atom(spec, system2, float(x), policy))
 
 
 # ----------------------------------------------------------------------
@@ -455,6 +463,39 @@ def test_exact_harmonic_gridfunction_is_harmonic(system2, policy):
         spec = ww.load_gallery(name)
         h = ww.harmonic_gridfunction(spec, system2, 7, policy)
         assert ww.harmonic_residual(spec, system2, h, eval_level=6) <= 1e-12
+    # low-pass partitions for N = 3 and 5, a_0 = a_2 = ... = a_{2N-2} = 1/N:
+    # a third of the rounded branch points of N = 3 fall on a cell edge
+    for n, level in ((3, 6), (5, 5)):
+        spec = ww.FilterSpec.from_coefficients({2 * i: 1 / n for i in range(n)}, scale_n=n)
+        system = ww.PathSystem(n)
+        h = ww.harmonic_gridfunction(spec, system, level, policy)
+        for lev in range(1, level):
+            assert ww.harmonic_residual(spec, system, h, eval_level=lev) <= 1e-12, (n, lev)
+
+
+def _branch_point_residual(spec, system, h, lev):
+    """The residual read at the rounded branch points of the level-`lev`
+    grid points, through GridFunction.values_at: the formula of
+    harmonic_residual before it took the grid flows."""
+    xs = np.arange(system.scale_n**lev) / system.scale_n**lev
+    ys = system.branch_array(np.arange(system.scale_n)[:, None], xs)
+    acc = (weight_array(spec, ys) * h.values_at(ys)).sum(axis=0)
+    return float(np.max(np.abs(acc - h.values_at(xs))))
+
+
+@pytest.mark.parametrize("name", ww.GALLERY_NAMES)
+def test_harmonic_residual_for_n2_is_the_branch_point_formula(name, system2, policy):
+    # for N = 2 every branch point of a dyadic grid point is exact, so the
+    # grid flows read the very cells the rounded branch points do
+    spec = ww.load_gallery(name)
+    rng = np.random.default_rng(41)
+    for level in (1, 3, 6, 9):
+        grids = [ww.harmonic_gridfunction(spec, system2, level, ww.TruncationPolicy(tail_cutoff_k=50)),
+                 ww.GridFunction(level, 2, rng.random(2**level))]
+        for h in grids:
+            for lev in range(1, level + 1):
+                got = ww.harmonic_residual(spec, system2, h, eval_level=lev)
+                assert got.hex() == _branch_point_residual(spec, system2, h, lev).hex(), (level, lev)
 
 
 def test_filters_off_the_exact_route_keep_the_lattice_sum(system2):

@@ -1,3 +1,5 @@
+import cmath
+import dataclasses
 import math
 import tracemalloc
 
@@ -10,7 +12,7 @@ import wavewalk as ww
 from wavewalk.ifs import DigitWord
 from wavewalk.measures import FiniteCoordFn, _chain_harmonic
 
-from conftest import quadrature_family, sinc_sq
+from conftest import DIVERGENT, quadrature_family, sinc_sq
 
 
 @st.composite
@@ -171,6 +173,78 @@ def test_atom_highpass_vanishes(highpass, system2, policy):
         mv = ww.zero_path_atom(highpass, system2, x, policy)
         assert mv.value == 0.0
         assert mv.converged
+
+
+def test_highpass_atoms_and_rows_are_exactly_zero(highpass, system2, policy):
+    # W(0) = 0: the factors tend to 0, so every product is exactly 0 from
+    # its first step on, however far out x lies
+    kk = policy.tail_cutoff_k
+    xs = np.random.default_rng(37).random(5)
+    window = (xs[:, None] + np.arange(-kk, kk + 1)).ravel()
+    atoms = ww.zero_path_atoms(highpass, system2, window, policy)
+    assert (atoms.value == 0.0).all() and atoms.converged.all()
+    assert (atoms.tail_bound == 0.0).all() and (atoms.depth_used == 1).all()
+    for stride in (1, 2, 4):
+        rows = ww.lattice_masses(highpass, system2, xs, policy, stride=stride)
+        assert (rows.value == 0.0).all() and rows.converged.all()
+        assert (rows.tail_bound == 0.0).all() and (rows.depth_used == 1).all()
+    assert ww.lattice_mass(highpass, system2, 0.3, policy) == ww.MeasureValue(0.0, True, 0.0, 1)
+
+
+def test_products_with_no_limit_are_unconverged(system2, policy):
+    # W(0) = 1.44: no limit, so NaN at the first step, with no tail bound
+    xs = np.array([0.3, -1999.7, 2000.3, 0.5, 12.25])
+    atoms = ww.zero_path_atoms(DIVERGENT, system2, xs, policy)
+    assert np.isnan(atoms.value).all() and not atoms.converged.any()
+    assert np.isnan(atoms.tail_bound).all() and (atoms.depth_used == 1).all()
+    assert ww.zero_path_atom(DIVERGENT, system2, 0.3, policy).tail_bound is None
+    rows = ww.lattice_masses(DIVERGENT, system2, xs, policy)
+    assert np.isnan(rows.value).all() and not rows.converged.any() and np.isnan(rows.tail_bound).all()
+    mass = ww.lattice_mass(DIVERGENT, system2, 0.3, policy)
+    assert not mass.converged and mass.tail_bound is None
+    assert not ww.integer_atom(DIVERGENT, system2, 0.3, -5, policy).converged
+    rep = ww.diagnose_convergence(DIVERGENT, system2, 0.3, 16, policy)
+    assert rep.hypothesis == "inconclusive" and rep.consistent
+    # a first factor of exactly 0 makes the product 0 whatever follows
+    assert ww.zero_path_atom(DIVERGENT, system2, 1.0, policy) == ww.MeasureValue(0.0, True, 0.0, 1)
+
+
+def test_scaling_hat_without_a_limit_while_its_atom_converges(haar, system2, policy):
+    # m = i (1 + e(-x)) / 2: m(0) = i turns the product a quarter turn a
+    # step, so it has no limit; W = |m|**2 is Haar's weight
+    spec = ww.FilterSpec.from_coefficients({0: 0.5j, 1: 0.5j})
+    for x in (0.0, 0.3, -7.6):
+        hat = ww.scaling_hat(spec, system2, x, policy)
+        assert cmath.isnan(hat.value) and not hat.converged and hat.depth_used == 1
+        atom = ww.zero_path_atom(spec, system2, x, policy)
+        assert atom.converged and atom == ww.zero_path_atom(haar, system2, x, policy)
+    # m(0) = 0 for the high-pass response: exactly 0 at the first step
+    hat = ww.scaling_hat(ww.load_gallery("highpass_haar"), system2, 0.3, policy)
+    assert (hat.value, hat.converged, hat.depth_used) == (0.0, True, 1)
+
+
+#: a table with 1 on its first cell: the rest is 1 there, and 0 on its last
+END_TABLE = ww.FilterSpec.from_table([0.0, 0.25, 0.5, 0.75], [1.0, 0.6, 0.9, 0.8], label="end table")
+
+
+@pytest.mark.parametrize("name", ["d4", "end table", "highpass_haar", "divergent"])
+def test_products_stop_at_extreme_arguments(name, system2, policy):
+    spec = {"end table": END_TABLE, "divergent": DIVERGENT}.get(name) or ww.load_gallery(name)
+    xs = np.array([1e300, -1e300, 5e-324, -5e-324])
+    atoms = ww.zero_path_atoms(spec, system2, xs, policy)
+    if name == "divergent":
+        assert not atoms.converged.any() and (atoms.depth_used == 1).all()
+        return
+    assert atoms.converged.all()
+    if name == "highpass_haar":
+        assert (atoms.value == 0.0).all() and (atoms.depth_used == 1).all()
+        return
+    # x / 2 rounds to 0, inside the closure: W(0), to rounding 1, times a rest of 1
+    assert (atoms.value[2:] == ww.weight_array(spec, np.zeros(2))).all() and (atoms.depth_used[2:] == 1).all()
+    # at 1e300, y = x / 2**m reaches 1 only at m = 997: no step count short of that settles these
+    assert (atoms.depth_used[:2] >= 900).all() and (atoms.depth_used[:2] <= 1100).all()
+    hat = ww.scaling_hat(spec, system2, 1e300, policy) if spec.kind == "coefficients" else None
+    assert hat is None or (hat.converged and hat.depth_used <= 1100)
 
 
 def test_atom_stall_not_fooled_by_lattice(haar, stretched, system2, policy):
@@ -360,9 +434,9 @@ def test_consistency_quadrature_family(theta, x):
 
 def test_policy_validation():
     with pytest.raises(ValueError):
-        ww.TruncationPolicy(product_depth=0)
-    with pytest.raises(ValueError):
         ww.TruncationPolicy(tail_cutoff_k=0)
+    # the lattice cutoff is the one setting: products have no depth cap
+    assert [f.name for f in dataclasses.fields(ww.TruncationPolicy)] == ["tail_cutoff_k"]
 
 
 @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
