@@ -55,59 +55,22 @@ def _add_common(p, *names):
     p.add_argument("--format", choices=("csv", "json"), default=None)
 
 
-def build_parser() -> _Parser:
+def _parser(names) -> _Parser:
+    """The top-level parser with the subparsers of the named subcommands only."""
     p = _Parser(prog="wavewalk", description=__doc__)
     p.add_argument("--version", action="version", version=f"wavewalk {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
-
-    v = sub.add_parser("validate", help="run filter sanity checks")
-    v.add_argument("filter")
-    _add_common(v, "grid_level", "tol")
-
-    a = sub.add_parser("atom", help="sweep the all-zero-path atom over a grid; a product stops at "
-                       "its closed rest (tail_bound: proven relative bound on it), at 0 on "
-                       "underflow, or unconverged with value null where it has no limit")
-    a.add_argument("filter")
-    _add_common(a, "grid_level")
-
-    h = sub.add_parser("harmonic", help="sweep the lattice-mass harmonic function")
-    h.add_argument("filter")
-    _add_common(h, "grid_level", "tail_k")
-
-    d = sub.add_parser("diagnose", help="pointwise convergence diagnosis")
-    d.add_argument("filter")
-    d.add_argument("--x", type=float, required=True)
-    d.add_argument("--max-n", type=int, default=30, dest="max_n")
-    _add_common(d, "tail_k")
-
-    t = sub.add_parser("transfer", help="grid power iteration and stationary masses")
-    t.add_argument("filter")
-    t.add_argument("--iters", type=int, default=200)
-    _add_common(t, "grid_level")
-
-    s = sub.add_parser("scaling", help="cascade the scaling function or its wavelet")
-    s.add_argument("filter")
-    s.add_argument("--iters", type=int, default=10)
-    s.add_argument("--function", choices=("phi", "psi"), default="phi")
-    _add_common(s, "grid_level", "tail_k")
-
-    c = sub.add_parser("coeffs", help="subband wavelet coefficients of a signal")
-    c.add_argument("filter")
-    c.add_argument("--levels", type=int, default=3)
-    c.add_argument("--signal", help="single-column CSV of samples")
-    c.add_argument("--random-n", type=int, default=None, dest="random_n")
-    c.add_argument("--seed", type=int, default=0)
-    _add_common(c)
-
-    m = sub.add_parser("simulate", help="sample walk paths / estimate a cylinder")
-    m.add_argument("filter")
-    m.add_argument("--x", type=float, required=True)
-    m.add_argument("--word", help="comma-separated digits of the target prefix")
-    m.add_argument("--n", type=int, default=16, help="path length when sampling")
-    m.add_argument("--trials", type=int, default=100000)
-    m.add_argument("--seed", type=int, default=0)
-    _add_common(m)
+    for name in names:
+        help_text, add_arguments, _ = _COMMANDS[name]
+        s = sub.add_parser(name, help=help_text)
+        s.add_argument("filter")
+        add_arguments(s)
     return p
+
+
+def build_parser() -> _Parser:
+    """The parser of every subcommand, for -h, --version and unknown commands."""
+    return _parser(_COMMANDS)
 
 
 def _policy(args) -> TruncationPolicy:
@@ -164,9 +127,14 @@ def _load_spec(path: str) -> FilterSpec:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        argv = sys.argv[1:] if argv is None else list(argv)
+        # a run of one subcommand needs only that subparser, which parses
+        # the arguments as the full parser does
+        names = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
+        args = _parser(names).parse_args(argv)
         spec = _load_spec(args.filter)
-        return _COMMANDS[args.command](args, spec, PathSystem(spec.scale_n), _meta(args, spec))
+        handler = _COMMANDS[args.command][2]
+        return handler(args, spec, PathSystem(spec.scale_n), _meta(args, spec))
     except (CliUsageError, WavewalkError, ValueError) as exc:
         # ValueError: an argument the API rejects, such as --tail-K 0
         print(f"wavewalk: error: {exc}", file=sys.stderr)
@@ -273,16 +241,67 @@ def _simulate(args, spec, system, meta_doc) -> int:
     return 0
 
 
-#: subcommand -> handler(args, spec, system, meta_doc) returning the exit code
+def _validate_args(p) -> None:
+    _add_common(p, "grid_level", "tol")
+
+
+def _atom_args(p) -> None:
+    _add_common(p, "grid_level")
+
+
+def _harmonic_args(p) -> None:
+    _add_common(p, "grid_level", "tail_k")
+
+
+def _diagnose_args(p) -> None:
+    p.add_argument("--x", type=float, required=True)
+    p.add_argument("--max-n", type=int, default=30, dest="max_n")
+    _add_common(p, "tail_k")
+
+
+def _transfer_args(p) -> None:
+    p.add_argument("--iters", type=int, default=200)
+    _add_common(p, "grid_level")
+
+
+def _scaling_args(p) -> None:
+    p.add_argument("--iters", type=int, default=10)
+    p.add_argument("--function", choices=("phi", "psi"), default="phi")
+    _add_common(p, "grid_level", "tail_k")
+
+
+def _coeffs_args(p) -> None:
+    p.add_argument("--levels", type=int, default=3)
+    p.add_argument("--signal", help="single-column CSV of samples")
+    p.add_argument("--random-n", type=int, default=None, dest="random_n")
+    p.add_argument("--seed", type=int, default=0)
+    _add_common(p)
+
+
+def _simulate_args(p) -> None:
+    p.add_argument("--x", type=float, required=True)
+    p.add_argument("--word", help="comma-separated digits of the target prefix")
+    p.add_argument("--n", type=int, default=16, help="path length when sampling")
+    p.add_argument("--trials", type=int, default=100000)
+    p.add_argument("--seed", type=int, default=0)
+    _add_common(p)
+
+
+#: subcommand -> (help, builder of its arguments after the filter,
+#: handler(args, spec, system, meta_doc) returning the exit code)
 _COMMANDS = {
-    "validate": _validate,
-    "atom": functools.partial(_sweep, zero_path_atoms),
-    "harmonic": functools.partial(_sweep, lattice_masses),
-    "diagnose": _diagnose,
-    "transfer": _transfer,
-    "scaling": _scaling,
-    "coeffs": _coeffs,
-    "simulate": _simulate,
+    "validate": ("run filter sanity checks", _validate_args, _validate),
+    "atom": ("sweep the all-zero-path atom over a grid; a product stops at its closed rest "
+             "(tail_bound: proven relative bound on it), at 0 on underflow, or unconverged "
+             "with value null where it has no limit",
+             _atom_args, functools.partial(_sweep, zero_path_atoms)),
+    "harmonic": ("sweep the lattice-mass harmonic function", _harmonic_args,
+                 functools.partial(_sweep, lattice_masses)),
+    "diagnose": ("pointwise convergence diagnosis", _diagnose_args, _diagnose),
+    "transfer": ("grid power iteration and stationary masses", _transfer_args, _transfer),
+    "scaling": ("cascade the scaling function or its wavelet", _scaling_args, _scaling),
+    "coeffs": ("subband wavelet coefficients of a signal", _coeffs_args, _coeffs),
+    "simulate": ("sample walk paths / estimate a cylinder", _simulate_args, _simulate),
 }
 
 

@@ -190,9 +190,16 @@ def eval_weight(spec: FilterSpec, x: float) -> float:
 
 
 def response_array(spec: FilterSpec, xs: np.ndarray) -> np.ndarray:
-    """Vectorized eval_response."""
+    """Vectorized eval_response, with the argument reduced first.
+
+    The response is 1-periodic: unlike eval_response, which does not,
+    the argument is reduced exactly to [-1/2, 1/2] first, as weight_array
+    and eval_weight do, so a large |x| adds no rounding to the phase and
+    2 pi x cannot overflow.  The two differ in their bits for |x| > 1/2.
+    """
     spec._need_coefficients()
-    z = np.exp(-2j * np.pi * np.asarray(xs, dtype=np.float64))
+    xs = np.asarray(xs, dtype=np.float64)
+    z = np.exp(-2j * np.pi * (xs - np.rint(xs)))
     out = np.zeros(z.shape, dtype=np.complex128)
     # Horner over the contiguous index range keeps this to one exp call.
     ks = spec.coeff_indices()

@@ -119,18 +119,29 @@ class PathSystem:
     def branch_array(self, digits, ys) -> np.ndarray:
         """Vectorized branch for states ys in [0, 1) and digits in [0, N).
 
+        digits and ys broadcast against each other, and the result has
+        their broadcast shape: digits of shape (N, 1) against states of
+        shape (M,) give the N branches of every state as an (N, M) array,
+        the digit the slow axis (as measures._grow lays out a level), and
+        digits of shape (N,) against states of shape (M, 1) give them as
+        (M, N).  The states are taken as float64, and two scalars give a
+        0-d array.
+
         The sum x + j is rounded toward zero: rounded to nearest it can land
         on the edge of the next N-adic cell (on 1.0 for j = N - 1 and x just
         below 1, where the weight would be read at 0).  So a state stays
         below 1 and, for N a power of 2, in every N-adic cell of the exact
         (x + j)/N.  (x + j) - j is exact for j >= 1: it exceeds x exactly
-        when the sum was rounded up.  The quotient is rounded toward zero
-        too: below the smallest normal float it loses bits even for N a
-        power of 2.  Such a quotient has digit 0, so its sum is x itself, and
-        q * N > x there exactly when it was rounded up.
+        when the sum was rounded up.  Such a sum is positive, so one ulp
+        toward zero is one step down its int64 bit pattern.  The quotient is
+        rounded toward zero too: below the smallest normal float it loses
+        bits even for N a power of 2.  Such a quotient has digit 0, so its
+        sum is x itself, and q * N > x there exactly when it was rounded up.
         """
-        s = ys + digits
-        np.nextafter(s, 0.0, out=s, where=s - digits > ys)
+        ys = np.asarray(ys, dtype=np.float64)
+        s = np.asarray(ys + digits)
+        bits = s.view(np.int64)
+        bits -= s - digits > ys
         s /= self.scale_n
         if s.min(initial=1.0) < _TINY:
             np.nextafter(s, 0.0, out=s, where=(s < _TINY) & (s * self.scale_n > ys))

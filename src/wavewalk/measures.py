@@ -58,6 +58,10 @@ remaining levels on its own and summed against its slice of the table,
 and the block sums are added in halves.  For N = 2 that is the order of
 numpy's pairwise sum of the whole array, so the result is bit-identical
 to it; for other N it is that sum reordered, equal to rounding level.
+Each growth (_grow) lays its levels out digit-major, the N branches of
+M states one (N, M) array, so numpy's inner loops run over the states;
+one reorder (_table_order) puts what the sum reads in the table's
+order: the top states and weights, and each block's weights.
 
 All functions are pure; array sweeps use fixed-shape numpy reductions,
 so results are deterministic for a given input.
@@ -331,9 +335,9 @@ def _row_atoms(spec, system, xs, policy, stride):
     carried on by the product kernel from z = (x + stride*k) / N**m, z
     reached by the kernel's own chain of divisions.  A word that
     underflows at level s gives 0 at depth s; an atom whose closure comes
-    within the first m levels (z closed) goes whole through the kernel
-    from x + stride*k.  Returns values, convergence flags and depths of
-    shape (len(xs), 2K+1).
+    within the first m levels (z closed) is taken whole, from x + stride*k
+    with prefix 1, in the same kernel call.  Returns values, convergence
+    flags and depths of shape (len(xs), 2K+1).
     """
     n = system.scale_n
     ks = np.arange(-policy.tail_cutoff_k, policy.tail_cutoff_k + 1)
@@ -353,15 +357,17 @@ def _row_atoms(spec, system, xs, policy, stride):
         z /= n
     whole = (closure.lo <= z) & (z < closure.hi)
     rest = (depth == 0) & ~whole
+    wrows, wcols = np.nonzero(whole)
+    atoms = _zero_path_products(
+        functools.partial(weight_array, spec), closure, n,
+        np.concatenate([xs[wrows] + offsets[wcols], z[rest]]),
+        prefix=np.concatenate([np.ones(wrows.size), tree[row, word][rest]]),
+    )
     value = np.zeros(z.shape)
     converged = np.ones(z.shape, dtype=bool)
-    wrows, wcols = np.nonzero(whole)
-    for mask, atoms, taken in (
-        (whole, _atom_array(spec, system, xs[wrows] + offsets[wcols]), 0),
-        (rest, _zero_path_products(functools.partial(weight_array, spec), closure, n, z[rest],
-                                   prefix=tree[row, word][rest]), levels),
-    ):
-        value[mask], converged[mask], depth[mask] = atoms.value, atoms.converged, atoms.depth_used + taken
+    for mask, part, taken in ((whole, slice(None, wrows.size), 0), (rest, slice(wrows.size, None), levels)):
+        value[mask], converged[mask] = atoms.value[part], atoms.converged[part]
+        depth[mask] = atoms.depth_used[part] + taken
     return value, converged, depth
 
 
@@ -794,17 +800,32 @@ def cylinder_prob(spec: FilterSpec, system: PathSystem, x: float, word: DigitWor
 
 
 def _grow(spec, system, weights, ys, levels):
-    """Carry states and their cylinder weights `levels` digits deeper.
+    """Carry states and their cylinder weights `levels` digits deeper, digit-major.
 
-    A word grows as index * N + digit, so the words below one state stay
-    consecutive, in the order of the flat table.
+    Each level is one (N, M) array, the N branches of the M states with
+    the new digit the slow axis, so every elementwise pass runs over the
+    states.  The flat index of a word is
+    d_levels N**(levels-1) M + ... + d_1 M + state; _table_order puts the
+    words in table order.  Each state and weight is the one a state-major
+    growth gives, bit for bit.
     """
-    digits = np.arange(system.scale_n)
+    digits = np.arange(system.scale_n)[:, None]
     for _ in range(levels):
-        ys = system.branch_array(digits, ys[:, None])
-        weights = (weights[:, None] * weight_array(spec, ys)).ravel()
-        ys = ys.ravel()
+        ys = system.branch_array(digits, ys)
+        w = weight_array(spec, ys)
+        w *= weights
+        weights, ys = w.ravel(), ys.ravel()
     return weights, ys
+
+
+def _table_order(a, n, levels):
+    """Reorder a digit-major growth `levels` deep (_grow) into table order.
+
+    Reversing the axes gives state N**levels + d_1 N**(levels-1) + ... +
+    d_levels, index * N + digit at every level: the words below one state
+    stay consecutive, in the order of the flat table.
+    """
+    return a.reshape((n,) * levels + (-1,)).T.ravel()
 
 
 def _sum_halves(parts):
@@ -822,14 +843,18 @@ def expect_finite(spec: FilterSpec, system: PathSystem, x: float, f: FiniteCoord
     word tree grows breadth-first while a level fits in ATOM_TILE words;
     then each block of those states is carried through the remaining
     levels on its own, at most ATOM_TILE words at a time, and summed
-    against its own slice of f.table.  The block sums are added in
-    halves.  For N = 2 each block holds 2**14 words and there are a power
-    of 2 of them, so every addition falls where numpy's pairwise sum of
-    the whole power-of-two array of terms puts it: the result is
-    bit-identical to np.sum(weights * f.table), with the array of all
-    word weights never built.  For other N the blocks do not fall on
-    numpy's splits, and the result is that sum reordered, equal to
-    rounding level.  N**arity above MAX_TREE_WORDS raises ArityTooLarge.
+    against its own slice of f.table.  _grow builds each level
+    digit-major; _table_order puts the top states and weights, and each
+    block's weights, in table order (index * N + digit), so they line up
+    with the slices of f.table.  A block's states are never read and stay
+    unordered.  The block sums are added in halves.  For N = 2 each block
+    holds 2**14 words and there are a power of 2 of them, so every
+    addition falls where numpy's pairwise sum of the whole power-of-two
+    array of terms puts it: the result is bit-identical to
+    np.sum(weights * f.table), with the array of all word weights never
+    built.  For other N the blocks do not fall on numpy's splits, and the
+    result is that sum reordered, equal to rounding level.  N**arity
+    above MAX_TREE_WORDS raises ArityTooLarge.
     """
     _check_scales(spec, system)
     n = system.scale_n
@@ -842,12 +867,13 @@ def expect_finite(spec: FilterSpec, system: PathSystem, x: float, f: FiniteCoord
     top = 0
     while top < f.arity and n ** (top + 1) <= ATOM_TILE:
         top += 1
-    weights, ys = _grow(spec, system, np.ones(1), np.array([frac(x)]), top)
+    weights, ys = (_table_order(a, n, top) for a in _grow(spec, system, np.ones(1), np.array([frac(x)]), top))
     span = n ** (f.arity - top)
     step = max(1, ATOM_TILE // span)
     sums = []
     for start in range(0, weights.size, step):
         block, _ = _grow(spec, system, weights[start : start + step], ys[start : start + step], f.arity - top)
+        block = _table_order(block, n, f.arity - top)
         sums.append(np.sum(block * f.table[start * span : start * span + block.size]))
     return complex(_sum_halves(sums))
 

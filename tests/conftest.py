@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 import wavewalk as ww
@@ -59,3 +60,23 @@ def quadrature_family(theta: float) -> ww.FilterSpec:
         {0: (1 - c + s) / 4, 1: (1 + c + s) / 4, 2: (1 + c - s) / 4, 3: (1 - c - s) / 4},
         label=f"qmf(theta={theta:.3f})",
     )
+
+
+def nextafter_branch(n: int, digits, ys):
+    """The branch (y + j)/N rounded toward zero by masked np.nextafter steps.
+
+    The reference rule for PathSystem.branch_array: the sum steps one
+    ulp toward 0 where (y + j) - j > y (it was rounded up), the quotient
+    where it is subnormal and q * N > y.
+    """
+    s = ys + digits
+    np.nextafter(s, 0.0, out=s, where=s - digits > ys)
+    s /= n
+    if s.min(initial=1.0) < np.finfo(np.float64).tiny:
+        np.nextafter(s, 0.0, out=s, where=(s < np.finfo(np.float64).tiny) & (s * n > ys))
+    return s
+
+
+#: states at the edges of the branch rounding: 0, the least subnormal, a
+#: subnormal whose quotient is inexact, a plain state, and the float just below 1
+EDGE_STATES = (0.0, 5e-324, 1e-310, 0.3, 1 - 2**-53)

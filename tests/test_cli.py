@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import wavewalk as ww
+from wavewalk import cli
 from wavewalk.cli import main
 
 
@@ -70,40 +71,75 @@ def test_usage_error_exit(capsys):
     assert "error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "argv, message",
-    [
-        (["simulate", "--x", "0.3", "--word", "0,1", "--trials", "50"], "at least 100 trials"),
-        # products stop by themselves: there is no depth to set
-        (["atom", "--depth", "40"], "unrecognized arguments: --depth 40"),
-        (["diagnose", "--x", "0.3", "--max-n", "3"], "max_n must be >= 4"),
-        (["harmonic", "--tail-K", "0"], "tail_cutoff_k must be >= 1"),
-        (["simulate", "--x", "0.3", "--word", "0,5"], "digit 5 not in [0, 2)"),
-        (["simulate", "--x", "nan", "--word", "0,1"], "no fractional part of nan"),
-        (["simulate", "--x", "nan"], "no fractional part of nan"),
-        (["simulate", "--x=-inf", "--n", "4"], "no fractional part of -inf"),
-        (["diagnose", "--x", "nan"], "cannot diagnose at nan"),
-        (["diagnose", "--x", "inf"], "cannot diagnose at inf"),
-        (["atom", "--grid-level", "-1"], "grid level must be >= 0, got -1"),
-        # numpy cannot allocate these grids: MemoryError at 2**40 float64,
-        # a size past its limit (ValueError) at 2**60 and 2**70
-        (["atom", "--grid-level", "40"], "grid level 40: 2**40 cells cannot be allocated"),
-        (["transfer", "--grid-level", "60"], "grid level 60: 2**60 cells cannot be allocated"),
-        (["validate", "--grid-level", "70"], "grid level 70: 2**70 cells cannot be allocated"),
-        (["scaling", "--iters", "-1"], "iters must be >= 0, got -1"),
-        (["simulate", "--x", "0.3", "--n", "-1"], "path length must be >= 0, got -1"),
-        (["coeffs", "--random-n", "64", "--levels", "-1"], "levels must be >= 0, got -1"),
-    ],
-    ids=["simulate", "atom", "diagnose", "harmonic", "simulate-digit", "simulate-word-nan",
-         "simulate-path-nan", "simulate-path-inf", "diagnose-nan", "diagnose-inf",
-         "atom-negative-level", "atom-level-40", "transfer-level-60", "validate-level-70",
-         "scaling-negative-iters", "simulate-negative-n", "coeffs-negative-levels"],
-)
+#: argument lists the CLI rejects (the filter goes after the subcommand), and
+#: a part of each error message
+REJECTED = [
+    (["simulate", "--x", "0.3", "--word", "0,1", "--trials", "50"], "at least 100 trials"),
+    # products stop by themselves: there is no depth to set
+    (["atom", "--depth", "40"], "unrecognized arguments: --depth 40"),
+    (["diagnose", "--x", "0.3", "--max-n", "3"], "max_n must be >= 4"),
+    (["harmonic", "--tail-K", "0"], "tail_cutoff_k must be >= 1"),
+    (["simulate", "--x", "0.3", "--word", "0,5"], "digit 5 not in [0, 2)"),
+    (["simulate", "--x", "nan", "--word", "0,1"], "no fractional part of nan"),
+    (["simulate", "--x", "nan"], "no fractional part of nan"),
+    (["simulate", "--x=-inf", "--n", "4"], "no fractional part of -inf"),
+    (["diagnose", "--x", "nan"], "cannot diagnose at nan"),
+    (["diagnose", "--x", "inf"], "cannot diagnose at inf"),
+    (["atom", "--grid-level", "-1"], "grid level must be >= 0, got -1"),
+    # numpy cannot allocate these grids: MemoryError at 2**40 float64,
+    # a size past its limit (ValueError) at 2**60 and 2**70
+    (["atom", "--grid-level", "40"], "grid level 40: 2**40 cells cannot be allocated"),
+    (["transfer", "--grid-level", "60"], "grid level 60: 2**60 cells cannot be allocated"),
+    (["validate", "--grid-level", "70"], "grid level 70: 2**70 cells cannot be allocated"),
+    (["scaling", "--iters", "-1"], "iters must be >= 0, got -1"),
+    (["simulate", "--x", "0.3", "--n", "-1"], "path length must be >= 0, got -1"),
+    (["coeffs", "--random-n", "64", "--levels", "-1"], "levels must be >= 0, got -1"),
+]
+REJECTED_IDS = ["simulate", "atom", "diagnose", "harmonic", "simulate-digit", "simulate-word-nan",
+                "simulate-path-nan", "simulate-path-inf", "diagnose-nan", "diagnose-inf",
+                "atom-negative-level", "atom-level-40", "transfer-level-60", "validate-level-70",
+                "scaling-negative-iters", "simulate-negative-n", "coeffs-negative-levels"]
+
+
+@pytest.mark.parametrize("argv, message", REJECTED, ids=REJECTED_IDS)
 def test_rejected_argument_is_an_error_not_a_traceback(argv, message, capsys):
     argv = argv[:1] + [gpath("d4")] + argv[1:]
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("wavewalk: error: ") and message in err
+
+
+#: argument lists that parse, one or more per subcommand, and lists the
+#: parser itself rejects (the filter goes after the subcommand)
+PARSED = [
+    ["validate"], ["validate", "--tol", "1e-9", "--grid-level", "3"],
+    ["atom", "--format", "json", "--out", "x.json"], ["harmonic", "--tail-K", "50", "--grid-le", "2"],
+    ["diagnose", "--x", "0.3"], ["transfer", "--iters", "5"], ["scaling", "--function", "psi"],
+    ["coeffs", "--random-n", "8"], ["simulate", "--x", "0.3", "--word", "0,1"],
+    ["simulate"], ["diagnose", "--x", "abc"], ["scaling", "--function", "chi"],
+    ["atom", "--format", "xml"], ["atom", "--version"], ["coeffs", "--bogus"],
+]
+
+
+def parse_or_error(parser, argv):
+    """vars() of the parse as its repr, in which a NaN argument equals itself, or the error."""
+    try:
+        return repr(vars(parser.parse_args(argv)))
+    except cli.CliUsageError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("argv", PARSED + [argv for argv, _ in REJECTED])
+def test_one_subcommand_parser_parses_as_the_full_parser(argv):
+    # main builds only the subparser of the subcommand being run
+    argv = argv[:1] + [gpath("d4")] + argv[1:]
+    want = parse_or_error(cli.build_parser(), argv)
+    assert parse_or_error(cli._parser(argv[:1]), argv) == want
+
+
+def test_every_subcommand_is_parsed_alone():
+    assert {argv[0] for argv in PARSED} == set(cli._COMMANDS)
+    assert parse_or_error(cli._parser(["atom"]), ["atom"]) == parse_or_error(cli.build_parser(), ["atom"])
 
 
 @pytest.mark.parametrize("command", ["atom", "harmonic"])

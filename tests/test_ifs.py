@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 import wavewalk as ww
 from wavewalk.ifs import DigitWord, PathSystem, cell_grid, frac
 
+from conftest import EDGE_STATES, nextafter_branch
+
 
 def test_frac_edges():
     assert frac(0.3) == pytest.approx(0.3)
@@ -81,6 +83,32 @@ def test_branch_keeps_states_below_one():
         assert np.all(ys < 1.0)
         assert ys[-1] == y
         assert s.branch_array(np.arange(n), np.full(n, 0.3)).tolist() == [s.branch(j, 0.3) for j in range(n)]
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_branch_array_is_the_nextafter_rule_bit_for_bit(n):
+    # the bit-pattern step toward zero against masked np.nextafter, for
+    # every layout of the digits
+    s = PathSystem(n)
+    rng = np.random.default_rng(n)
+    ys = np.concatenate([EDGE_STATES, rng.random(200), 1 - rng.random(50) * 2**-40, rng.random(50) * 1e-308])
+    digits = np.arange(n)
+    cases = [(j, ys) for j in range(n)] + [(digits, ys[:, None]), (digits[:, None], ys), (digits, ys[:n])]
+    for d, y in cases:
+        got, want = s.branch_array(d, y), nextafter_branch(n, d, y)
+        assert got.shape == want.shape
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+    # float32 states are read as float64, and scalars (or a 0-d state)
+    # give a 0-d result with the same bits as a one-state array
+    y32 = ys.astype(np.float32)
+    for d, y in ((n - 1, y32), (digits, y32[:, None]), (digits[:, None], y32)):
+        got, want = s.branch_array(d, y), nextafter_branch(n, d, y.astype(np.float64))
+        assert got.dtype == np.float64 and got.view(np.int64).tolist() == want.view(np.int64).tolist()
+    for j in range(n):
+        for y in EDGE_STATES:
+            want = nextafter_branch(n, j, np.array([y]))
+            for got in (s.branch_array(j, y), s.branch_array(np.int64(j), np.array(y))):
+                assert got.shape == () and got.view(np.int64) == want.view(np.int64)[0]
 
 
 def test_digits_of():

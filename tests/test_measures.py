@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 
 import wavewalk as ww
 from wavewalk.ifs import DigitWord
-from wavewalk.measures import FiniteCoordFn, _chain_harmonic
+from wavewalk import measures
+from wavewalk.measures import FiniteCoordFn, _chain_harmonic, _grow, _table_order
 
-from conftest import DIVERGENT, quadrature_family, sinc_sq
+from conftest import DIVERGENT, EDGE_STATES, nextafter_branch, quadrature_family, sinc_sq
 
 
 @st.composite
@@ -119,6 +120,57 @@ def test_tree_sum_is_the_whole_array_sum_bit_for_bit(name, arity, system2):
         want = complex(np.sum(whole_array_terms(spec, system2, x, f)))
         got = ww.expect_finite(spec, system2, x, f)
         assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex()), x
+
+
+def state_major_grow(spec, system, weights, ys, levels):
+    """The tree grown state-major: each level an (M, N) array, the new
+    digit the fast axis, branched by the masked-nextafter rule; the
+    reference for the digit-major _grow."""
+    digits = np.arange(system.scale_n)
+    for _ in range(levels):
+        ys = nextafter_branch(system.scale_n, digits, ys[:, None])
+        weights = (weights[:, None] * ww.weight_array(spec, ys)).ravel()
+        ys = ys.ravel()
+    return weights, ys
+
+
+def grow_filters(n):
+    """The box filter a_0 = ... = a_{N-1} = 1/N and a table on 2N cells, at scale n."""
+    box = ww.FilterSpec.from_coefficients({k: 1 / n for k in range(n)}, scale_n=n)
+    bps = [j / (2 * n) for j in range(2 * n)]
+    return box, ww.FilterSpec.from_table(bps, [(j % 3 + 1) / 4 for j in range(2 * n)], scale_n=n)
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_grow_is_the_state_major_growth_bit_for_bit(n):
+    system = ww.PathSystem(n)
+    rng = np.random.default_rng(n)
+    ys = np.array(EDGE_STATES)
+    weights = rng.random(ys.size)
+    for spec in grow_filters(n):
+        for levels in range(7):
+            got = (_table_order(a, n, levels) for a in _grow(spec, system, weights, ys, levels))
+            want = state_major_grow(spec, system, weights, ys, levels)
+            for g, w in zip(got, want):
+                assert g.view(np.int64).tolist() == w.view(np.int64).tolist(), (spec.label, levels)
+
+
+@pytest.mark.parametrize("n, arities", [(3, (1, 5, 8, 9, 10, 12)), (4, (1, 4, 7, 8, 10))])
+def test_tree_sum_is_the_state_major_tree_sum(n, arities, monkeypatch):
+    # the N = 3 box and an N = 4 filter: the streamed sum over blocks is
+    # the same with either growth, to the last bit
+    system = ww.PathSystem(n)
+    for arity in arities:
+        rng = np.random.default_rng(arity)
+        f = FiniteCoordFn(arity, n, rng.standard_normal(n**arity) + 1j * rng.standard_normal(n**arity))
+        for spec in grow_filters(n):
+            for x in (0.0, 5e-324, 0.3, 1 - 2**-52):
+                got = ww.expect_finite(spec, system, x, f)
+                with monkeypatch.context() as m:
+                    m.setattr(measures, "_grow", state_major_grow)
+                    m.setattr(measures, "_table_order", lambda a, n, levels: a)
+                    want = ww.expect_finite(spec, system, x, f)
+                assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex()), (arity, x)
 
 
 @pytest.mark.parametrize("arity", range(1, 13))

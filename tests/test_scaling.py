@@ -63,6 +63,25 @@ def test_scaling_relation_bit_exact(d4, system2):
             assert lhs == rhs
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_scaling_hat_at_the_float_maximum_raises_no_overflow(d4, system2, policy):
+    # the response reduces its argument first, so 2 pi x / N is never formed
+    got = ww.scaling_hat(d4, system2, 1.7e308, policy)
+    assert got.converged and math.isfinite(abs(got.value))
+
+
+def test_scaling_hat_keeps_its_phase_far_out(d4, system2, policy):
+    # at |x| = 1e300 the first fractional y is a half-integer; d4's response
+    # vanishes there to rounding, the other two filters' does not
+    for spec in (d4, ww.FilterSpec.from_coefficients({0: 0.6, 1: 0.4}),
+                 ww.FilterSpec.from_coefficients({-1: 0.3, 0: 0.5, 2: 0.2})):
+        for x in (1e300, -1e300):
+            hat = ww.scaling_hat(spec, system2, x, policy)
+            atom = ww.zero_path_atom(spec, system2, x, policy)
+            assert hat.converged and atom.converged
+            assert abs(abs(hat.value) ** 2 - atom.value) <= 1e-13 * atom.value + 1e-60, (spec.label, x)
+
+
 # ----------------------------------------------------------------------
 # cascade route
 
