@@ -208,11 +208,16 @@ def _scaling(args, spec, system, meta_doc) -> int:
 def _coeffs(args, spec, system, meta_doc) -> int:
     if (args.signal is None) == (args.random_n is None):
         raise CliUsageError("give exactly one of --signal / --random-n")
+    if args.random_n is not None and args.random_n < 1:
+        raise CliUsageError(f"--random-n must be >= 1, got {args.random_n}")
     if args.signal:
         sig = np.loadtxt(args.signal, delimiter=",", comments="#", ndmin=1)
     else:
         rng = np.random.Generator(np.random.Philox(key=np.uint64(args.seed)))
-        sig = rng.standard_normal(args.random_n)
+        try:
+            sig = rng.standard_normal(args.random_n)
+        except MemoryError as exc:
+            raise CliUsageError(f"a signal of {args.random_n} samples cannot be allocated") from exc
     details, smooth = wavelet_coeffs(spec, sig, args.levels)
     payload = {}
     for i, band in enumerate(details, start=1):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateStep, NonFiniteArgument
+from .errors import DegenerateStep, NonFiniteArgument, _allocating
 from .filters import FilterSpec, eval_weight, weight_array
 from .ifs import DigitWord, PathSystem, cell_grid, frac
 from .measures import (
@@ -125,14 +125,16 @@ def diagnose_convergence(
     FACTOR_TOL of 1 while the running product stays above ATOM_FLOOR;
     the harmonic verdict at whether the last values sit within H_TOL of
     1, or have stabilized away from 1.  A NaN or infinite x raises
-    NonFiniteArgument.
+    NonFiniteArgument, and a max_n whose points numpy cannot allocate a
+    WavewalkError.
     """
     if max_n < 4:
         raise ValueError("max_n must be >= 4")
     if not math.isfinite(x):
         raise NonFiniteArgument(f"cannot diagnose at {x!r}")
     n = system.scale_n
-    pts = np.empty(max_n + 1, dtype=np.float64)
+    with _allocating(f"the {max_n + 1} points x / N**n"):
+        pts = np.empty(max_n + 1, dtype=np.float64)
     pts[0] = x
     y = float(x)
     for i in range(1, max_n + 1):
@@ -346,6 +348,7 @@ def estimate_cylinder(
     that some trial reaches.  Trials that have left the word are not
     walked, so a dead state off the path does not raise, and once no
     trial is left the estimate is 0 whatever the rest of the word.
+    Trials too many for numpy to allocate a flag each raise WavewalkError.
     """
     if trials < 100:
         raise ValueError("need at least 100 trials")
@@ -354,7 +357,8 @@ def estimate_cylinder(
     rng = _rng(seed, stream)
     y = frac(x)
     last = system.scale_n - 1
-    match = np.ones(trials, dtype=bool)
+    with _allocating(f"a flag for each of {trials} trials"):
+        match = np.ones(trials, dtype=bool)
     buf = np.empty(min(trials, ATOM_TILE))
     for target in word:
         branches, _, cum = _shares(spec, system, y)

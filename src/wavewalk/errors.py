@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import contextlib
+
 
 class WavewalkError(Exception):
     """Base class for all package-specific errors."""
@@ -39,3 +41,17 @@ class DepthTooLarge(WavewalkError):
 
 class DegenerateStep(WavewalkError):
     """All branch weights vanished at some state of a sampled walk."""
+
+
+@contextlib.contextmanager
+def _allocating(what: str, error: type = WavewalkError):
+    """Allocate `what` in the body, and nothing else.
+
+    numpy's failure to allocate it (MemoryError, or ValueError for a size
+    past its limit) becomes `error`, "<what> cannot be allocated", so that
+    a size too large for the machine is a package error, not a traceback.
+    """
+    try:
+        yield
+    except (MemoryError, ValueError) as exc:
+        raise error(f"{what} cannot be allocated") from exc

@@ -375,13 +375,18 @@ def _response_closure(spec: FilterSpec) -> _Closure:
     )
 
 
-def _clenshaw(taps, c2: np.ndarray):
+def _clenshaw(taps, c2):
     """Clenshaw sums (b_1, b_2) of sum_j taps[j-1] P_j(c) for the
     recurrence P_{j+1} = 2c P_j - P_{j-1} (Chebyshev T or U), c2 = 2c.
+
+    b_2 is None where it is 0 (no tap or one), so that no pass subtracts
+    it; nor does the first step, where b_3 = 0.  Subtracting 0.0 leaves
+    every float as it is, so the sums keep their bits.  c2 is read only
+    for two taps or more.
     """
-    b1, b2 = (taps[-1], 0.0) if taps else (0.0, 0.0)
+    b1, b2 = (taps[-1], None) if taps else (0.0, None)
     for t in reversed(taps[:-1]):
-        b1, b2 = c2 * b1 - b2 + t, b1
+        b1, b2 = (c2 * b1 + t if b2 is None else c2 * b1 - b2 + t), b1
     return b1, b2
 
 
@@ -396,14 +401,18 @@ def _trig_series(taps, xs: np.ndarray) -> np.ndarray:
     c_0 + c b_1 - b_2.  The sine series, skipped when sin_taps is empty,
     is sin 2 pi x times sum_j s_j U_{j-1}(c), the b_1 of the same
     recurrence.  Round-off can leave values a few ulp below 0, which is
-    clamped away.
+    clamped away.  Each operation is one ufunc call that returns a new
+    array, or a numpy scalar for a scalar or 0-d xs: nothing is written
+    in place or through out=, which would make one-element calls slower
+    and fail on scalars.  No pass subtracts a b_2 that is 0, and 2c is
+    formed only where a recurrence reads it.
     """
     c0, cos_taps, sin_taps = taps
     ang = 2.0 * np.pi * (xs - np.rint(xs))
     c = np.cos(ang)
-    c2 = 2.0 * c
+    c2 = 2.0 * c if max(len(cos_taps), len(sin_taps)) > 1 else None
     b1, b2 = _clenshaw(cos_taps, c2)
-    out = c * b1 - b2 + c0
+    out = c * b1 + c0 if b2 is None else c * b1 - b2 + c0
     if sin_taps:
         out += np.sin(ang) * _clenshaw(sin_taps, c2)[0]
     return np.maximum(out, 0.0)
@@ -422,7 +431,7 @@ def weight_array(spec: FilterSpec, xs: np.ndarray) -> np.ndarray:
     if not np.isfinite(xs).all():
         raise NonFiniteArgument("tabulated weight read at a non-finite point")
     r = np.mod(xs, 1.0)
-    r[r >= 1.0] = 0.0
+    r = np.where(r < 1.0, r, 0.0)
     idx = np.searchsorted(np.asarray(spec.breakpoints), r, side="right") - 1
     return np.asarray(spec.values, dtype=np.float64)[idx]
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DigitOutOfRange, EmptyWord, GridTooLarge, NonFiniteArgument
+from .errors import DigitOutOfRange, EmptyWord, GridTooLarge, NonFiniteArgument, _allocating
 
 #: the smallest normal float; a branch quotient below it may be inexact
 _TINY = np.finfo(np.float64).tiny
@@ -45,10 +45,8 @@ def grid_cells(n: int, level: int):
     """
     if level < 0:
         raise ValueError(f"grid level must be >= 0, got {level}")
-    try:
+    with _allocating(f"grid level {level}: {n}**{level} cells", GridTooLarge):
         yield n**level
-    except (MemoryError, ValueError) as exc:
-        raise GridTooLarge(f"grid level {level}: {n}**{level} cells cannot be allocated") from exc
 
 
 def cell_grid(n: int, level: int, offset: float = 0.0) -> np.ndarray:

@@ -35,7 +35,11 @@ finishes it (filters._weight_closure, _response_closure).
     product has no limit (NaN, unconverged).
 A product that falls below the underflow floor is exactly 0.  Every
 closure holds y = 0, so every product stops, for N = 2 within about
-1,030 + log2(1/rho) steps even at |x| near the float maximum.
+1,030 + log2(1/rho) steps even at |x| near the float maximum.  One
+kernel (_zero_path_products) steps every product of the package, a tile
+of ATOM_TILE elements at a time: a step only drops the elements that
+stop and notes where they stopped, and each tile's stops are closed
+together by one call of the closed rest.
 
 The lattice sum is a sum over the tree of integer words.  The atom at
 x + k is the mass of k's digit word times the atom at the word's end
@@ -75,7 +79,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArityTooLarge, NonFiniteArgument
+from .errors import ArityTooLarge, NonFiniteArgument, _allocating
 from .filters import (
     DEFAULT_TOL,
     KIND_COEFFICIENTS,
@@ -184,6 +188,16 @@ def _zero_path_products(factor, closure, n, xs, dtype=np.float64, prefix=None) -
     elements, each taken through all its steps before the next one
     starts, so the working set stays in cache; an element's stop depends
     on its own y only.
+
+    A step is the division, the factor, the product and the stop test.
+    Where some element stops, the step writes each stopping element's
+    product, y and step to its place in the tile and drops it from the
+    live index, y and product by one boolean mask.  The tile's stops are
+    closed together once its last element has stopped, with one
+    closure.rest call: an underflow (product below ATOM_UNDERFLOW, read
+    off the stored product) is closed at y = 0, where every rest is
+    finite, and then set to 0.  Products are multiplied in place: on one
+    complex element numpy's out-of-place multiply rounds differently.
     """
     xs = np.asarray(xs, dtype=np.float64)
     flat = xs.ravel()
@@ -195,29 +209,29 @@ def _zero_path_products(factor, closure, n, xs, dtype=np.float64, prefix=None) -
     # a real product is a product of weights, which are >= 0
     magnitude = np.abs if np.dtype(dtype).kind == "c" else (lambda p: p)
     for start in range(0, flat.size, ATOM_TILE):
-        idx = np.arange(start, min(start + ATOM_TILE, flat.size))
-        y = flat[idx]
-        p = np.ones(idx.size, dtype=dtype) if prefix is None else prefix[idx].astype(dtype, copy=False)
+        tile = slice(start, min(start + ATOM_TILE, flat.size))
+        y = flat[tile]
+        p = np.ones(y.size, dtype=dtype) if prefix is None else prefix[tile].astype(dtype)
+        # each element's product, y and step where it stopped, by its place in the tile
+        ps, ys, steps = values[tile], np.empty(y.size), depth_used[tile]
+        idx = np.arange(y.size)
         step = 0
-        while idx.size:
+        while True:
             step += 1
-            y /= n
+            y = y / n
             p *= factor(y)
-            dead = magnitude(p) < ATOM_UNDERFLOW
-            stop = dead | ((closure.lo <= y) & (y < closure.hi))
+            stop = (magnitude(p) < ATOM_UNDERFLOW) | ((closure.lo <= y) & (y < closure.hi))
             if stop.any():
-                # the few stopping elements, gathered by index
-                sel = np.flatnonzero(stop)
-                ps, gone = p[sel], dead[sel]
-                shut = np.flatnonzero(~gone)
-                ps[shut] *= closure.rest(y[sel[shut]])
-                ps[gone] = 0.0
-                out = idx[sel]
-                values[out] = ps
-                depth_used[out] = step
-                tail_bound[out] = np.where(gone, 0.0, closure.bound)
-                keep = np.flatnonzero(~stop)
+                out = idx[stop]
+                ps[out], ys[out], steps[out] = p[stop], y[stop], step
+                if out.size == idx.size:
+                    break
+                keep = ~stop
                 idx, y, p = idx[keep], y[keep], p[keep]
+        gone = magnitude(ps) < ATOM_UNDERFLOW
+        ps *= closure.rest(np.where(gone, 0.0, ys))
+        ps[gone] = 0.0
+        tail_bound[tile] = np.where(gone, 0.0, closure.bound)
     converged = np.isfinite(values)
     tail_bound[~converged] = np.nan
     shape = xs.shape
@@ -348,9 +362,10 @@ def _row_atoms(spec, system, xs, policy, stride):
     closure = _weight_closure(spec)
     base = np.floor(xs)
     tree, dead_at = _word_products(spec, xs - base, n, levels)
-    row = np.arange(xs.size)[:, None]
+    # each atom's word, as an index into the flattened word tables
     word = (np.mod(base, words).astype(np.int64)[:, None] + stride % words * ks) % words
-    depth = dead_at[row, word]
+    word += words * np.arange(xs.size)[:, None]
+    depth = dead_at.take(word)
     offsets = float(stride) * ks
     z = xs[:, None] + offsets
     for _ in range(levels):
@@ -361,7 +376,7 @@ def _row_atoms(spec, system, xs, policy, stride):
     atoms = _zero_path_products(
         functools.partial(weight_array, spec), closure, n,
         np.concatenate([xs[wrows] + offsets[wcols], z[rest]]),
-        prefix=np.concatenate([np.ones(wrows.size), tree[row, word][rest]]),
+        prefix=np.concatenate([np.ones(wrows.size), tree.take(word[rest])]),
     )
     value = np.zeros(z.shape)
     converged = np.ones(z.shape, dtype=bool)
@@ -393,7 +408,8 @@ def lattice_masses(
     decreasing; the tail is reported (K >= 10) only for converged points.
     The depth_used of a point is the most factors any of its atoms took,
     counted from x + stride*k as zero_path_atoms counts them.  A NaN or
-    infinite x raises NonFiniteArgument.
+    infinite x raises NonFiniteArgument, and a K whose 2K+1 terms numpy
+    cannot allocate a WavewalkError.
     """
     _check_scales(spec, system)
     if not (stride > 0 and float(stride).is_integer()):
@@ -402,7 +418,8 @@ def lattice_masses(
     _check_finite(xs)
     flat = xs.ravel()
     kk = policy.tail_cutoff_k
-    absk = np.abs(np.arange(-kk, kk + 1))
+    with _allocating(f"a lattice row of 2K+1 = {2 * kk + 1} terms"):
+        absk = np.abs(np.arange(-kk, kk + 1))
     outer_cols = absk > kk // 10
     inner_cols = (absk > kk // 100) & ~outer_cols
     value = np.empty(flat.shape, dtype=np.float64)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -94,11 +95,13 @@ REJECTED = [
     (["scaling", "--iters", "-1"], "iters must be >= 0, got -1"),
     (["simulate", "--x", "0.3", "--n", "-1"], "path length must be >= 0, got -1"),
     (["coeffs", "--random-n", "64", "--levels", "-1"], "levels must be >= 0, got -1"),
+    (["coeffs", "--random-n", "0"], "--random-n must be >= 1, got 0"),
 ]
 REJECTED_IDS = ["simulate", "atom", "diagnose", "harmonic", "simulate-digit", "simulate-word-nan",
                 "simulate-path-nan", "simulate-path-inf", "diagnose-nan", "diagnose-inf",
                 "atom-negative-level", "atom-level-40", "transfer-level-60", "validate-level-70",
-                "scaling-negative-iters", "simulate-negative-n", "coeffs-negative-levels"]
+                "scaling-negative-iters", "simulate-negative-n", "coeffs-negative-levels",
+                "coeffs-zero-samples"]
 
 
 @pytest.mark.parametrize("argv, message", REJECTED, ids=REJECTED_IDS)
@@ -107,6 +110,66 @@ def test_rejected_argument_is_an_error_not_a_traceback(argv, message, capsys):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("wavewalk: error: ") and message in err
+
+
+#: a size no machine holds: numpy would raise MemoryError for its array
+HUGE = 10**15
+
+
+def _refusing(real, name):
+    """real, except that a call with an integer argument of HUGE or more
+    raises MemoryError before anything is allocated, as numpy does for an
+    array it cannot allocate."""
+
+    def call(*args, **kwargs):
+        if any(isinstance(a, int) and abs(a) >= HUGE for a in args):
+            raise MemoryError(f"{name}: unable to allocate")
+        return real(*args, **kwargs)
+
+    return call
+
+
+class _RefusingGenerator(np.random.Generator):
+    def standard_normal(self, *args, **kwargs):
+        return _refusing(super().standard_normal, "standard_normal")(*args, **kwargs)
+
+
+def _huge_api_call(command):
+    d4, system, policy = ww.load_gallery("d4"), ww.PathSystem(2), ww.TruncationPolicy()
+    word = ww.DigitWord((0, 1))
+    return {
+        "harmonic": lambda: ww.lattice_masses(d4, system, [0.3], ww.TruncationPolicy(tail_cutoff_k=HUGE)),
+        "simulate": lambda: ww.estimate_cylinder(d4, system, 0.3, word, trials=HUGE, seed=1),
+        "diagnose": lambda: ww.diagnose_convergence(d4, system, 0.3, HUGE, policy),
+        "coeffs": None,
+    }[command]
+
+
+#: each size asks numpy for an array it cannot allocate; the numpy call is
+#: replaced by one that raises MemoryError for it, so none is requested
+UNALLOCATABLE = [
+    (["harmonic", "--tail-K", str(HUGE)], (np, "arange", _refusing(np.arange, "arange")),
+     f"a lattice row of 2K+1 = {2 * HUGE + 1} terms cannot be allocated"),
+    (["simulate", "--x", "0.3", "--word", "0,1", "--trials", str(HUGE)], (np, "ones", _refusing(np.ones, "ones")),
+     f"a flag for each of {HUGE} trials cannot be allocated"),
+    (["diagnose", "--x", "0.3", "--max-n", str(HUGE)], (np, "empty", _refusing(np.empty, "empty")),
+     f"the {HUGE + 1} points x / N**n cannot be allocated"),
+    (["coeffs", "--random-n", str(HUGE)], (np.random, "Generator", _RefusingGenerator),
+     f"a signal of {HUGE} samples cannot be allocated"),
+]
+
+
+@pytest.mark.parametrize("argv, patch, message", UNALLOCATABLE, ids=[a[0] for a, _, _ in UNALLOCATABLE])
+def test_unallocatable_array_is_an_error_not_a_traceback(argv, patch, message, monkeypatch, capsys):
+    monkeypatch.setattr(*patch)
+    assert main(argv[:1] + [gpath("d4")] + argv[1:]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("wavewalk: error: ") and message in err
+    api = _huge_api_call(argv[0])
+    if api is not None:
+        with pytest.raises(ww.WavewalkError, match=re.escape(message)) as info:
+            api()
+        assert isinstance(info.value.__cause__, MemoryError)
 
 
 #: argument lists that parse, one or more per subcommand, and lists the

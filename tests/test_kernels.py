@@ -8,6 +8,7 @@ weight, the products and the lattice rows summed term by term in high
 precision.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -15,14 +16,23 @@ import pytest
 
 import wavewalk as ww
 from conftest import DIVERGENT, quadrature_family
-from wavewalk.filters import _weight_closure, _weight_taps, eval_weight, weight_array
+from wavewalk.filters import (
+    _response_closure,
+    _weight_closure,
+    _weight_taps,
+    eval_weight,
+    response_array,
+    weight_array,
+)
 from wavewalk.measures import (
     ATOM_TILE,
     ATOM_UNDERFLOW,
     MAX_CHAIN_CELLS,
     _atom_array,
     _chain_harmonic,
+    _row_atoms,
     _word_products,
+    _zero_path_products,
 )
 
 
@@ -102,7 +112,13 @@ def _direct_lattice_row(spec, system, x, policy, stride=1):
 
 
 def _reference_lattice_mass(spec, system, x, policy, stride=1):
-    """One point's lattice sum over the tree of integer words, k by k.
+    """One point's lattice sum over the tree of integer words, k by k."""
+    kk = policy.tail_cutoff_k
+    return _row_sum(_reference_row_atoms(spec, system, x, policy, stride), np.arange(-kk, kk + 1), kk)
+
+
+def _reference_row_atoms(spec, system, x, policy, stride=1):
+    """One point's lattice-row atoms over the tree of integer words, k by k.
 
     The atom at x + stride*k is the product of the first m factors of
     its word r = (floor(x) + stride*k) mod N**m, read level by level at
@@ -136,12 +152,12 @@ def _reference_lattice_mass(spec, system, x, policy, stride=1):
     atoms.value[whole], atoms.converged[whole], atoms.depth_used[whole] = (
         direct.value, direct.converged, direct.depth_used
     )
-    return _row_sum(atoms, ks, kk)
+    return atoms
 
 
-@pytest.mark.parametrize("name", ["highpass_haar", "shannon", "stretched_haar", "d4", "divergent"])
+@pytest.mark.parametrize("name", ["highpass_haar", "shannon", "stretched_haar", "d4", "divergent", "asym cells"])
 def test_atom_array_over_tiles_matches_elementwise_rule(name, system2):
-    spec = DIVERGENT if name == "divergent" else ww.load_gallery(name)
+    spec = {"divergent": DIVERGENT, "asym cells": ASYM_CELLS}.get(name) or ww.load_gallery(name)
     ks = np.arange(-2000, 2001, dtype=np.float64)
     xs = (np.array([0.3, 0.0, 0.71, 0.125, 1 / 3])[:, None] + ks).ravel()
     assert xs.size > ATOM_TILE
@@ -180,6 +196,102 @@ def test_zero_path_atom_is_the_kernel_at_one_point(stretched, system2, policy):
     atoms = _atom_array(stretched, system2, xs)
     for i, x in enumerate(xs):
         assert ww.zero_path_atom(stretched, system2, float(x), policy) == atoms.at(i)
+
+
+def _assert_same_bits(got, want):
+    for field in ("value", "converged", "tail_bound", "depth_used"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+
+
+def test_asymmetric_table_closes_at_either_end(system2):
+    # on the two sides of 0 the closure ends at different distances, and
+    # y = hi itself is not closed
+    closure = _weight_closure(ASYM_CELLS)
+    assert (closure.lo, closure.hi) == (-0.4, 0.1)
+    j = 2.0 ** np.arange(6)
+    xs = np.concatenate([0.1 * j, -0.4 * j, 0.1 * j - 1e-9, -0.4 * j - 1e-9, [0.0, -0.0, 5.3, -5.3]])
+    _assert_same_bits(_atom_array(ASYM_CELLS, system2, xs), _reference_atoms(ASYM_CELLS, system2, xs))
+    for x, value, depth in ((0.2, 0.8, 2), (0.199, 1.0, 1), (-0.8, 0.0, 1), (-0.81, 0.0, 2), (-0.0, 1.0, 1)):
+        atom = ww.zero_path_atom(ASYM_CELLS, system2, x, ww.TruncationPolicy())
+        assert atom == ww.MeasureValue(value, True, 0.0, depth), x
+
+
+def test_one_tile_mixes_first_step_stops_with_long_products(system2):
+    # first steps that close (|x| / 2 <= rho) or underflow (W(1/2) = 0 for
+    # d4) next to products that take 20 steps and more, all in one tile
+    rng = np.random.default_rng(41)
+    xs = np.concatenate([[1.0, -1.0, 1e-3, 0.0], rng.uniform(-1e7, 1e7, 40), rng.uniform(-1e-3, 1e-3, 20)])
+    rng.shuffle(xs)
+    assert xs.size < ATOM_TILE
+    for spec in (ww.load_gallery("d4"), ww.load_gallery("stretched_haar"), ASYM_CELLS):
+        atoms = _atom_array(spec, system2, xs)
+        _assert_same_bits(atoms, _reference_atoms(spec, system2, xs))
+        assert atoms.depth_used.min() == 1 and atoms.depth_used.max() >= 20
+
+
+def test_underflow_at_the_closing_step_is_exactly_zero(haar, system2):
+    # a product that starts at the floor: at y = 0 the factor is 1 and the
+    # product closes at ATOM_UNDERFLOW; at 0 < y <= rho the factor is below
+    # 1, so the product underflows at the very step its closure starts
+    closure = _weight_closure(haar)
+    ys = np.array([0.0, 0.9 * closure.hi])
+    w = weight_array(haar, ys)
+    assert w[0] == 1.0 and w[1] < 1.0
+    factor = functools.partial(weight_array, haar)
+    atoms = _zero_path_products(factor, closure, 2, 2.0 * ys, prefix=np.full(2, ATOM_UNDERFLOW))
+    assert atoms.at(0) == ww.MeasureValue(ATOM_UNDERFLOW, True, closure.bound, 1)
+    assert atoms.at(1) == ww.MeasureValue(0.0, True, 0.0, 1)
+    _assert_same_bits(atoms, _reference_atoms(haar, system2, 2.0 * ys, prefix=ATOM_UNDERFLOW))
+
+
+#: small weights on the cell [0.001, 0.5) and tiny ones on the last cell: a
+#: lattice row's word products stay above the floor (at most m = 6 factors
+#: of 1e-40 for K = 50), and the kernel's steps then push some below it
+FADING = ww.FilterSpec.from_table([0.0, 0.001, 0.5], [1.0, 1e-10, 1e-40], label="fading")
+
+
+def test_lattice_prefixes_underflow_inside_the_kernel(system2):
+    policy = ww.TruncationPolicy(tail_cutoff_k=50)
+    m = _word_count(2, 50)
+    for x in (0.3, 0.71, 0.999):
+        value, converged, depth = _row_atoms(FADING, system2, np.array([x]), policy, 1)
+        ref = _reference_row_atoms(FADING, system2, x, policy)
+        for got, want in ((value, ref.value), (converged, ref.converged), (depth, ref.depth_used)):
+            assert got.ravel().tobytes() == want.tobytes()
+        # not underflowed in the word tree, then 0 inside the kernel, before
+        # the closure (whose rest is 1 above 0) was reached
+        _, dead_at = _word_products(FADING, np.array([x]), 2, m)
+        inside = (depth[0] > m) & (value[0] == 0.0) & (np.arange(-50, 51) + x > 0)
+        assert inside.any() and (dead_at == 0).all(), x
+
+
+def test_scaling_hat_is_the_elementwise_complex_product(system2):
+    # the kernel on one complex element, stepped here on Python complex
+    # numbers: p = p * m(y) from p = 1, closed by p * rest(y)
+    specs = [ww.load_gallery("d4"), _complex_quadrature_filter(7), BOX3,
+             ww.FilterSpec.from_coefficients({0: 1 / 3, 2: 1 / 3, 4: 1 / 3}, scale_n=3)]
+    rng = np.random.default_rng(43)
+    xs = np.concatenate([[0.0, -0.0, 0.5, -0.5, 1e-6, 3.0], rng.uniform(-3000.0, 3000.0, 12)])
+    policy = ww.TruncationPolicy()
+    for spec in specs:
+        n = spec.scale_n
+        closure = _response_closure(spec)
+        for x in xs.tolist():
+            y, p, step = x, 1 + 0j, 0
+            while True:
+                step += 1
+                y = y / n
+                p = p * complex(response_array(spec, np.array([y]))[0])
+                if abs(p) < ATOM_UNDERFLOW:
+                    want = (0j, step)
+                    break
+                if closure.lo <= y < closure.hi:
+                    want = (p * complex(closure.rest(np.array([y]))[0]), step)
+                    break
+            hat = ww.scaling_hat(spec, ww.PathSystem(n), x, policy)
+            assert np.array([hat.value]).tobytes() == np.array([want[0]]).tobytes(), (spec.label, x)
+            assert (hat.converged, hat.depth_used) == (True, want[1])
 
 
 @pytest.mark.parametrize("kk", [5, 50, 2000])
@@ -232,11 +344,14 @@ BOX3 = ww.FilterSpec.from_coefficients({0: 1 / 3, 1: 1 / 3, 2: 1 / 3}, scale_n=3
 #: the end cells carry the closures: 1 on the first, 0.7 (so a rest of 0) on the last
 END_CELLS = ww.FilterSpec.from_table([0.0, 0.25, 0.5, 0.75], [1.0, 0.3, 0.0, 0.7], label="end cells")
 
+#: end cells of unequal width: the closure is [-0.4, 0.1), a rest of 0 below 0 and of 1 above
+ASYM_CELLS = ww.FilterSpec.from_table([0.0, 0.1, 0.6], [1.0, 0.8, 0.5], label="asym cells")
+
 
 @pytest.mark.parametrize("kk", [5, 50, 2000])
-@pytest.mark.parametrize("name", ["box3", "end cells", "highpass_haar", "d4"])
+@pytest.mark.parametrize("name", ["box3", "end cells", "asym cells", "highpass_haar", "d4"])
 def test_lattice_rows_keep_the_stop_rule_of_the_direct_rows(name, kk):
-    spec = {"box3": BOX3, "end cells": END_CELLS}.get(name) or ww.load_gallery(name)
+    spec = {"box3": BOX3, "end cells": END_CELLS, "asym cells": ASYM_CELLS}.get(name) or ww.load_gallery(name)
     n = spec.scale_n
     system = ww.PathSystem(n)
     policy = ww.TruncationPolicy(tail_cutoff_k=kk)
@@ -339,6 +454,54 @@ def test_weight_array_matches_eval_weight_far_out(spec):
     got = weight_array(spec, xs)
     ref = np.array([eval_weight(spec, float(x)) for x in xs])
     assert np.max(np.abs(got - ref)) <= 1e-13
+
+
+def _plain_weight(spec, xs):
+    """W at xs: the series of _weight_taps by Clenshaw's recurrence from
+    b_1 = b_2 = 0, every operation a new array and none in place, in the
+    order weight_array sums it."""
+    c0, cos_taps, sin_taps = _weight_taps(spec)
+    xs = np.asarray(xs, dtype=np.float64)
+    ang = 2.0 * np.pi * (xs - np.rint(xs))
+    c = np.cos(ang)
+
+    def clenshaw(taps):
+        b1, b2 = 0.0, 0.0
+        for t in reversed(taps):
+            b1, b2 = 2.0 * c * b1 - b2 + t, b1
+        return b1, b2
+
+    b1, b2 = clenshaw(cos_taps)
+    out = c * b1 - b2 + c0
+    if sin_taps:
+        out = out + np.sin(ang) * clenshaw(sin_taps)[0]
+    return np.maximum(out, 0.0)
+
+
+#: the points at which the weight is pinned: the ends of the reduced
+#: range, both zeros, and arguments whose reduction is all of their value
+PIN_POINTS = [0.5, -0.5, -0.0, 0.0, 1e300, -1e300, 1.7e308, 3.25, -4000.3, 2.0**-1074]
+
+
+@pytest.mark.parametrize("spec", [s for s in _series_filters() if s.kind == "coefficients"],
+                         ids=lambda s: s.label or str(dict(s.coeffs)))
+def test_weight_array_keeps_the_bits_and_shape_of_a_plain_clenshaw(spec):
+    rng = np.random.default_rng(23)
+    grid = np.concatenate([PIN_POINTS, rng.uniform(-1.0, 1.0, 40), rng.uniform(-4000.0, 4000.0, 40)])
+    inputs = [0.3, -0.5, np.float64(0.5), np.float64(-0.0), np.array(1e300), np.array(-0.0),
+              grid, grid.reshape(10, -1), grid[:1]]
+    for xs in inputs:
+        got, want = weight_array(spec, xs), _plain_weight(spec, xs)
+        # a scalar or 0-d argument gives a numpy scalar, an array one of its shape
+        assert type(got) is type(want) and np.shape(got) == np.shape(xs)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), xs
+
+
+def test_table_weight_takes_a_scalar():
+    table = ww.FilterSpec.from_table([0.0, 0.25, 0.5, 0.75], [1.0, 0.3, 0.0, 0.7])
+    for x, w in ((0.3, 0.3), (-0.3, 0.0), (np.float64(-(2.0**-60)), 1.0), (np.array(0.8), 0.7)):
+        got = weight_array(table, x)
+        assert np.shape(got) == () and got == w and got == eval_weight(table, float(x))
 
 
 @pytest.mark.parametrize("spec", _series_filters()[:2] + [ww.load_gallery("d4")], ids=["cplx3", "cplx1", "d4"])
