@@ -37,7 +37,7 @@ def main():
         system = ww.PathSystem(spec.scale_n)
         cells = spec.scale_n**args.grid_level
         xs = np.arange(cells, dtype=np.float64) / cells
-        atoms = ww.zero_path_atoms(spec, system, xs, policy)
+        atoms = ww.zero_path_atoms(spec, system, xs)
         h = ww.harmonic_on_grid(spec, system, xs, policy)
         text = csv_text(
             {"filter": name, "grid_level": args.grid_level, "tail_K": args.tail_k},

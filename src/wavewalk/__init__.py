@@ -58,7 +58,6 @@ from .scaling import (
     cascade,
     cascade_step,
     scaling_hat,
-    scaling_hat_partial,
     scaling_norm_sq,
     wavelet_coeffs,
     wavelet_from_scaling,

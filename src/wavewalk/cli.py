@@ -74,7 +74,7 @@ def build_parser() -> _Parser:
 
 
 def _policy(args) -> TruncationPolicy:
-    return TruncationPolicy(tail_cutoff_k=args.tail_k) if hasattr(args, "tail_k") else TruncationPolicy()
+    return TruncationPolicy(tail_cutoff_k=args.tail_k)
 
 
 def _meta(args, spec: FilterSpec) -> dict:
@@ -117,8 +117,6 @@ def _load_spec(path: str) -> FilterSpec:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise CliUsageError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}")
-    except OSError as exc:
-        raise CliUsageError(f"{path}: {exc.strerror or exc}")
     try:
         return FilterSpec.from_json_dict(doc)
     except (KeyError, TypeError, ValueError) as exc:
@@ -139,6 +137,11 @@ def main(argv=None) -> int:
         # ValueError: an argument the API rejects, such as --tail-K 0
         print(f"wavewalk: error: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:
+        # a file that cannot be read or written: the filter, --signal or --out
+        print(f"wavewalk: error: {exc.filename}: {exc.strerror}" if exc.filename and exc.strerror
+              else f"wavewalk: error: {exc}", file=sys.stderr)
+        return 1
 
 
 def _validate(args, spec, system, meta_doc) -> int:
@@ -157,9 +160,9 @@ def _validate(args, spec, system, meta_doc) -> int:
 
 
 def _sweep(measure, args, spec, system, meta_doc) -> int:
-    """atom / harmonic: one MeasureArray over the grid, one row per point."""
+    """atom / harmonic: one MeasureArray measure(spec, system, xs, args) over the grid, one row per point."""
     xs = cell_grid(system.scale_n, args.grid_level)
-    arr = measure(spec, system, xs, _policy(args))
+    arr = measure(spec, system, xs, args)
     columns = [xs, arr.value, arr.converged, arr.tail_bound, arr.depth_used]
     # JSON writes the NaN of a missing tail bound as null, as CSV does
     rows = (list(map(list, zip(*(c.tolist() for c in columns))))
@@ -299,9 +302,11 @@ _COMMANDS = {
     "atom": ("sweep the all-zero-path atom over a grid; a product stops at its closed rest "
              "(tail_bound: proven relative bound on it), at 0 on underflow, or unconverged "
              "with value null where it has no limit",
-             _atom_args, functools.partial(_sweep, zero_path_atoms)),
+             _atom_args,
+             functools.partial(_sweep, lambda spec, system, xs, args: zero_path_atoms(spec, system, xs))),
     "harmonic": ("sweep the lattice-mass harmonic function", _harmonic_args,
-                 functools.partial(_sweep, lattice_masses)),
+                 functools.partial(_sweep, lambda spec, system, xs, args:
+                                   lattice_masses(spec, system, xs, _policy(args)))),
     "diagnose": ("pointwise convergence diagnosis", _diagnose_args, _diagnose),
     "transfer": ("grid power iteration and stationary masses", _transfer_args, _transfer),
     "scaling": ("cascade the scaling function or its wavelet", _scaling_args, _scaling),

@@ -2,8 +2,10 @@
 
 The central equivalence being diagnosed: at a point x whose all-zero
 atom is positive, the product prod_n W(x/N**n) converges to the atom
-exactly when the harmonic lattice mass h(x/N**n) tends to 1.  Finite
-computation can only certify either side heuristically, so verdicts are
+exactly when the harmonic lattice mass h(x/N**n) tends to 1.  The
+product side is the atom itself, the certified limit of the one
+zero-path product kernel (measures.zero_path_atom); the harmonic side is
+read off finitely many values of h, a heuristic.  So verdicts are
 tri-state and "inconclusive" is a first-class outcome.
 
 Randomness is pinned to the Philox counter-based generator (fixed
@@ -37,11 +39,11 @@ from .transfer import _branch_weights, apply_transfer
 #: atoms at or below this are treated as zero when gating the diagnosis
 ATOM_FLOOR = 1e-12
 
-#: the verdicts read the last VERDICT_WINDOW factors and harmonic values
+#: the harmonic verdict reads the last VERDICT_WINDOW harmonic values
 VERDICT_WINDOW = 8
 
-#: how near 1 those factors and harmonic values sit for "converged" and "limit-one"
-FACTOR_TOL, H_TOL = 1e-10, 1e-3
+#: how near 1 those harmonic values sit for "limit-one"
+H_TOL = 1e-3
 
 
 def _rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -76,12 +78,15 @@ def cocycle_residual(spec: FilterSpec, system: PathSystem, x: float, policy: Tru
 class DiagnosisReport:
     """Both diagnostic sequences at one point plus tri-state verdicts.
 
-    product_verdict: "converged" / "diverged" / "inconclusive" from the
-    running products.  harmonic_verdict: "limit-one" /
-    "limit-below-one" / "inconclusive" from the rescaled lattice
-    masses.  When the atom hypothesis is not established positive the
-    equivalence is vacuous and `consistent` is set with
-    hypothesis = "not-met" or "inconclusive" as a label.
+    hypothesis and product_verdict both read the zero-path atom, the
+    certified limit of the product: "met" and "converged" where it lies
+    above ATOM_FLOOR, "not-met" and "diverged" where it does not, and
+    "inconclusive" for both where the product has no limit.
+    partial_products are the running products, reported but not judged.
+    harmonic_verdict: "limit-one" / "limit-below-one" / "inconclusive"
+    from the rescaled lattice masses.  When the atom hypothesis is not
+    established positive the equivalence is vacuous and `consistent` is
+    set with hypothesis = "not-met" or "inconclusive" as a label.
     """
 
     x: float
@@ -120,10 +125,10 @@ def diagnose_convergence(
     x/N**n (harmonic_on_grid: exact for a low-pass partition coefficient
     filter and for a tabulated partition whose breakpoints lie on an
     N-adic grid of at most measures.MAX_CHAIN_CELLS cells, the lattice
-    sum truncated at K otherwise).  The product verdict
-    looks at whether the last VERDICT_WINDOW factors sit within
-    FACTOR_TOL of 1 while the running product stays above ATOM_FLOOR;
-    the harmonic verdict at whether the last values sit within H_TOL of
+    sum truncated at K otherwise).  The zero-path atom at x is computed
+    once and classified once, as DiagnosisReport says: the product
+    verdict is the atom's, whatever max_n.  The harmonic verdict looks at
+    whether the last VERDICT_WINDOW harmonic values sit within H_TOL of
     1, or have stabilized away from 1.  A NaN or infinite x raises
     NonFiniteArgument, and a max_n whose points numpy cannot allocate a
     WavewalkError.
@@ -140,25 +145,17 @@ def diagnose_convergence(
     for i in range(1, max_n + 1):
         y = y / n
         pts[i] = y
-    factors = weight_array(spec, pts[1:])
-    partials = np.concatenate([[1.0], np.cumprod(factors)])
+    partials = np.concatenate([[1.0], np.cumprod(weight_array(spec, pts[1:]))])
     h_vals = harmonic_on_grid(spec, system, pts, policy)
 
     window = min(VERDICT_WINDOW, max_n)
     atom = zero_path_atom(spec, system, x, policy)
-    if atom.converged and atom.value > ATOM_FLOOR:
-        atom_positive, hypothesis = True, "met"
-    elif atom.converged:
-        atom_positive, hypothesis = False, "not-met"
+    if not atom.converged:
+        atom_positive, hypothesis, product_verdict = False, "inconclusive", "inconclusive"
+    elif atom.value > ATOM_FLOOR:
+        atom_positive, hypothesis, product_verdict = True, "met", "converged"
     else:
-        atom_positive, hypothesis = False, "inconclusive"
-
-    if partials[-1] <= ATOM_FLOOR:
-        product_verdict = "diverged"
-    elif np.all(np.abs(1.0 - factors[-window:]) <= FACTOR_TOL):
-        product_verdict = "converged"
-    else:
-        product_verdict = "inconclusive"
+        atom_positive, hypothesis, product_verdict = False, "not-met", "diverged"
 
     tail = h_vals[-window:]
     if np.all(np.abs(tail - 1.0) <= H_TOL):

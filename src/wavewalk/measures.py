@@ -108,7 +108,11 @@ MAX_CHAIN_CELLS = 1 << 9
 
 @dataclass(frozen=True)
 class TruncationPolicy:
-    """The lattice-sum cutoff |k| <= tail_cutoff_k; the products read nothing from it."""
+    """The lattice-sum cutoff |k| <= tail_cutoff_k.
+
+    Only the lattice functions read it (lattice_masses and those built on
+    it); every product stops by itself, as the module docstring says.
+    """
 
     tail_cutoff_k: int = 2000
 
@@ -121,15 +125,17 @@ class TruncationPolicy:
 class MeasureValue:
     """A truncated measure evaluation plus its convergence bookkeeping.
 
-    tail_bound is None when the evaluation did not converge.  For an
-    atom it is a proven bound on the relative error of the closed rest
-    of the product (0 where the value is exact); for a lattice mass it
-    is the heuristic outer-decade indicator of lattice_masses.
+    value is a float, except for the transform of phi (scaling.scaling_hat),
+    a product of complex responses, where it is complex.  tail_bound is
+    None when the evaluation did not converge.  For a product (an atom,
+    or the transform of phi) it is a proven bound on the relative error
+    of the closed rest (0 where the value is exact); for a lattice mass
+    it is the heuristic outer-decade indicator of lattice_masses.
     route_gap, when present, is the absolute discrepancy between two
     independent evaluation routes of the same quantity.
     """
 
-    value: float
+    value: float | complex
     converged: bool
     tail_bound: float | None
     depth_used: int
@@ -140,7 +146,8 @@ class MeasureValue:
 class MeasureArray:
     """Per-point measure values with their convergence bookkeeping.
 
-    The array form of MeasureValue, returned by zero_path_atoms and
+    The array form of MeasureValue, returned by the product kernel
+    (zero_path_atoms; complex values for scaling.scaling_hat) and by
     lattice_masses: arrays of the shape of the points, with tail_bound
     NaN wherever MeasureValue.tail_bound would be None.
     """
@@ -151,10 +158,10 @@ class MeasureArray:
     depth_used: np.ndarray
 
     def at(self, i: int) -> MeasureValue:
-        """The entry at flat index i as a MeasureValue."""
+        """The entry at flat index i as a MeasureValue, its value a Python float or complex."""
         tail = float(self.tail_bound.flat[i])
         return MeasureValue(
-            value=float(self.value.flat[i]),
+            value=self.value.flat[i].item(),
             converged=bool(self.converged.flat[i]),
             tail_bound=None if np.isnan(tail) else tail,
             depth_used=int(self.depth_used.flat[i]),
@@ -261,7 +268,7 @@ def _cell_index(xs: np.ndarray, cells: int) -> np.ndarray:
     return np.minimum((r * cells).astype(np.int64), cells - 1)
 
 
-def zero_path_atoms(spec: FilterSpec, system: PathSystem, xs, policy: TruncationPolicy) -> MeasureArray:
+def zero_path_atoms(spec: FilterSpec, system: PathSystem, xs) -> MeasureArray:
     """Mass of the all-zero digit string at every x in xs: prod_n W(x/N**n), n >= 1.
 
     Each x is a real number, not reduced mod 1; the weight is read
@@ -271,8 +278,7 @@ def zero_path_atoms(spec: FilterSpec, system: PathSystem, xs, policy: Truncation
     less for a low-pass coefficient filter, the same for every atom of
     the filter; 0 where the value is exact).  An atom is unconverged
     only where its value is not finite, NaN where the product has no
-    limit.  policy is not read.  A NaN or infinite x raises
-    NonFiniteArgument.
+    limit.  A NaN or infinite x raises NonFiniteArgument.
     """
     _check_scales(spec, system)
     xs = np.asarray(xs, dtype=np.float64)
@@ -281,11 +287,16 @@ def zero_path_atoms(spec: FilterSpec, system: PathSystem, xs, policy: Truncation
 
 
 def zero_path_atom(spec: FilterSpec, system: PathSystem, x: float, policy: TruncationPolicy) -> MeasureValue:
-    """The single-point view of zero_path_atoms; policy is not read."""
-    return zero_path_atoms(spec, system, [x], policy).at(0)
+    """The single-point view of zero_path_atoms.
+
+    policy is not read: the product stops by itself.  The parameter stays
+    so that callers which pass it positionally, the benchmark workloads
+    among them, keep working.
+    """
+    return zero_path_atoms(spec, system, [x]).at(0)
 
 
-def integer_atom(spec: FilterSpec, system: PathSystem, x: float, k: int, policy: TruncationPolicy) -> MeasureValue:
+def integer_atom(spec: FilterSpec, system: PathSystem, x: float, k: int) -> MeasureValue:
     """Atom at the embedded integer k, with a built-in two-route check.
 
     Route 1 multiplies the branch weights along the addressing word of
@@ -296,15 +307,15 @@ def integer_atom(spec: FilterSpec, system: PathSystem, x: float, k: int, policy:
     length.  Route 2 evaluates the zero-path atom at x + k directly;
     the two must agree and their gap is reported.  lattice_masses sums
     route 1 over a whole row, sharing the words' first factors (see the
-    module docstring).  policy is not read.
+    module docstring).  Both products are taken in one kernel call.
     """
     _check_scales(spec, system)
     word = system.word_of_int(k)
     prefix = cylinder_prob(spec, system, x, word)
     z = (x + k) / system.scale_n ** len(word)
-    tail = zero_path_atom(spec, system, z, policy)
+    atoms = zero_path_atoms(spec, system, [z, x + k])
+    tail, route2 = atoms.at(0), atoms.at(1)
     route1 = prefix * tail.value
-    route2 = zero_path_atom(spec, system, x + k, policy)
     return MeasureValue(
         value=route1,
         converged=tail.converged and route2.converged,
@@ -409,7 +420,7 @@ def lattice_masses(
     The depth_used of a point is the most factors any of its atoms took,
     counted from x + stride*k as zero_path_atoms counts them.  A NaN or
     infinite x raises NonFiniteArgument, and a K whose 2K+1 terms numpy
-    cannot allocate a WavewalkError.
+    cannot allocate, or cannot count, a WavewalkError.
     """
     _check_scales(spec, system)
     if not (stride > 0 and float(stride).is_integer()):
@@ -420,6 +431,9 @@ def lattice_masses(
     kk = policy.tail_cutoff_k
     with _allocating(f"a lattice row of 2K+1 = {2 * kk + 1} terms"):
         absk = np.abs(np.arange(-kk, kk + 1))
+        if absk.size != 2 * kk + 1:
+            # numpy's length of a range past its index type wraps round to 0
+            raise ValueError(f"numpy made it {absk.size} terms long")
     outer_cols = absk > kk // 10
     inner_cols = (absk > kk // 100) & ~outer_cols
     value = np.empty(flat.shape, dtype=np.float64)
@@ -957,32 +971,35 @@ def check_negative_embedding(
     x: float,
     k: int,
     n_values,
-    policy: TruncationPolicy,
 ) -> NegativeEmbeddingReport:
-    """Measure how the negative-integer atom depends on the word length; policy is not read."""
+    """Measure how the negative-integer atom depends on the word length.
+
+    Every atom of the report (the terminal ones, the literal ones and the
+    reference) is taken in one call of the product kernel.
+    """
     _check_scales(spec, system)
     if k >= 0:
         raise ValueError("embedding check is for negative k")
     n = system.scale_n
-    vals = []
-    literal = []
+    prefixes, ends, literal_points = [], [], []
     for nn in n_values:
         if n**nn < -k:
             raise ValueError(f"n={nn} is not admissible for k={k}")
         shifted = n ** (nn + 1) + k
         word = system.digits_of(shifted)
-        prefix = cylinder_prob(spec, system, x, word)
-        z = (x + k) / n ** len(word)
-        vals.append(prefix * zero_path_atom(spec, system, z, policy).value)
-        literal.append(zero_path_atom(spec, system, x + shifted, policy).value)
-    ref = zero_path_atom(spec, system, x + k, policy).value
-    arr = np.asarray(vals)
+        prefixes.append(cylinder_prob(spec, system, x, word))
+        ends.append((x + k) / n ** len(word))
+        literal_points.append(x + shifted)
+    count = len(prefixes)
+    atoms = zero_path_atoms(spec, system, ends + literal_points + [x + k]).value
+    arr = np.asarray(prefixes) * atoms[:count]
+    literal, ref = atoms[count:-1], atoms[-1]
     max_pair = float(np.max(arr) - np.min(arr)) if len(arr) else 0.0
     return NegativeEmbeddingReport(
         x=x,
         k=k,
         n_values=tuple(int(v) for v in n_values),
-        values=tuple(float(v) for v in vals),
+        values=tuple(float(v) for v in arr),
         literal_values=tuple(float(v) for v in literal),
         reference=float(ref),
         max_pairwise=max_pair,

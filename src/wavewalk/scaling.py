@@ -1,8 +1,9 @@
 """Scaling-function construction and the subband coefficient pipeline.
 
 Two routes to the scaling function of a coefficient filter: the
-frequency-domain truncated product of responses m(x/N) m(x/N^2) ...,
-and the time-domain cascade iteration phi <- N sum_k a_k phi(N. - k)
+frequency-domain product of responses m(x/N) m(x/N^2) ..., settled by
+the one zero-path product kernel of measures (scaling_hat), and the
+time-domain cascade iteration phi <- N sum_k a_k phi(N. - k)
 on a dyadic sample grid.  On top of those sit the norm and
 autocorrelation checks (via the minimal harmonic function
 h(x) = sum_k |phi^(x + k)|^2 of measures.harmonic_on_grid, so cascade
@@ -27,7 +28,7 @@ import numpy as np
 from .errors import FilterKindError, NonFiniteArgument, UnsupportedScale
 from .filters import FilterSpec, KIND_COEFFICIENTS, _response_closure, high_pass, response_array
 from .ifs import PathSystem, cell_grid, grid_cells
-from .measures import TruncationPolicy, _zero_path_products, harmonic_on_grid
+from .measures import MeasureValue, TruncationPolicy, _zero_path_products, harmonic_on_grid
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,54 +56,25 @@ class SampledFunction:
         return complex(np.sum(self.samples) * self.step)
 
 
-@dataclass(frozen=True)
-class ProductValue:
-    """A truncated complex product with its convergence bookkeeping."""
-
-    value: complex
-    converged: bool
-    depth_used: int
-
-
-def scaling_hat_partial(spec: FilterSpec, system: PathSystem, x: float, depth: int) -> complex:
-    """Depth-pinned product m(x/N) * (product of depth-1 at x/N).
-
-    Computed by exactly that recursion (right-fold), so the one-step
-    scaling relation holds bit for bit at any fixed depth.
-    """
-    spec._need_coefficients()
-    n = system.scale_n
-    pts = np.empty(depth, dtype=np.float64)
-    y = float(x)
-    for i in range(depth):
-        y = y / n
-        pts[i] = y
-    factors = response_array(spec, pts)
-    acc = 1.0 + 0.0j
-    for f in factors[::-1]:
-        acc = f * acc
-    return complex(acc)
-
-
-def scaling_hat(spec: FilterSpec, system: PathSystem, x: float, policy: TruncationPolicy) -> ProductValue:
+def scaling_hat(spec: FilterSpec, system: PathSystem, x: float) -> MeasureValue:
     """The Fourier transform of the scaling function at x: prod_n m(x/N**n).
 
-    The product kernel and stop rule of the zero-path atom (see
-    measures), with the response m for the weight: where m(0) = 1, the
-    series of log m closes the product once |x/N**n| <= r/128, within a
-    relative error of 2**-60.  Where m(0) != 1 it stops at the first
-    step: at 0 for |m(0)| < 1, else unconverged at NaN (no limit, as
-    for m(0) = i).  The squared magnitude agrees with the zero-path atom
-    wherever both converge.  policy is not read.  A NaN or infinite x
-    raises NonFiniteArgument.
+    The zero-path product kernel of measures, with the response m for the
+    weight, and its record: a MeasureValue whose value is complex.  Where
+    m(0) = 1, the series of log m closes the product once
+    |x/N**n| <= r/128, and tail_bound is the proven relative bound on that
+    closed rest (2**-60 or less).  Where m(0) != 1 it stops at the first
+    step: at 0 for |m(0)| < 1 (tail_bound 0, the value is exact), else
+    unconverged at NaN with tail_bound None (no limit, as for m(0) = i).
+    The squared magnitude agrees with the zero-path atom wherever both
+    converge.  A NaN or infinite x raises NonFiniteArgument.
     """
     spec._need_coefficients()
     if not math.isfinite(x):
         raise NonFiniteArgument(f"transform of phi at {x!r}")
-    prod = _zero_path_products(
+    return _zero_path_products(
         functools.partial(response_array, spec), _response_closure(spec), system.scale_n, [x], dtype=np.complex128
-    )
-    return ProductValue(complex(prod.value[0]), bool(prod.converged[0]), int(prod.depth_used[0]))
+    ).at(0)
 
 
 # ----------------------------------------------------------------------
@@ -307,16 +279,16 @@ def _synthesis_step(taps, coeffs: np.ndarray, length: int) -> np.ndarray:
 def wavelet_coeffs(spec: FilterSpec, signal, levels: int) -> tuple[list[np.ndarray], np.ndarray]:
     """Detail bands [G s, G F s, ...] and the final smooth band F**levels s.
 
-    Periodic wrap; the signal length must be divisible by 2**levels, and
-    levels must be >= 0.  For quadrature filters total coefficient energy
-    equals signal energy.
+    Periodic wrap; the signal length must be a positive multiple of
+    2**levels, and levels must be >= 0, else ValueError.  For quadrature
+    filters total coefficient energy equals signal energy.
     """
     if levels < 0:
         raise ValueError(f"levels must be >= 0, got {levels}")
     sl = build_slanted(spec)
     s = np.asarray(signal, dtype=np.complex128)
-    if len(s) % (1 << levels):
-        raise ValueError(f"signal length {len(s)} not divisible by 2**{levels}")
+    if len(s) == 0 or len(s) % (1 << levels):
+        raise ValueError(f"signal length {len(s)} is not a positive multiple of 2**{levels}")
     details = []
     for _ in range(levels):
         details.append(_analysis_step(sl.high_taps, s))

@@ -62,6 +62,24 @@ def quadrature_family(theta: float) -> ww.FilterSpec:
     )
 
 
+def complex_quadrature_filter(seed):
+    """A 4-tap low-pass quadrature filter with complex taps.
+
+    Its polyphase row [u, v z] V is unit on the circle for a unit vector
+    (u, v) and a unitary V, and V maps (u, v) to (1, 1)/sqrt 2, so the
+    taps sum to 1.
+    """
+    rng = np.random.default_rng(seed)
+    u = rng.normal(size=2) + 1j * rng.normal(size=2)
+    u /= np.linalg.norm(u)
+    u_perp = np.array([-u[1].conjugate(), u[0].conjugate()])
+    v = (np.outer(u.conj(), [1.0, 1.0]) + np.outer(u_perp.conj(), [1.0, -1.0])) / np.sqrt(2)
+    e0 = (u[0] * v[0, 0], u[1] * v[1, 0])
+    e1 = (u[0] * v[0, 1], u[1] * v[1, 1])
+    taps = {0: e0[0], 1: e1[0], 2: e0[1], 3: e1[1]}
+    return ww.FilterSpec.from_coefficients({k: t / np.sqrt(2) for k, t in taps.items()})
+
+
 def nextafter_branch(n: int, digits, ys):
     """The branch (y + j)/N rounded toward zero by masked np.nextafter steps.
 

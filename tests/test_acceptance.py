@@ -27,7 +27,6 @@ def _rng(seed):
 
 
 def test_criterion_01_haar_closed_form(haar, system2):
-    policy = ww.TruncationPolicy()
     xs = np.arange(256, dtype=np.float64) / 256
     # independent oracle confirmed first: brute-force partial products
     for x in xs[::16]:
@@ -36,7 +35,7 @@ def test_criterion_01_haar_closed_form(haar, system2):
             p *= math.cos(math.pi * x / 2**n) ** 2
         assert p == pytest.approx(sinc_sq(float(x)), abs=1e-10)
     t0 = time.time()
-    atoms = ww.zero_path_atoms(haar, system2, xs, policy)
+    atoms = ww.zero_path_atoms(haar, system2, xs)
     elapsed = time.time() - t0
     err = max(abs(float(v) - sinc_sq(float(x))) for x, v in zip(xs, atoms.value))
     assert atoms.converged.all()
@@ -92,7 +91,7 @@ def test_criterion_04_sampling_bridge(haar, d4, system2):
         for _ in range(50):
             x = float(rng.random())
             k = int(rng.integers(-20, 21))
-            route = ww.integer_atom(spec, system2, x, k, policy).value
+            route = ww.integer_atom(spec, system2, x, k).value
             direct = ww.zero_path_atom(spec, system2, x + k, policy).value
             worst = max(worst, abs(route - direct))
     assert worst <= 1e-9
@@ -194,12 +193,12 @@ def test_criterion_08_monte_carlo_calibration(system2):
 def test_criterion_09_degenerate_filter(highpass, system2):
     policy = ww.TruncationPolicy()
     xs = np.arange(64, dtype=np.float64) / 64
-    atoms = ww.zero_path_atoms(highpass, system2, xs, policy)
+    atoms = ww.zero_path_atoms(highpass, system2, xs)
     assert np.all(atoms.value == 0.0)
     assert atoms.converged.all()
     # out to |x| = K: W(0) = 0 makes every atom exactly 0 at its first step
     kk = policy.tail_cutoff_k
-    far = ww.zero_path_atoms(highpass, system2, np.concatenate([xs - kk, xs + kk - 1]), policy)
+    far = ww.zero_path_atoms(highpass, system2, np.concatenate([xs - kk, xs + kk - 1]))
     assert np.all(far.value == 0.0) and far.converged.all() and np.all(far.depth_used == 1)
     masses = [ww.lattice_mass(highpass, system2, float(x), policy) for x in xs[::4]]
     worst_mass = max(m.value for m in masses)

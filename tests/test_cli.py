@@ -172,6 +172,46 @@ def test_unallocatable_array_is_an_error_not_a_traceback(argv, patch, message, m
         assert isinstance(info.value.__cause__, MemoryError)
 
 
+@pytest.mark.parametrize("kk", [2**62 - 1, 2**62])
+def test_a_row_numpy_cannot_count_is_an_error_not_a_traceback(kk, capsys):
+    # np.arange(-K, K + 1) is empty at these K: the row is refused before
+    # anything of its size is allocated
+    message = f"a lattice row of 2K+1 = {2 * kk + 1} terms cannot be allocated"
+    policy = ww.TruncationPolicy(tail_cutoff_k=kk)
+    with pytest.raises(ww.WavewalkError, match=re.escape(message)):
+        ww.lattice_masses(ww.load_gallery("d4"), ww.PathSystem(2), [0.3], policy)
+    assert main(["harmonic", gpath("d4"), "--grid-level", "2", "--tail-K", str(kk)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("wavewalk: error: ") and message in err
+
+
+def _file_cases(tmp_path):
+    """argv -> a part of the error, for files the CLI cannot read or write."""
+    empty = tmp_path / "empty.csv"
+    empty.write_text("# no samples\n")
+    missing = tmp_path / "missing.json"
+    return {
+        "missing-filter": (["validate", str(missing)], f"{missing}: No such file or directory"),
+        "missing-signal": (["coeffs", gpath("haar"), "--signal", str(tmp_path / "missing.csv")],
+                           "missing.csv not found"),
+        "empty-signal": (["coeffs", gpath("haar"), "--signal", str(empty)],
+                         "signal length 0 is not a positive multiple of 2**3"),
+        "out-in-missing-dir": (["validate", gpath("haar"), "--out", str(tmp_path / "no" / "out.csv")],
+                               "No such file or directory"),
+        "out-is-a-dir": (["atom", gpath("haar"), "--grid-level", "2", "--out", str(tmp_path)], "Is a directory"),
+    }
+
+
+@pytest.mark.filterwarnings("ignore:loadtxt. input contained no data:UserWarning")
+@pytest.mark.parametrize("case", ["missing-filter", "missing-signal", "empty-signal", "out-in-missing-dir",
+                                  "out-is-a-dir"])
+def test_unreadable_or_unwritable_file_is_an_error_not_a_traceback(case, tmp_path, capsys):
+    argv, message = _file_cases(tmp_path)[case]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("wavewalk: error: ") and message in err
+
+
 #: argument lists that parse, one or more per subcommand, and lists the
 #: parser itself rejects (the filter goes after the subcommand)
 PARSED = [
@@ -361,9 +401,10 @@ def test_sweep_csv_round_trips(command, tmp_path):
     assert main(argv + (["--tail-K", "100"] if command == "harmonic" else [])) == 0
     spec, system = ww.load_gallery("d4"), ww.PathSystem(2)
     xs = np.arange(2**7) / 2**7
-    policy = ww.TruncationPolicy(tail_cutoff_k=100 if command == "harmonic" else 2000)
-    measure = ww.lattice_masses if command == "harmonic" else ww.zero_path_atoms
-    arr = measure(spec, system, xs, policy)
+    if command == "harmonic":
+        arr = ww.lattice_masses(spec, system, xs, ww.TruncationPolicy(tail_cutoff_k=100))
+    else:
+        arr = ww.zero_path_atoms(spec, system, xs)
     cols = _csv_columns(out)
     _assert_same_floats(cols["x"], xs)
     _assert_same_floats(cols["value"], arr.value)

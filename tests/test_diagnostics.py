@@ -39,6 +39,11 @@ def test_diagnose_haar_third(haar, system2, policy):
     assert rep.partial_products[-1] == pytest.approx(27 / (4 * math.pi**2), abs=1e-9)
     assert rep.harmonic_verdict == "limit-one"
     assert rep.consistent
+    # far out, the last 8 factors are not yet near 1, but the product
+    # verdict reads the atom, the product's certified limit
+    far = ww.diagnose_convergence(haar, system2, 1500.3, 8, policy)
+    assert far.hypothesis == "met" and far.product_verdict == "converged" and far.consistent
+    assert far.partial_products[-1] > sinc_sq(1500.3) * 1.01
 
 
 def test_diagnose_haar_origin(haar, system2, policy):

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import wavewalk as ww
-from conftest import DIVERGENT, quadrature_family
+from conftest import DIVERGENT, complex_quadrature_filter, quadrature_family
 from wavewalk.filters import (
     _response_closure,
     _weight_closure,
@@ -269,11 +269,10 @@ def test_lattice_prefixes_underflow_inside_the_kernel(system2):
 def test_scaling_hat_is_the_elementwise_complex_product(system2):
     # the kernel on one complex element, stepped here on Python complex
     # numbers: p = p * m(y) from p = 1, closed by p * rest(y)
-    specs = [ww.load_gallery("d4"), _complex_quadrature_filter(7), BOX3,
+    specs = [ww.load_gallery("d4"), complex_quadrature_filter(7), BOX3,
              ww.FilterSpec.from_coefficients({0: 1 / 3, 2: 1 / 3, 4: 1 / 3}, scale_n=3)]
     rng = np.random.default_rng(43)
     xs = np.concatenate([[0.0, -0.0, 0.5, -0.5, 1e-6, 3.0], rng.uniform(-3000.0, 3000.0, 12)])
-    policy = ww.TruncationPolicy()
     for spec in specs:
         n = spec.scale_n
         closure = _response_closure(spec)
@@ -284,14 +283,16 @@ def test_scaling_hat_is_the_elementwise_complex_product(system2):
                 y = y / n
                 p = p * complex(response_array(spec, np.array([y]))[0])
                 if abs(p) < ATOM_UNDERFLOW:
-                    want = (0j, step)
+                    want = (0j, step, 0.0)
                     break
                 if closure.lo <= y < closure.hi:
-                    want = (p * complex(closure.rest(np.array([y]))[0]), step)
+                    want = (p * complex(closure.rest(np.array([y]))[0]), step, closure.bound)
                     break
-            hat = ww.scaling_hat(spec, ww.PathSystem(n), x, policy)
+            hat = ww.scaling_hat(spec, ww.PathSystem(n), x)
+            assert isinstance(hat.value, complex)
             assert np.array([hat.value]).tobytes() == np.array([want[0]]).tobytes(), (spec.label, x)
-            assert (hat.converged, hat.depth_used) == (True, want[1])
+            # the kernel's own record: the closure's proven bound, 0 for an exact 0
+            assert (hat.converged, hat.depth_used, hat.tail_bound) == (True, want[1], want[2])
 
 
 @pytest.mark.parametrize("kk", [5, 50, 2000])
@@ -422,7 +423,7 @@ def test_lattice_rows_are_sums_of_integer_atoms(name, system2):
     xs = np.random.default_rng(31).random(5)
     rows = ww.lattice_masses(spec, system2, xs, policy).value
     for x, row in zip(xs, rows):
-        atoms = [ww.integer_atom(spec, system2, float(x), k, policy).value for k in range(-kk, kk + 1)]
+        atoms = [ww.integer_atom(spec, system2, float(x), k).value for k in range(-kk, kk + 1)]
         assert abs(math.fsum(atoms) - row) <= 1e-13 * row
 
 
@@ -531,7 +532,7 @@ def test_zero_path_atoms_record(d4, stretched, system2, policy):
     # the public record is the kernel's, NaN tail where unconverged
     xs = np.array([[0.0, 0.3, 5.5], [-7.25, 1e3, 0.49]])
     for spec in (d4, stretched, DIVERGENT):
-        atoms = ww.zero_path_atoms(spec, system2, xs, policy)
+        atoms = ww.zero_path_atoms(spec, system2, xs)
         kernel = _atom_array(spec, system2, xs)
         assert atoms.value.shape == xs.shape
         for field in ("value", "converged", "depth_used", "tail_bound"):
@@ -556,24 +557,6 @@ def _far_points(count=1200, seed=13):
     ])
 
 
-def _complex_quadrature_filter(seed):
-    """A 4-tap low-pass quadrature filter with complex taps.
-
-    Its polyphase row [u, v z] V is unit on the circle for a unit vector
-    (u, v) and a unitary V, and V maps (u, v) to (1, 1)/sqrt 2, so the
-    taps sum to 1.
-    """
-    rng = np.random.default_rng(seed)
-    u = rng.normal(size=2) + 1j * rng.normal(size=2)
-    u /= np.linalg.norm(u)
-    u_perp = np.array([-u[1].conjugate(), u[0].conjugate()])
-    v = (np.outer(u.conj(), [1.0, 1.0]) + np.outer(u_perp.conj(), [1.0, -1.0])) / np.sqrt(2)
-    e0 = (u[0] * v[0, 0], u[1] * v[1, 0])
-    e1 = (u[0] * v[0, 1], u[1] * v[1, 1])
-    taps = {0: e0[0], 1: e1[0], 2: e0[1], 3: e1[1]}
-    return ww.FilterSpec.from_coefficients({k: t / np.sqrt(2) for k, t in taps.items()})
-
-
 def test_exact_harmonic_closed_forms(system2, policy):
     xs = _far_points()
     assert np.abs(xs).max() >= 4000.0
@@ -593,7 +576,7 @@ def test_exact_harmonic_closed_forms(system2, policy):
     h = ww.harmonic_on_grid(spec, ww.PathSystem(3), xs, policy)
     assert np.max(np.abs(h - stretched_h(xs, 2))) <= 1e-13
     # complex taps: W has a sine series, and phi is orthonormal
-    spec = _complex_quadrature_filter(7)
+    spec = complex_quadrature_filter(7)
     assert ww.validate_filter(spec).all_ok
     assert max(abs(t) for t in _weight_taps(spec)[2]) > 0.1
     h = ww.harmonic_on_grid(spec, system2, xs, policy)
@@ -774,7 +757,7 @@ def test_chain_harmonic_reads_cells_as_the_grid_function_does(system2, policy):
 def _closure_filters():
     """Low-pass coefficient filters: (spec, id)."""
     specs = [(ww.load_gallery(n), n) for n in ("haar", "d4", "stretched_haar")]
-    specs.append((_complex_quadrature_filter(7), "complex"))
+    specs.append((complex_quadrature_filter(7), "complex"))
     specs.append((ww.FilterSpec.from_coefficients({0: 1 / 3, 2: 1 / 3, 4: 1 / 3}, scale_n=3), "scale3"))
     specs += [(quadrature_family(t), f"qmf{t}") for t in (0.7, 2.0, 4.5)]
     return specs
@@ -837,7 +820,7 @@ def test_atoms_match_the_exact_product(spec):
 def test_fair_coin_table_atoms_are_exactly_zero(system2):
     fair = ww.FilterSpec.from_table([0.0], [0.5], label="fair")
     xs = np.linspace(-1.0, 1.0, 41)[:-1]
-    atoms = ww.zero_path_atoms(fair, system2, xs, ww.TruncationPolicy())
+    atoms = ww.zero_path_atoms(fair, system2, xs)
     assert (atoms.value == 0.0).all() and atoms.converged.all()
     assert (atoms.depth_used == 1).all() and (atoms.tail_bound == 0.0).all()
     mass = ww.lattice_mass(fair, system2, 0.3, ww.TruncationPolicy(tail_cutoff_k=20_000))
@@ -869,7 +852,7 @@ def test_scaling_hat_squared_is_the_atom_to_rounding(spec, system2, policy):
     for x in np.random.default_rng(31).uniform(-3.0, 3.0, 80).tolist():
         if weight_array(spec, x / 2.0 ** np.arange(1, 41)).min() < 0.1:
             continue
-        hat = ww.scaling_hat(spec, system2, x, policy)
+        hat = ww.scaling_hat(spec, system2, x)
         atom = ww.zero_path_atom(spec, system2, x, policy)
         assert hat.converged and atom.converged
         assert abs(abs(hat.value) ** 2 - atom.value) <= 1e-14 * atom.value, x

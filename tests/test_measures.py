@@ -233,7 +233,7 @@ def test_highpass_atoms_and_rows_are_exactly_zero(highpass, system2, policy):
     kk = policy.tail_cutoff_k
     xs = np.random.default_rng(37).random(5)
     window = (xs[:, None] + np.arange(-kk, kk + 1)).ravel()
-    atoms = ww.zero_path_atoms(highpass, system2, window, policy)
+    atoms = ww.zero_path_atoms(highpass, system2, window)
     assert (atoms.value == 0.0).all() and atoms.converged.all()
     assert (atoms.tail_bound == 0.0).all() and (atoms.depth_used == 1).all()
     for stride in (1, 2, 4):
@@ -246,7 +246,7 @@ def test_highpass_atoms_and_rows_are_exactly_zero(highpass, system2, policy):
 def test_products_with_no_limit_are_unconverged(system2, policy):
     # W(0) = 1.44: no limit, so NaN at the first step, with no tail bound
     xs = np.array([0.3, -1999.7, 2000.3, 0.5, 12.25])
-    atoms = ww.zero_path_atoms(DIVERGENT, system2, xs, policy)
+    atoms = ww.zero_path_atoms(DIVERGENT, system2, xs)
     assert np.isnan(atoms.value).all() and not atoms.converged.any()
     assert np.isnan(atoms.tail_bound).all() and (atoms.depth_used == 1).all()
     assert ww.zero_path_atom(DIVERGENT, system2, 0.3, policy).tail_bound is None
@@ -254,9 +254,9 @@ def test_products_with_no_limit_are_unconverged(system2, policy):
     assert np.isnan(rows.value).all() and not rows.converged.any() and np.isnan(rows.tail_bound).all()
     mass = ww.lattice_mass(DIVERGENT, system2, 0.3, policy)
     assert not mass.converged and mass.tail_bound is None
-    assert not ww.integer_atom(DIVERGENT, system2, 0.3, -5, policy).converged
+    assert not ww.integer_atom(DIVERGENT, system2, 0.3, -5).converged
     rep = ww.diagnose_convergence(DIVERGENT, system2, 0.3, 16, policy)
-    assert rep.hypothesis == "inconclusive" and rep.consistent
+    assert rep.hypothesis == rep.product_verdict == "inconclusive" and rep.consistent
     # a first factor of exactly 0 makes the product 0 whatever follows
     assert ww.zero_path_atom(DIVERGENT, system2, 1.0, policy) == ww.MeasureValue(0.0, True, 0.0, 1)
 
@@ -266,13 +266,14 @@ def test_scaling_hat_without_a_limit_while_its_atom_converges(haar, system2, pol
     # step, so it has no limit; W = |m|**2 is Haar's weight
     spec = ww.FilterSpec.from_coefficients({0: 0.5j, 1: 0.5j})
     for x in (0.0, 0.3, -7.6):
-        hat = ww.scaling_hat(spec, system2, x, policy)
+        hat = ww.scaling_hat(spec, system2, x)
         assert cmath.isnan(hat.value) and not hat.converged and hat.depth_used == 1
+        assert hat.tail_bound is None
         atom = ww.zero_path_atom(spec, system2, x, policy)
         assert atom.converged and atom == ww.zero_path_atom(haar, system2, x, policy)
     # m(0) = 0 for the high-pass response: exactly 0 at the first step
-    hat = ww.scaling_hat(ww.load_gallery("highpass_haar"), system2, 0.3, policy)
-    assert (hat.value, hat.converged, hat.depth_used) == (0.0, True, 1)
+    hat = ww.scaling_hat(ww.load_gallery("highpass_haar"), system2, 0.3)
+    assert (hat.value, hat.converged, hat.tail_bound, hat.depth_used) == (0.0, True, 0.0, 1)
 
 
 #: a table with 1 on its first cell: the rest is 1 there, and 0 on its last
@@ -280,10 +281,10 @@ END_TABLE = ww.FilterSpec.from_table([0.0, 0.25, 0.5, 0.75], [1.0, 0.6, 0.9, 0.8
 
 
 @pytest.mark.parametrize("name", ["d4", "end table", "highpass_haar", "divergent"])
-def test_products_stop_at_extreme_arguments(name, system2, policy):
+def test_products_stop_at_extreme_arguments(name, system2):
     spec = {"end table": END_TABLE, "divergent": DIVERGENT}.get(name) or ww.load_gallery(name)
     xs = np.array([1e300, -1e300, 5e-324, -5e-324])
-    atoms = ww.zero_path_atoms(spec, system2, xs, policy)
+    atoms = ww.zero_path_atoms(spec, system2, xs)
     if name == "divergent":
         assert not atoms.converged.any() and (atoms.depth_used == 1).all()
         return
@@ -295,7 +296,7 @@ def test_products_stop_at_extreme_arguments(name, system2, policy):
     assert (atoms.value[2:] == ww.weight_array(spec, np.zeros(2))).all() and (atoms.depth_used[2:] == 1).all()
     # at 1e300, y = x / 2**m reaches 1 only at m = 997: no step count short of that settles these
     assert (atoms.depth_used[:2] >= 900).all() and (atoms.depth_used[:2] <= 1100).all()
-    hat = ww.scaling_hat(spec, system2, 1e300, policy) if spec.kind == "coefficients" else None
+    hat = ww.scaling_hat(spec, system2, 1e300) if spec.kind == "coefficients" else None
     assert hat is None or (hat.converged and hat.depth_used <= 1100)
 
 
@@ -306,12 +307,12 @@ def test_atom_stall_not_fooled_by_lattice(haar, stretched, system2, policy):
     assert got.value == pytest.approx(sinc_sq(3 * (256 + 1 / 3)), abs=1e-10)
 
 
-def test_integer_atom_examples(haar, system2, policy):
-    assert ww.integer_atom(haar, system2, 0.0, 0, policy).value == 1.0
-    got = ww.integer_atom(haar, system2, 0.5, 1, policy)
+def test_integer_atom_examples(haar, system2):
+    assert ww.integer_atom(haar, system2, 0.0, 0).value == 1.0
+    got = ww.integer_atom(haar, system2, 0.5, 1)
     assert got.value == pytest.approx(4 / (9 * math.pi**2), abs=1e-9)
     assert got.route_gap < 1e-12
-    neg = ww.integer_atom(haar, system2, 1 / 3, -1, policy)
+    neg = ww.integer_atom(haar, system2, 1 / 3, -1)
     assert neg.value == pytest.approx(sinc_sq(2 / 3), abs=1e-9)
     assert neg.route_gap < 1e-12
 
@@ -322,22 +323,22 @@ def test_integer_atom_bridge_sample(haar, d4, system2, policy):
         for _ in range(10):
             x = float(rng.random())
             k = int(rng.integers(-20, 21))
-            route = ww.integer_atom(spec, system2, x, k, policy)
+            route = ww.integer_atom(spec, system2, x, k)
             direct = ww.zero_path_atom(spec, system2, x + k, policy)
             assert abs(route.value - direct.value) <= 1e-9
 
 
-def test_negative_embedding_report(haar, highpass, system2, policy):
-    rep = ww.check_negative_embedding(haar, system2, 0.3, -1, (0, 1, 2), policy)
+def test_negative_embedding_report(haar, highpass, system2):
+    rep = ww.check_negative_embedding(haar, system2, 0.3, -1, (0, 1, 2))
     assert rep.reference == pytest.approx(sinc_sq(0.7), abs=1e-10)
     assert rep.max_vs_reference <= 1e-9
     assert rep.max_pairwise <= 1e-9
     # the naive fixed-length reading is not length-independent
     assert max(abs(v - rep.reference) for v in rep.literal_values) > 1e-2
-    hp = ww.check_negative_embedding(highpass, system2, 0.3, -2, (1, 2), policy)
+    hp = ww.check_negative_embedding(highpass, system2, 0.3, -2, (1, 2))
     assert all(v == 0.0 for v in hp.values)
     with pytest.raises(ValueError):
-        ww.check_negative_embedding(haar, system2, 0.3, -3, (0,), policy)
+        ww.check_negative_embedding(haar, system2, 0.3, -3, (0,))
 
 
 # ----------------------------------------------------------------------
@@ -498,7 +499,7 @@ def test_non_finite_points_raise(d4, shannon, system2, policy, x):
         with pytest.raises(ww.NonFiniteArgument):
             ww.zero_path_atom(spec, system2, x, policy)
         with pytest.raises(ww.NonFiniteArgument):
-            ww.zero_path_atoms(spec, system2, np.array([0.3, x]), policy)
+            ww.zero_path_atoms(spec, system2, np.array([0.3, x]))
         with pytest.raises(ww.NonFiniteArgument):
             ww.lattice_mass(spec, system2, x, policy)
         with pytest.raises(ww.NonFiniteArgument):
@@ -506,7 +507,7 @@ def test_non_finite_points_raise(d4, shannon, system2, policy, x):
         with pytest.raises(ww.NonFiniteArgument):
             ww.harmonic_on_grid(spec, system2, np.array([0.3, x]), policy)
     with pytest.raises(ww.NonFiniteArgument):
-        ww.scaling_hat(d4, system2, x, policy)
+        ww.scaling_hat(d4, system2, x)
 
 
 def test_scale_mismatch_guard(haar):

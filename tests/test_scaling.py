@@ -6,7 +6,7 @@ import pytest
 import wavewalk as ww
 from wavewalk.scaling import SampledFunction
 
-from conftest import quadrature_family, sinc_sq
+from conftest import complex_quadrature_filter, quadrature_family, sinc_sq
 
 
 def exact_stretched_phi(level=7):
@@ -21,17 +21,17 @@ def exact_stretched_phi(level=7):
 # frequency route
 
 
-def test_scaling_hat_at_zero(haar, d4, stretched, system2, policy):
+def test_scaling_hat_at_zero(haar, d4, stretched, system2):
     for spec in (haar, d4, stretched):
-        got = ww.scaling_hat(spec, system2, 0.0, policy)
+        got = ww.scaling_hat(spec, system2, 0.0)
         assert got.converged
         assert got.value == pytest.approx(1.0, abs=1e-12)
 
 
-def test_scaling_hat_haar_values(haar, system2, policy):
+def test_scaling_hat_haar_values(haar, system2):
     # the response at 1/2 vanishes only to round-off in the complex route
-    assert abs(ww.scaling_hat(haar, system2, 1.0, policy).value) < 1e-15
-    half = ww.scaling_hat(haar, system2, 0.5, policy)
+    assert abs(ww.scaling_hat(haar, system2, 1.0).value) < 1e-15
+    half = ww.scaling_hat(haar, system2, 0.5)
     assert abs(half.value) == pytest.approx(2 / math.pi, abs=1e-9)
 
 
@@ -43,7 +43,7 @@ def test_scaling_hat_squared_is_atom(haar, d4, system2, policy):
     for spec in (haar, d4):
         for _ in range(20):
             x = float(6 * rng.random() - 3)
-            hat = ww.scaling_hat(spec, system2, x, policy)
+            hat = ww.scaling_hat(spec, system2, x)
             atom = ww.zero_path_atom(spec, system2, x, policy)
             assert hat.converged
             if atom.converged:
@@ -52,21 +52,30 @@ def test_scaling_hat_squared_is_atom(haar, d4, system2, policy):
     assert compared == 40
 
 
-def test_scaling_relation_bit_exact(d4, system2):
+@pytest.mark.parametrize("name", ["d4", "haar", "stretched_haar", "complex", "box3"])
+def test_scaling_hat_satisfies_the_scaling_relation(name):
+    # phi^(x) = m(x/N) phi^(x/N): both sides step the same y = x/N**n and
+    # stop at the same step, so they differ only by the grouping of the factors
     from wavewalk.filters import response_array
 
-    for x in (0.3, 1.7, -0.9):
-        for depth in (5, 17, 40):
-            m1 = complex(response_array(d4, np.array([x / 2]))[0])
-            lhs = ww.scaling_hat_partial(d4, system2, x, depth)
-            rhs = m1 * ww.scaling_hat_partial(d4, system2, x / 2, depth - 1)
-            assert lhs == rhs
+    spec = {"complex": complex_quadrature_filter(7),
+            "box3": ww.FilterSpec.from_coefficients({0: 1 / 3, 1: 1 / 3, 2: 1 / 3}, scale_n=3),
+            }.get(name) or ww.load_gallery(name)
+    n = spec.scale_n
+    system = ww.PathSystem(n)
+    rng = np.random.default_rng(53)
+    for x in np.concatenate([rng.uniform(-5.0, 5.0, 300), rng.uniform(-3000.0, 3000.0, 300)]).tolist():
+        lhs = ww.scaling_hat(spec, system, x)
+        rest = ww.scaling_hat(spec, system, x / n)
+        rhs = complex(response_array(spec, np.array([x / n]))[0]) * rest.value
+        assert lhs.converged and rest.converged
+        assert abs(lhs.value - rhs) <= 32 * np.finfo(float).eps * abs(rhs), (x, lhs.value, rhs)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_scaling_hat_at_the_float_maximum_raises_no_overflow(d4, system2, policy):
+def test_scaling_hat_at_the_float_maximum_raises_no_overflow(d4, system2):
     # the response reduces its argument first, so 2 pi x / N is never formed
-    got = ww.scaling_hat(d4, system2, 1.7e308, policy)
+    got = ww.scaling_hat(d4, system2, 1.7e308)
     assert got.converged and math.isfinite(abs(got.value))
 
 
@@ -76,7 +85,7 @@ def test_scaling_hat_keeps_its_phase_far_out(d4, system2, policy):
     for spec in (d4, ww.FilterSpec.from_coefficients({0: 0.6, 1: 0.4}),
                  ww.FilterSpec.from_coefficients({-1: 0.3, 0: 0.5, 2: 0.2})):
         for x in (1e300, -1e300):
-            hat = ww.scaling_hat(spec, system2, x, policy)
+            hat = ww.scaling_hat(spec, system2, x)
             atom = ww.zero_path_atom(spec, system2, x, policy)
             assert hat.converged and atom.converged
             assert abs(abs(hat.value) ** 2 - atom.value) <= 1e-13 * atom.value + 1e-60, (spec.label, x)
@@ -372,6 +381,10 @@ def test_subband_round_trip_matches_gather_and_add_at(name):
 def test_wavelet_coeffs_length_guard(d4):
     with pytest.raises(ValueError):
         ww.wavelet_coeffs(d4, np.ones(12), levels=3)
+    # an empty signal is no positive multiple of 2**levels, at any level
+    for levels in (0, 1, 3):
+        with pytest.raises(ValueError, match="signal length 0 is not a positive multiple"):
+            ww.wavelet_coeffs(d4, np.ones(0), levels=levels)
     sh = ww.load_gallery("shannon")
     with pytest.raises(ww.FilterKindError):
         ww.wavelet_coeffs(sh, np.ones(8), levels=1)
