@@ -29,7 +29,7 @@ from .filters import (
     weight_array,
 )
 from .gallery import GALLERY_NAMES, gallery_path, load_gallery
-from .ifs import DigitWord, PathSystem, frac
+from .ifs import DigitWord, GridFunction, PathSystem, frac
 from .measures import (
     FiniteCoordFn,
     MeasureArray,
@@ -51,10 +51,8 @@ from .measures import (
 from .scaling import (
     Autocorrelation,
     SampledFunction,
-    SlantedMatrices,
     autocorrelation,
     autocorrelation_time_domain,
-    build_slanted,
     cascade,
     cascade_step,
     scaling_hat,
@@ -64,7 +62,6 @@ from .scaling import (
     wavelet_reconstruct,
 )
 from .transfer import (
-    GridFunction,
     apply_transfer,
     apply_transfer_n,
     harmonic_gridfunction,

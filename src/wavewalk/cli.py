@@ -11,13 +11,14 @@ import argparse
 import functools
 import json
 import sys
+import warnings
 
 import numpy as np
 
 from . import __version__
 from .diagnostics import diagnose_convergence, estimate_cylinder, sample_path
 from .errors import WavewalkError
-from .filters import DEFAULT_TOL, FilterSpec, validate_filter
+from .filters import DEFAULT_TOL, FilterSpec, load_filter, validate_filter
 from .ifs import DigitWord, PathSystem, cell_grid
 from .measures import TruncationPolicy, lattice_masses, zero_path_atoms
 from .scaling import cascade, scaling_norm_sq, wavelet_coeffs, wavelet_from_scaling
@@ -113,12 +114,10 @@ def _emit(args, meta: dict, payload: dict, csv_header=None, csv_columns=None) ->
 
 def _load_spec(path: str) -> FilterSpec:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        return load_filter(path)
+    # a JSONDecodeError is a ValueError: it is told apart first
     except json.JSONDecodeError as exc:
         raise CliUsageError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}")
-    try:
-        return FilterSpec.from_json_dict(doc)
     except (KeyError, TypeError, ValueError) as exc:
         raise CliUsageError(f"{path}: bad filter spec: {exc}")
 
@@ -214,7 +213,10 @@ def _coeffs(args, spec, system, meta_doc) -> int:
     if args.random_n is not None and args.random_n < 1:
         raise CliUsageError(f"--random-n must be >= 1, got {args.random_n}")
     if args.signal:
-        sig = np.loadtxt(args.signal, delimiter=",", comments="#", ndmin=1)
+        # a file with no samples is reported by wavelet_coeffs, as any bad length is
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            sig = np.loadtxt(args.signal, delimiter=",", comments="#", ndmin=1)
     else:
         rng = np.random.Generator(np.random.Philox(key=np.uint64(args.seed)))
         try:

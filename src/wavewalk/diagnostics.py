@@ -23,18 +23,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateStep, NonFiniteArgument, _allocating
-from .filters import FilterSpec, eval_weight, weight_array
+from .filters import FilterSpec
 from .ifs import DigitWord, PathSystem, cell_grid, frac
 from .measures import (
     ATOM_TILE,
     TruncationPolicy,
+    _branch_weights,
+    _check_scales,
+    _partial_products,
     expect_finite,
     harmonic_on_grid,
-    lattice_mass,
-    lattice_masses,
+    scaled_lattice_mass,
     zero_path_atom,
 )
-from .transfer import _branch_weights, apply_transfer
+from .transfer import apply_transfer
 
 #: atoms at or below this are treated as zero when gating the diagnosis
 ATOM_FLOOR = 1e-12
@@ -56,18 +58,16 @@ def _rng(seed: int, stream: int = 0) -> np.random.Generator:
 
 
 def cocycle_residual(spec: FilterSpec, system: PathSystem, x: float, policy: TruncationPolicy) -> float:
-    """|h(x) W(x) - mass of N*Z at N*x|, both sides truncated alike.
+    """|W(x) h(x) - mass of N*Z at N*x|, both sides truncated alike.
 
-    The left side multiplies the lattice mass at x by the weight; the
-    right side sums atoms over the even sublattice directly, on the
-    real line with the unreduced argument N*x.  Agreement exercises the
-    one-step functional equation of the atom together with the
-    periodicity of the weight.
+    A view of measures.scaled_lattice_mass at N*x with k = 1: its
+    route_gap sets W(N*x / N) times the lattice mass at N*x / N (x itself
+    for N = 2) against the atoms summed over the sublattice N*Z directly,
+    on the real line with the unreduced argument N*x.  Agreement
+    exercises the one-step functional equation of the atom together with
+    the periodicity of the weight.
     """
-    lhs = eval_weight(spec, x) * lattice_mass(spec, system, x, policy).value
-    n = system.scale_n
-    rhs = lattice_masses(spec, system, [n * x], policy, stride=n).value[0]
-    return abs(lhs - float(rhs))
+    return scaled_lattice_mass(spec, system, system.scale_n * x, 1, policy).route_gap
 
 
 # ----------------------------------------------------------------------
@@ -137,15 +137,7 @@ def diagnose_convergence(
         raise ValueError("max_n must be >= 4")
     if not math.isfinite(x):
         raise NonFiniteArgument(f"cannot diagnose at {x!r}")
-    n = system.scale_n
-    with _allocating(f"the {max_n + 1} points x / N**n"):
-        pts = np.empty(max_n + 1, dtype=np.float64)
-    pts[0] = x
-    y = float(x)
-    for i in range(1, max_n + 1):
-        y = y / n
-        pts[i] = y
-    partials = np.concatenate([[1.0], np.cumprod(weight_array(spec, pts[1:]))])
+    pts, partials = _partial_products(spec, system.scale_n, x, max_n)
     h_vals = harmonic_on_grid(spec, system, pts, policy)
 
     window = min(VERDICT_WINDOW, max_n)
@@ -288,6 +280,7 @@ def sample_path(
     Raises DegenerateStep at the first state reached whose branch weights
     all vanish, and ValueError for a negative n.
     """
+    _check_scales(spec, system)
     if n < 0:
         raise ValueError(f"path length must be >= 0, got {n}")
     rng = _rng(seed, stream)
@@ -347,6 +340,7 @@ def estimate_cylinder(
     trial is left the estimate is 0 whatever the rest of the word.
     Trials too many for numpy to allocate a flag each raise WavewalkError.
     """
+    _check_scales(spec, system)
     if trials < 100:
         raise ValueError("need at least 100 trials")
     for target in word:

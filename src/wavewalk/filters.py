@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FilterKindError, NonFiniteArgument, UnsupportedScale
-from .ifs import cell_grid
+from .ifs import _cell_of, grid_cells
 
 KIND_COEFFICIENTS = "coefficients"
 KIND_TABULATED = "tabulated_w"
@@ -430,10 +430,20 @@ def weight_array(spec: FilterSpec, xs: np.ndarray) -> np.ndarray:
         return _trig_series(_weight_taps(spec), xs)
     if not np.isfinite(xs).all():
         raise NonFiniteArgument("tabulated weight read at a non-finite point")
-    r = np.mod(xs, 1.0)
-    r = np.where(r < 1.0, r, 0.0)
-    idx = np.searchsorted(np.asarray(spec.breakpoints), r, side="right") - 1
-    return np.asarray(spec.values, dtype=np.float64)[idx]
+    return np.asarray(spec.values, dtype=np.float64)[_cell_of(np.asarray(spec.breakpoints), xs)]
+
+
+def _grid_flows(spec: FilterSpec, level: int, every: int = 1):
+    """Branch weights and cells of the grid transfer operator, N = spec.scale_n.
+
+    For cell m and branch j the branch point is (m + j*N**L) / N**(L+1);
+    it carries weight W of that point and lies in cell (m + j*N**L) // N.
+    Returns (weights, cells) at the cells m = 0, every, 2*every, ...: shape (N, N**L // every).
+    """
+    n = spec.scale_n
+    with grid_cells(n, level) as cells:
+        shifted = np.arange(0, cells, every, dtype=np.int64) + cells * np.arange(n, dtype=np.int64)[:, None]
+    return weight_array(spec, shifted.astype(np.float64) / (n * cells)), shifted // n
 
 
 # ----------------------------------------------------------------------
@@ -465,15 +475,12 @@ class ValidationReport:
 
 
 def check_partition(spec: FilterSpec, grid_level: int, tol: float = DEFAULT_TOL) -> ValidationReport:
-    """Max deviation of sum_j W((x+j)/N) from 1 over the level-L grid."""
+    """Max deviation of sum_j W((x+j)/N) from 1 over the level-L grid, the
+    branch weights of the grid transfer operator (_grid_flows)."""
     if grid_level < 1:
         raise ValueError("grid_level must be >= 1")
-    n = spec.scale_n
-    xs = cell_grid(n, grid_level)
-    total = np.zeros_like(xs)
-    for j in range(n):
-        total += weight_array(spec, (xs + j) / n)
-    err = float(np.max(np.abs(total - 1.0)))
+    weights, _ = _grid_flows(spec, grid_level)
+    err = float(np.max(np.abs(weights.sum(axis=0) - 1.0)))
     return ValidationReport(
         grid_level=grid_level,
         partition_max_error=err,

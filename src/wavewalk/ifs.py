@@ -4,8 +4,9 @@ The expanding map x -> N*x mod 1, its N inverse branches
 (x + j)/N, and the digit-word bookkeeping that ties nonnegative
 integers (base-N expansion, least significant digit first) and
 negative integers (modular complement) to branch compositions and
-to N-adic subintervals.  The level-L grids of N**L cells that the
-package's grid functions sample are built here too (cell_grid).
+to N-adic subintervals.  The level-L grids of N**L cells (cell_grid),
+the step functions on them (GridFunction), and the one cell reader that
+they and filters.weight_array use (_cell_of) are here too.
 
 Everything here is pure arithmetic and safe for concurrent use.
 """
@@ -13,6 +14,7 @@ Everything here is pure arithmetic and safe for concurrent use.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 from dataclasses import dataclass
 
@@ -56,6 +58,64 @@ def cell_grid(n: int, level: int, offset: float = 0.0) -> np.ndarray:
     pts += offset
     pts /= cells
     return pts
+
+
+def _check_finite(xs) -> None:
+    if not np.isfinite(xs).all():
+        raise NonFiniteArgument("a NaN or infinite point")
+
+
+def _cell_of(edges: np.ndarray, xs) -> np.ndarray:
+    """The cell i, [edges[i], edges[i+1]), of each finite x mod 1, for increasing
+    edges from 0; right-continuous, with x mod 1 in [0, 1) (a rounded 1 is 0)."""
+    r = np.mod(xs, 1.0)
+    r = np.where(r < 1.0, r, 0.0)
+    return np.searchsorted(edges, r, side="right") - 1
+
+
+@dataclass(frozen=True, eq=False)
+class GridFunction:
+    """Values of a 1-periodic function on the level-L N-adic grid.
+
+    values[m] is the value at m / N**level, read back as a
+    piecewise-constant function on the cell [m/N**L, (m+1)/N**L).
+    """
+
+    level: int
+    n_branches: int
+    values: np.ndarray
+
+    def __post_init__(self) -> None:
+        if self.level < 0:
+            raise ValueError("level must be >= 0")
+        expected = self.n_branches**self.level
+        if self.values.shape != (expected,):
+            raise ValueError(f"values must have length {expected}")
+        if not np.all(np.isfinite(self.values)):
+            raise ValueError("grid values must be finite")
+
+    @property
+    def cells(self) -> int:
+        return self.n_branches**self.level
+
+    @functools.cached_property
+    def _edges(self) -> np.ndarray:
+        # the grid points as cell_grid makes them, built on the first read
+        return cell_grid(self.n_branches, self.level)
+
+    def value_at(self, x: float) -> float:
+        return float(self.values_at([x])[0])
+
+    def values_at(self, xs) -> np.ndarray:
+        """The cell values at every x in xs, read 1-periodically by _cell_of (a
+        grid point reads its own cell); a NaN or infinite x raises NonFiniteArgument."""
+        xs = np.asarray(xs, dtype=np.float64)
+        _check_finite(xs)
+        return self.values[_cell_of(self._edges, xs)]
+
+    @classmethod
+    def from_callable(cls, fn, level: int, n_branches: int) -> "GridFunction":
+        return cls(level, n_branches, np.asarray([float(fn(p)) for p in cell_grid(n_branches, level)]))
 
 
 @dataclass(frozen=True)

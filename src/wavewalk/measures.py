@@ -14,9 +14,11 @@ h) is also computed exactly where the filter allows it:
     operator on such polynomials (_harmonic_taps);
   * a tabulated partition whose breakpoints lie on the N**-L grid: the
     walk on level-L cells is a finite Markov chain, and h is a level-L
-    step function, its absorption probability into the end cells
+    GridFunction, its absorption probability into the end cells
     (_chain_harmonic).
-Every other filter keeps the truncated lattice sum.
+Every other filter keeps the truncated lattice sum.  The one pointwise
+branch step (N branch points and W there) is _branch_weights, and the
+finite running products of W at x / N**j are _partial_products.
 
 Stop rule for the products prod_n f(x/N**n) (the atom, f = W, and in
 scaling the transform of phi, f = m): factors are multiplied in one at a
@@ -79,18 +81,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArityTooLarge, NonFiniteArgument, _allocating
+from .errors import ArityTooLarge, _allocating
 from .filters import (
     DEFAULT_TOL,
     KIND_COEFFICIENTS,
     FilterSpec,
+    _grid_flows,
     _trig_series,
     _weight_closure,
     _weight_taps,
     eval_weight,
     weight_array,
 )
-from .ifs import DigitWord, PathSystem, frac, grid_cells
+from .ifs import DigitWord, GridFunction, PathSystem, _check_finite, frac
 
 ATOM_UNDERFLOW = 1e-300
 
@@ -175,6 +178,13 @@ def _check_scales(spec: FilterSpec, system: PathSystem) -> None:
         )
 
 
+def _branch_weights(spec: FilterSpec, system: PathSystem, xs: np.ndarray):
+    """The one branch step: the branch points (x + j)/N of states xs, shape
+    (N, len(xs)) with the digit the slow axis, and W there."""
+    ys = system.branch_array(np.arange(system.scale_n)[:, None], xs)
+    return ys, weight_array(spec, ys)
+
+
 # ----------------------------------------------------------------------
 # infinite products along the zero branch
 
@@ -252,20 +262,17 @@ def _atom_array(spec, system, xs) -> MeasureArray:
     return _zero_path_products(functools.partial(weight_array, spec), _weight_closure(spec), system.scale_n, xs)
 
 
-def _check_finite(xs) -> None:
-    if not np.isfinite(xs).all():
-        raise NonFiniteArgument("a NaN or infinite point")
-
-
-def _cell_index(xs: np.ndarray, cells: int) -> np.ndarray:
-    """The level cell [m/cells, (m+1)/cells) of every finite x mod 1.
-
-    Right-continuous, as weight_array reads a table: x mod 1 is taken in
-    [0, 1) (a rounded 1 is 0), and the index is clamped below cells.
-    """
-    r = np.mod(xs, 1.0)
-    r = np.where(r < 1.0, r, 0.0)
-    return np.minimum((r * cells).astype(np.int64), cells - 1)
+def _partial_products(spec: FilterSpec, n: int, x: float, depth: int):
+    """The points x / N**j, j = 0..depth, by repeated division, and the running
+    products prod_{i<=j} W(x / N**i) (1 at j = 0); too many points raise WavewalkError."""
+    with _allocating(f"the {depth + 1} points x / N**n"):
+        pts = np.empty(depth + 1, dtype=np.float64)
+    pts[0] = x
+    y = float(x)
+    for i in range(1, depth + 1):
+        y = y / n
+        pts[i] = y
+    return pts, np.concatenate([[1.0], np.cumprod(weight_array(spec, pts[1:]))])
 
 
 def zero_path_atoms(spec: FilterSpec, system: PathSystem, xs) -> MeasureArray:
@@ -562,19 +569,6 @@ def _harmonic_taps(spec: FilterSpec):
     return float(b[ell].real), tuple((pos.real + neg.real).tolist()), sines if any(sines) else ()
 
 
-def _grid_flows(spec: FilterSpec, system: PathSystem, level: int, every: int = 1):
-    """Branch weights and cells of the grid transfer operator.
-
-    For cell m and branch j the branch point is (m + j*N**L) / N**(L+1);
-    it carries weight W of that point and lies in cell (m + j*N**L) // N.
-    Returns (weights, cells) at the cells m = 0, every, 2*every, ...: shape (N, N**L // every).
-    """
-    n = system.scale_n
-    with grid_cells(n, level) as cells:
-        shifted = np.arange(0, cells, every, dtype=np.int64) + cells * np.arange(n, dtype=np.int64)[:, None]
-    return weight_array(spec, shifted.astype(np.float64) / (n * cells)), shifted // n
-
-
 def _absorption_solve(inner, leak, rhs):
     """Solve (D - Q) x = rhs for a chain's free cells, by GTH elimination.
 
@@ -613,8 +607,8 @@ def _chain_harmonic(spec: FilterSpec, n: int):
     (as a rational: 0.1 or a float ninth is on no grid).  W is then
     constant on each level-(L+1) cell, so the walk on level-L cells is a
     finite Markov chain: cell m goes to cell (m + j*N**L) // N with weight
-    W at (m + j*N**L) / N**(L+1) (_grid_flows).  h(x) = P_x(the digits end
-    in 0^inf or in (N-1)^inf) is its probability of absorption in the end
+    W at (m + j*N**L) / N**(L+1) (filters._grid_flows).  h(x) = P_x(the
+    digits end in 0^inf or in (N-1)^inf) is its absorption probability in the end
     cells whose digit repeats forever, a level-L step function
     (Kemeny-Snell, Finite Markov Chains, 1960): the bottom cell counts
     when its digit-0 weight is exactly 1, the top cell when its
@@ -622,12 +616,12 @@ def _chain_harmonic(spec: FilterSpec, n: int):
     reach one along positive weights; the rest solve (I - Q) h = b
     (_absorption_solve).
 
-    Returns (L, the N**L cell values of h), or None where the route does
-    not apply: a coefficient filter, N**L above MAX_CHAIN_CELLS, a weight
-    that is not an exact partition on the cells (to rounding level), or a
-    solve whose condition number (in the infinity norm) times the unit
-    roundoff, or whose residual, exceeds DEFAULT_TOL.  Cached per filter,
-    as tuples.
+    Returns h as the level-L GridFunction of its N**L cell values, which
+    are read-only, or None where the route does not apply: a coefficient
+    filter, N**L above MAX_CHAIN_CELLS, a weight that is not an exact
+    partition on the cells (to rounding level), or a solve whose
+    condition number (in the infinity norm) times the unit roundoff, or
+    whose residual, exceeds DEFAULT_TOL.  Cached per filter and scale.
     """
     if spec.kind == KIND_COEFFICIENTS:
         return None
@@ -638,7 +632,7 @@ def _chain_harmonic(spec: FilterSpec, n: int):
         level, cells = level + 1, cells * n
     if cells > MAX_CHAIN_CELLS:
         return None
-    flows, dest = _grid_flows(spec, PathSystem(n), level)
+    flows, dest = _grid_flows(spec, level)
     total = flows.sum(axis=0)
     if np.any(np.abs(total - 1.0) > 100 * np.finfo(float).eps * total):
         return None
@@ -676,7 +670,8 @@ def _chain_harmonic(spec: FilterSpec, n: int):
         if not (well_conditioned and residual <= DEFAULT_TOL):
             return None
         h[free] = sol[:, 0]
-    return level, tuple(h.tolist())
+    h.flags.writeable = False
+    return GridFunction(level, n, h)
 
 
 def harmonic_on_grid(spec, system, xs, policy) -> np.ndarray:
@@ -687,9 +682,8 @@ def harmonic_on_grid(spec, system, xs, policy) -> np.ndarray:
       * a low-pass coefficient filter that is an exact partition: the
         trigonometric polynomial of _harmonic_taps;
       * a tabulated partition whose breakpoints lie on the N**-L grid,
-        N**L <= MAX_CHAIN_CELLS: the level-L step function of
-        _chain_harmonic, read at the cell of x mod 1 as weight_array
-        reads a table.
+        N**L <= MAX_CHAIN_CELLS: the level-L GridFunction of
+        _chain_harmonic, read by its values_at as weight_array reads a table.
     Every other filter (a table off the grid or not a partition, a
     coefficient filter that is not a low-pass partition, or one of
     either kind whose exact solve is declined) takes the lattice route,
@@ -705,8 +699,7 @@ def harmonic_on_grid(spec, system, xs, policy) -> np.ndarray:
         return _trig_series(taps, xs)
     chain = _chain_harmonic(spec, system.scale_n)
     if chain is not None:
-        level, cell_values = chain
-        return np.asarray(cell_values)[_cell_index(xs, system.scale_n**level)]
+        return chain.values_at(xs)
     return lattice_masses(spec, system, xs, policy).value
 
 
@@ -723,20 +716,18 @@ def scaled_lattice_mass(spec: FilterSpec, system: PathSystem, x: float, k: int, 
     """Mass of the embedded sublattice N**k * Z, by two routes.
 
     The returned value factors the mass as
-    (prod_{j<=k} W(x/N**j)) * lattice_mass(x/N**k); route_gap reports
-    the discrepancy against direct summation of atoms over the
-    sublattice with the same truncation window and convergence rule.
+    (prod_{j<=k} W(x/N**j)) * lattice_mass(x/N**k) (_partial_products);
+    route_gap reports the discrepancy against direct summation of atoms
+    over the sublattice with the same truncation window and convergence
+    rule.
     """
     _check_scales(spec, system)
     if k < 0:
         raise ValueError("sublattice exponent must be >= 0")
     n = system.scale_n
-    prefix = 1.0
-    y = float(x)
-    for _ in range(k):
-        y = y / n
-        prefix *= eval_weight(spec, y)
-    base = lattice_mass(spec, system, y, policy)
+    pts, partials = _partial_products(spec, n, x, k)
+    prefix = float(partials[k])
+    base = lattice_mass(spec, system, float(pts[k]), policy)
     value = prefix * base.value
     direct = lattice_masses(spec, system, [x], policy, stride=n**k).at(0)
     return MeasureValue(
@@ -840,10 +831,8 @@ def _grow(spec, system, weights, ys, levels):
     words in table order.  Each state and weight is the one a state-major
     growth gives, bit for bit.
     """
-    digits = np.arange(system.scale_n)[:, None]
     for _ in range(levels):
-        ys = system.branch_array(digits, ys)
-        w = weight_array(spec, ys)
+        ys, w = _branch_weights(spec, system, ys)
         w *= weights
         weights, ys = w.ravel(), ys.ravel()
     return weights, ys
@@ -925,7 +914,8 @@ def consistency_check(spec: FilterSpec, system: PathSystem, x: float, f: FiniteC
 def refinement_check(spec: FilterSpec, system: PathSystem, x: float, f: FiniteCoordFn) -> float:
     """Residual of the one-step self-similarity of the measure family.
 
-    Compares sum_i W(branch_i x) * E_{branch_i x}[f(i, .)] against
+    Compares sum_i W(branch_i x) * E_{branch_i x}[f(i, .)], the branch
+    points and weights of one _branch_weights step, against
     E_x[f], each expectation a streamed tree sum (expect_finite): for
     N = 2 bit-identical to numpy's pairwise sum of the whole array of
     terms, for other N that sum reordered.
@@ -933,10 +923,10 @@ def refinement_check(spec: FilterSpec, system: PathSystem, x: float, f: FiniteCo
     _check_scales(spec, system)
     if f.arity < 1:
         raise ValueError("refinement check needs arity >= 1")
+    ys, w = _branch_weights(spec, system, np.array([frac(x)]))
     total = 0.0 + 0.0j
-    for i in range(system.scale_n):
-        yi = system.branch(i, frac(x))
-        total += eval_weight(spec, yi) * expect_finite(spec, system, yi, f.slice_first(i))
+    for i, (yi, wi) in enumerate(zip(ys[:, 0].tolist(), w[:, 0].tolist())):
+        total += wi * expect_finite(spec, system, yi, f.slice_first(i))
     return abs(total - expect_finite(spec, system, x, f))
 
 

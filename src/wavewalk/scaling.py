@@ -28,7 +28,7 @@ import numpy as np
 from .errors import FilterKindError, NonFiniteArgument, UnsupportedScale
 from .filters import FilterSpec, KIND_COEFFICIENTS, _response_closure, high_pass, response_array
 from .ifs import PathSystem, cell_grid, grid_cells
-from .measures import MeasureValue, TruncationPolicy, _zero_path_products, harmonic_on_grid
+from .measures import MeasureValue, TruncationPolicy, _check_scales, _zero_path_products, harmonic_on_grid
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,6 +70,7 @@ def scaling_hat(spec: FilterSpec, system: PathSystem, x: float) -> MeasureValue:
     converge.  A NaN or infinite x raises NonFiniteArgument.
     """
     spec._need_coefficients()
+    _check_scales(spec, system)
     if not math.isfinite(x):
         raise NonFiniteArgument(f"transform of phi at {x!r}")
     return _zero_path_products(
@@ -103,6 +104,7 @@ def cascade_step(spec: FilterSpec, system: PathSystem, phi: SampledFunction) -> 
     keep the window at least the limit support hull.
     """
     spec._need_coefficients()
+    _check_scales(spec, system)
     n = system.scale_n
     cells = round(1.0 / phi.step)
     t_min = round(phi.t_min)
@@ -123,6 +125,7 @@ def cascade(spec: FilterSpec, system: PathSystem, iters: int, level: int) -> Sam
     GridTooLarge.
     """
     spec._need_coefficients()
+    _check_scales(spec, system)
     if iters < 0:
         raise ValueError(f"iters must be >= 0, got {iters}")
     n = system.scale_n
@@ -220,29 +223,18 @@ def autocorrelation_time_domain(phi: SampledFunction, k: int) -> float:
 # banded analysis operators (dyadic subband pipeline)
 
 
-@dataclass(frozen=True, eq=False)
-class SlantedMatrices:
-    """Banded analysis taps with the 2-shift row structure.
+def _subband_taps(spec: FilterSpec):
+    """The banded analysis taps (low, high), with the 2-shift row structure.
 
     Row n of the smoothing operator is (1/sqrt 2) P_{k-2n} with
     P_k = 2 a_k; the detail operator uses Q_k = 2 b_k from the
     high-pass mirror.  Signals are treated periodically.
     """
-
-    low_taps: tuple[tuple[int, complex], ...]
-    high_taps: tuple[tuple[int, complex], ...]
-
-
-def build_slanted(spec: FilterSpec) -> SlantedMatrices:
     if spec.kind != KIND_COEFFICIENTS:
         raise FilterKindError("subband pipeline needs a coefficient filter")
     if spec.scale_n != 2:
         raise UnsupportedScale("subband pipeline is dyadic")
-    hp = high_pass(spec)
-    return SlantedMatrices(
-        low_taps=tuple((k, 2 * v) for k, v in spec.coeffs),
-        high_taps=tuple((k, 2 * v) for k, v in hp.coeffs),
-    )
+    return tuple((k, 2 * v) for k, v in spec.coeffs), tuple((k, 2 * v) for k, v in high_pass(spec).coeffs)
 
 
 def _wrapped(k: int, length: int):
@@ -285,24 +277,22 @@ def wavelet_coeffs(spec: FilterSpec, signal, levels: int) -> tuple[list[np.ndarr
     """
     if levels < 0:
         raise ValueError(f"levels must be >= 0, got {levels}")
-    sl = build_slanted(spec)
+    low, high = _subband_taps(spec)
     s = np.asarray(signal, dtype=np.complex128)
     if len(s) == 0 or len(s) % (1 << levels):
         raise ValueError(f"signal length {len(s)} is not a positive multiple of 2**{levels}")
     details = []
     for _ in range(levels):
-        details.append(_analysis_step(sl.high_taps, s))
-        s = _analysis_step(sl.low_taps, s)
+        details.append(_analysis_step(high, s))
+        s = _analysis_step(low, s)
     return details, s
 
 
 def wavelet_reconstruct(spec: FilterSpec, details, smooth) -> np.ndarray:
     """Adjoint synthesis; inverts wavelet_coeffs for quadrature filters."""
-    sl = build_slanted(spec)
+    low, high = _subband_taps(spec)
     s = np.asarray(smooth, dtype=np.complex128)
     for band in reversed(list(details)):
         length = 2 * len(band)
-        s = _synthesis_step(sl.low_taps, s, length) + _synthesis_step(
-            sl.high_taps, np.asarray(band, dtype=np.complex128), length
-        )
+        s = _synthesis_step(low, s, length) + _synthesis_step(high, np.asarray(band, dtype=np.complex128), length)
     return s

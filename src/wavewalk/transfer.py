@@ -1,74 +1,21 @@
 """The transfer operator of the branch system and its grid iterations.
 
-(Rg)(x) = sum_j W((x+j)/N) g((x+j)/N) summed over the N branches.
-Exact powers are tree sums over all branch words; grid versions carry
-functions as piecewise-constant values on the level-L N-adic cells.
-The adjoint iteration moves cell masses along the walk and renormalizes,
+(Rg)(x) = sum_j W((x+j)/N) g((x+j)/N) summed over the N branches, at a
+point one measures._branch_weights step.  Exact powers are tree sums
+over all branch words; grid versions carry GridFunctions on the level-L
+N-adic cells through the grid operator filters._grid_flows.  The
+adjoint iteration moves cell masses along the walk and renormalizes,
 approximating the stationary (Ruelle) measure.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DepthTooLarge
-from .filters import FilterSpec, weight_array
-from .ifs import PathSystem, cell_grid, frac
-from .measures import (
-    MAX_TREE_WORDS,
-    TruncationPolicy,
-    _cell_index,
-    _check_finite,
-    _grid_flows,
-    harmonic_on_grid,
-)
-
-
-@dataclass(frozen=True, eq=False)
-class GridFunction:
-    """Values of a 1-periodic function on the level-L N-adic grid.
-
-    values[m] is the value at m / N**level, read back as a
-    piecewise-constant function on the cell [m/N**L, (m+1)/N**L).
-    """
-
-    level: int
-    n_branches: int
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.level < 0:
-            raise ValueError("level must be >= 0")
-        expected = self.n_branches**self.level
-        if self.values.shape != (expected,):
-            raise ValueError(f"values must have length {expected}")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("grid values must be finite")
-
-    @property
-    def cells(self) -> int:
-        return self.n_branches**self.level
-
-    def grid_points(self) -> np.ndarray:
-        return cell_grid(self.n_branches, self.level)
-
-    def value_at(self, x: float) -> float:
-        return float(self.values_at([x])[0])
-
-    def values_at(self, xs) -> np.ndarray:
-        """The cell values at every x in xs, read 1-periodically; a NaN or
-        infinite x raises NonFiniteArgument."""
-        xs = np.asarray(xs, dtype=np.float64)
-        _check_finite(xs)
-        return self.values[_cell_index(xs, self.cells)]
-
-    @classmethod
-    def from_callable(cls, fn, level: int, n_branches: int) -> "GridFunction":
-        pts = cell_grid(n_branches, level)
-        vals = np.asarray([float(fn(p)) for p in pts])
-        return cls(level, n_branches, vals)
+from .filters import FilterSpec, _grid_flows, weight_array
+from .ifs import GridFunction, PathSystem, cell_grid, frac
+from .measures import MAX_TREE_WORDS, TruncationPolicy, _branch_weights, _check_scales, harmonic_on_grid
 
 
 def harmonic_gridfunction(
@@ -86,12 +33,6 @@ def harmonic_gridfunction(
     return GridFunction(level, system.scale_n, harmonic_on_grid(spec, system, pts, policy))
 
 
-def _branch_weights(spec: FilterSpec, system: PathSystem, xs: np.ndarray):
-    """Branch points (x + j)/N of states xs, shape (N, len(xs)), and W there."""
-    ys = system.branch_array(np.arange(system.scale_n)[:, None], xs)
-    return ys, weight_array(spec, ys)
-
-
 def apply_transfer(spec: FilterSpec, system: PathSystem, g, x: float) -> float | complex:
     """One application of the transfer operator at a point.
 
@@ -100,6 +41,7 @@ def apply_transfer(spec: FilterSpec, system: PathSystem, g, x: float) -> float |
     x is reduced to [0, 1) first, and g is read at the N branch points
     of frac(x), rounded as in PathSystem.branch_array.
     """
+    _check_scales(spec, system)
     read = g.value_at if isinstance(g, GridFunction) else g
     ys, weights = _branch_weights(spec, system, np.array([frac(x)]))
     gvals = np.asarray([read(y) for y in ys[:, 0].tolist()])
@@ -113,6 +55,7 @@ def apply_transfer_n(spec: FilterSpec, system: PathSystem, g, x: float, n: int) 
     at scale N**n and rounded as they are; each carries the product of
     weights along its forward orbit.  n = 0 returns g(x).
     """
+    _check_scales(spec, system)
     if n < 0:
         raise ValueError("power must be >= 0")
     read = g.value_at if isinstance(g, GridFunction) else g
@@ -146,6 +89,7 @@ def harmonic_residual(
     With eval_level = h.level - 1 every read lands on a grid point of h,
     so the residual measures the function, not the interpolation.
     """
+    _check_scales(spec, system)
     lev = h.level if eval_level is None else eval_level
     if lev < 1:
         raise ValueError("need a grid of level >= 1")
@@ -154,7 +98,7 @@ def harmonic_residual(
     if h.n_branches != system.scale_n:
         raise ValueError(f"grid scale {h.n_branches} != path-system scale {system.scale_n}")
     every = system.scale_n ** (h.level - lev)
-    weights, cells = _grid_flows(spec, system, h.level, every)
+    weights, cells = _grid_flows(spec, h.level, every)
     acc = (weights * h.values[cells]).sum(axis=0)
     return float(np.max(np.abs(acc - h.values[::every])))
 
@@ -172,9 +116,10 @@ def power_iterate(
     already a fixed point, so the sup change certifies the partition;
     no convergence toward the minimal harmonic function is claimed.
     """
+    _check_scales(spec, system)
     if level < 1 or iters < 1:
         raise ValueError("need level >= 1 and iters >= 1")
-    weights, src = _grid_flows(spec, system, level)
+    weights, src = _grid_flows(spec, level)
     vals = np.ones(system.scale_n**level, dtype=np.float64)
     history = np.empty(iters, dtype=np.float64)
     for t in range(iters):
@@ -196,10 +141,11 @@ def ruelle_measure(
     (x+j)/N weighted by W((x+j)/N); masses are renormalized to total 1
     each sweep.  Returns the final masses and the last L1 change.
     """
+    _check_scales(spec, system)
     if level < 1 or iters < 1:
         raise ValueError("need level >= 1 and iters >= 1")
     cells = system.scale_n**level
-    flow_w, targets = _grid_flows(spec, system, level)
+    flow_w, targets = _grid_flows(spec, level)
     targets = targets.ravel()
     mass = np.full(cells, 1.0 / cells, dtype=np.float64)
     residual = np.inf

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -202,12 +203,14 @@ def _file_cases(tmp_path):
     }
 
 
-@pytest.mark.filterwarnings("ignore:loadtxt. input contained no data:UserWarning")
 @pytest.mark.parametrize("case", ["missing-filter", "missing-signal", "empty-signal", "out-in-missing-dir",
                                   "out-is-a-dir"])
 def test_unreadable_or_unwritable_file_is_an_error_not_a_traceback(case, tmp_path, capsys):
     argv, message = _file_cases(tmp_path)[case]
-    assert main(argv) == 1
+    # the error line is the one message: no warning is printed before it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("wavewalk: error: ") and message in err
 

@@ -100,6 +100,19 @@ def test_partition_shannon_exact(shannon):
     assert check_partition(shannon, grid_level=10).partition_max_error == 0.0
 
 
+def test_partition_of_the_scale_3_box_reads_exact_branch_points():
+    # each branch point (m + j 3**L) / 3**(L+1) is one rounding from the
+    # exact point, where (m / 3**L + j) / 3 is three
+    box3 = ww.FilterSpec.from_coefficients({0: 1 / 3, 1: 1 / 3, 2: 1 / 3}, scale_n=3)
+    level = 9
+    cells = 3**level
+    pts = (np.arange(cells) + cells * np.arange(3)[:, None]).astype(np.float64) / (3 * cells)
+    want = float(np.max(np.abs(ww.weight_array(box3, pts).sum(axis=0) - 1.0)))
+    rep = check_partition(box3, grid_level=level)
+    assert rep.partition_max_error == want
+    assert rep.partition_max_error <= 1e-15 and rep.all_ok
+
+
 def test_quadrature_haar_d4(haar, d4):
     assert check_quadrature(haar).quadrature_max_error < 1e-15
     assert check_quadrature(d4).quadrature_max_error < 1e-12

@@ -16,6 +16,7 @@ import pytest
 
 import wavewalk as ww
 from conftest import DIVERGENT, complex_quadrature_filter, quadrature_family
+from wavewalk.ifs import cell_grid
 from wavewalk.filters import (
     _response_closure,
     _weight_closure,
@@ -743,11 +744,27 @@ def test_chain_harmonic_against_walks_and_the_lattice_sum(system2):
 
 
 def test_chain_harmonic_reads_cells_as_the_grid_function_does(system2, policy):
-    level, cells = _chain_harmonic(TABLE16, 2)
+    chain = _chain_harmonic(TABLE16, 2)
+    level, cells = chain.level, chain.values
     xs = np.concatenate([_far_points(400), [1 - 2.0**-53, -(2.0**-60), 15 / 16, 1 / 16]])
     grid = ww.GridFunction(level, 2, np.asarray(cells))
     np.testing.assert_array_equal(ww.harmonic_on_grid(TABLE16, system2, xs, policy), grid.values_at(xs))
     np.testing.assert_array_equal(ww.harmonic_gridfunction(TABLE16, system2, level, policy).values, cells)
+
+
+def test_chain_harmonic_at_scale_6_reads_its_own_grid_points(policy):
+    # breakpoints on eighths lie on the 6**-3 grid and on no coarser one;
+    # a table on eighths is a partition at N = 6 exactly when
+    # v_i + v_(i+4) = 1/3, so no end cell has weight 1 and h is 0
+    spec = ww.FilterSpec.from_table(np.arange(8) / 8, [0.25, 0.125, 0.0, 1 / 3, 1 / 12, 5 / 24, 1 / 3, 0.0],
+                                    scale_n=6)
+    system6 = ww.PathSystem(6)
+    chain = _chain_harmonic(spec, 6)
+    assert chain.level == 3 and chain.n_branches == 6
+    pts = cell_grid(6, 3)
+    np.testing.assert_array_equal(ww.harmonic_on_grid(spec, system6, pts, policy), chain.values)
+    np.testing.assert_array_equal(ww.harmonic_gridfunction(spec, system6, 3, policy).values, chain.values)
+    assert ww.check_partition(spec, 6).all_ok
 
 
 # ----------------------------------------------------------------------

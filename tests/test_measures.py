@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+import inspect
 import math
 import tracemalloc
 
@@ -464,7 +465,7 @@ def test_chain_harmonic_of_random_partition_tables(spec):
         # leave the inner cells than DEFAULT_TOL allows the solve
         np.testing.assert_array_equal(h, ww.lattice_masses(spec, system, xs, policy).value)
         return
-    assert chain[0] == level
+    assert chain.level == level
     assert h.min() >= 0.0 and h.max() <= 1.0 + 1e-12
     if spec.values[0] == 1.0:
         assert h[0] == 1.0
@@ -510,6 +511,55 @@ def test_non_finite_points_raise(d4, shannon, system2, policy, x):
         ww.scaling_hat(d4, system2, x)
 
 
-def test_scale_mismatch_guard(haar):
-    with pytest.raises(ValueError):
-        ww.zero_path_atom(haar, ww.PathSystem(3), 0.3, ww.TruncationPolicy())
+#: every public function taking (spec, system, ...): its call on a filter
+#: and a path system of different scales
+_POLICY = ww.TruncationPolicy(tail_cutoff_k=20)
+_ONES = FiniteCoordFn.constant(1.0, 2, 2)
+SCALE_MISMATCH_CALLS = {
+    "apply_transfer": lambda spec, s: ww.apply_transfer(spec, s, lambda y: 1.0, 0.3),
+    "apply_transfer_n": lambda spec, s: ww.apply_transfer_n(spec, s, lambda y: 1.0, 0.3, 2),
+    "autocorrelation": lambda spec, s: ww.autocorrelation(spec, s, [0, 1], _POLICY, 3),
+    "cascade": lambda spec, s: ww.cascade(spec, s, 2, 3),
+    "cascade_step": lambda spec, s: ww.cascade_step(spec, s, ww.cascade(spec, ww.PathSystem(3), 0, 2)),
+    "check_negative_embedding": lambda spec, s: ww.check_negative_embedding(spec, s, 0.3, -1, [1]),
+    "cocycle_residual": lambda spec, s: ww.cocycle_residual(spec, s, 0.3, _POLICY),
+    "consistency_check": lambda spec, s: ww.consistency_check(spec, s, 0.3, _ONES),
+    "cylinder_prob": lambda spec, s: ww.cylinder_prob(spec, s, 0.3, DigitWord((0, 1))),
+    "diagnose_convergence": lambda spec, s: ww.diagnose_convergence(spec, s, 0.3, 8, _POLICY),
+    "estimate_cylinder": lambda spec, s: ww.estimate_cylinder(spec, s, 0.3, DigitWord((0,)), 100, 0),
+    "expect_finite": lambda spec, s: ww.expect_finite(spec, s, 0.3, _ONES),
+    "harmonic_from_cocycle": lambda spec, s: ww.harmonic_from_cocycle(spec, s, lambda y: _ONES, 0.3),
+    "harmonic_gridfunction": lambda spec, s: ww.harmonic_gridfunction(spec, s, 3, _POLICY),
+    "harmonic_on_grid": lambda spec, s: ww.harmonic_on_grid(spec, s, [0.3], _POLICY),
+    # h on the path system's own grid: only the filter's scale is off
+    "harmonic_residual": lambda spec, s: ww.harmonic_residual(spec, s, ww.GridFunction(3, 2, np.ones(8))),
+    "integer_atom": lambda spec, s: ww.integer_atom(spec, s, 0.3, 5),
+    "lattice_mass": lambda spec, s: ww.lattice_mass(spec, s, 0.3, _POLICY),
+    "lattice_masses": lambda spec, s: ww.lattice_masses(spec, s, [0.3], _POLICY),
+    "power_iterate": lambda spec, s: ww.power_iterate(spec, s, 3, 2),
+    "refinement_check": lambda spec, s: ww.refinement_check(spec, s, 0.3, _ONES),
+    "ruelle_measure": lambda spec, s: ww.ruelle_measure(spec, s, 3, 2),
+    "sample_path": lambda spec, s: ww.sample_path(spec, s, 0.3, 4, 0),
+    "scaled_lattice_mass": lambda spec, s: ww.scaled_lattice_mass(spec, s, 0.3, 1, _POLICY),
+    "scaling_hat": lambda spec, s: ww.scaling_hat(spec, s, 0.3),
+    "scaling_norm_sq": lambda spec, s: ww.scaling_norm_sq(spec, s, _POLICY, 3),
+    "zero_path_atom": lambda spec, s: ww.zero_path_atom(spec, s, 0.3, _POLICY),
+    "zero_path_atoms": lambda spec, s: ww.zero_path_atoms(spec, s, [0.3]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCALE_MISMATCH_CALLS))
+def test_scale_mismatch_guard(name):
+    # the scale-3 box walked with the dyadic branches returns numbers, all wrong
+    box3 = ww.FilterSpec.from_coefficients({0: 1 / 3, 1: 1 / 3, 2: 1 / 3}, scale_n=3)
+    with pytest.raises(ValueError, match="filter scale 3 != path-system scale 2"):
+        SCALE_MISMATCH_CALLS[name](box3, ww.PathSystem(2))
+
+
+def test_scale_mismatch_guard_covers_every_spec_system_function():
+    takes_both = {
+        name for name in ww.__all__
+        if inspect.isfunction(getattr(ww, name))
+        and list(inspect.signature(getattr(ww, name)).parameters)[:2] == ["spec", "system"]
+    }
+    assert takes_both == set(SCALE_MISMATCH_CALLS)

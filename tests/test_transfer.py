@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import wavewalk as ww
-from wavewalk.ifs import frac
+from wavewalk.ifs import cell_grid, frac
 from wavewalk.measures import FiniteCoordFn
 from wavewalk.transfer import GridFunction
 
@@ -119,6 +119,16 @@ def test_gridfunction_reads():
             g.values_at(np.array([0.1, x]))
         with pytest.raises(ww.NonFiniteArgument):
             g.value_at(x)
+
+
+@pytest.mark.parametrize("n, level", [(2, 10), (3, 6), (5, 5), (6, 4)])
+def test_gridfunction_reads_each_grid_point_in_its_own_cell(n, level):
+    # m / N**L rounds below m for N not a power of 2 at some m, and
+    # (m / N**L) * N**L then below m: the reader searches the points themselves
+    values = np.arange(n**level, dtype=np.float64)
+    g = GridFunction(level, n, values)
+    np.testing.assert_array_equal(g.values_at(cell_grid(n, level)), values)
+    assert [g.value_at(x) for x in cell_grid(n, level)[:50].tolist()] == values[:50].tolist()
 
 
 def test_harmonic_residual_constant(haar, system2):
