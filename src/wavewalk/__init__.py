@@ -39,6 +39,7 @@ from .measures import (
     consistency_check,
     cylinder_prob,
     expect_finite,
+    harmonic_masses,
     harmonic_on_grid,
     integer_atom,
     lattice_mass,

@@ -20,7 +20,7 @@ from .diagnostics import diagnose_convergence, estimate_cylinder, sample_path
 from .errors import WavewalkError
 from .filters import DEFAULT_TOL, FilterSpec, load_filter, validate_filter
 from .ifs import DigitWord, PathSystem, cell_grid
-from .measures import TruncationPolicy, lattice_masses, zero_path_atoms
+from .measures import TruncationPolicy, harmonic_masses, zero_path_atoms
 from .scaling import cascade, scaling_norm_sq, wavelet_coeffs, wavelet_from_scaling
 from .serialize import csv_text, json_text
 from .transfer import power_iterate, ruelle_measure
@@ -35,13 +35,8 @@ class _Parser(argparse.ArgumentParser):
         raise CliUsageError(message)
 
 
-_TAIL_K_HELP = (
-    "lattice-sum cutoff K (|k| <= K); harmonic always sums the lattice, scaling "
-    "and diagnose use K only for filters with no exact harmonic function "
-    "(off-grid or non-partition tables, or coefficient filters that are not a "
-    "low-pass partition); harmonic's tail_bound is the sum over the outer decade "
-    "of |k|, an indicator rather than a proven bound"
-)
+_TAIL_K_HELP = ("lattice-sum cutoff K (|k| <= K), read only where the filter has no exact "
+                "harmonic function")
 
 
 def _add_common(p, *names):
@@ -306,9 +301,12 @@ _COMMANDS = {
              "with value null where it has no limit",
              _atom_args,
              functools.partial(_sweep, lambda spec, system, xs, args: zero_path_atoms(spec, system, xs))),
-    "harmonic": ("sweep the lattice-mass harmonic function", _harmonic_args,
+    "harmonic": ("sweep the minimal harmonic function h, the lattice mass: exact where the "
+                 "filter allows it (tail_bound 0.0), else the lattice sum over |k| <= K "
+                 "(tail_bound: the outer decade of |k|, an indicator, not a proven bound)",
+                 _harmonic_args,
                  functools.partial(_sweep, lambda spec, system, xs, args:
-                                   lattice_masses(spec, system, xs, _policy(args)))),
+                                   harmonic_masses(spec, system, xs, _policy(args)))),
     "diagnose": ("pointwise convergence diagnosis", _diagnose_args, _diagnose),
     "transfer": ("grid power iteration and stationary masses", _transfer_args, _transfer),
     "scaling": ("cascade the scaling function or its wavelet", _scaling_args, _scaling),

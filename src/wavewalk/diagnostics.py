@@ -122,14 +122,12 @@ def diagnose_convergence(
 
     partial_products[n] = prod_{j<=n} W(x/N**j) with the empty product
     at n = 0; harmonic_values[n] is the minimal harmonic function at
-    x/N**n (harmonic_on_grid: exact for a low-pass partition coefficient
-    filter and for a tabulated partition whose breakpoints lie on an
-    N-adic grid of at most measures.MAX_CHAIN_CELLS cells, the lattice
-    sum truncated at K otherwise).  The zero-path atom at x is computed
-    once and classified once, as DiagnosisReport says: the product
-    verdict is the atom's, whatever max_n.  The harmonic verdict looks at
-    whether the last VERDICT_WINDOW harmonic values sit within H_TOL of
-    1, or have stabilized away from 1.  A NaN or infinite x raises
+    x/N**n (harmonic_on_grid, by the routes of measures.harmonic_masses).
+    The zero-path atom at x is computed once and classified once, as
+    DiagnosisReport says: the product verdict is the atom's, whatever
+    max_n.  The harmonic verdict looks at whether the last
+    VERDICT_WINDOW harmonic values sit within H_TOL of 1, or have
+    stabilized away from 1.  A NaN or infinite x raises
     NonFiniteArgument, and a max_n whose points numpy cannot allocate a
     WavewalkError.
     """

@@ -443,7 +443,9 @@ def _grid_flows(spec: FilterSpec, level: int, every: int = 1):
     n = spec.scale_n
     with grid_cells(n, level) as cells:
         shifted = np.arange(0, cells, every, dtype=np.int64) + cells * np.arange(n, dtype=np.int64)[:, None]
-    return weight_array(spec, shifted.astype(np.float64) / (n * cells)), shifted // n
+    weights = weight_array(spec, shifted.astype(np.float64) / (n * cells))
+    shifted //= n
+    return weights, shifted
 
 
 # ----------------------------------------------------------------------

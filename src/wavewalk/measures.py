@@ -150,9 +150,10 @@ class MeasureArray:
     """Per-point measure values with their convergence bookkeeping.
 
     The array form of MeasureValue, returned by the product kernel
-    (zero_path_atoms; complex values for scaling.scaling_hat) and by
-    lattice_masses: arrays of the shape of the points, with tail_bound
-    NaN wherever MeasureValue.tail_bound would be None.
+    (zero_path_atoms; complex values for scaling.scaling_hat), by
+    lattice_masses and by harmonic_masses: arrays of the shape of the
+    points, with tail_bound NaN wherever MeasureValue.tail_bound would
+    be None.
     """
 
     value: np.ndarray
@@ -674,11 +675,12 @@ def _chain_harmonic(spec: FilterSpec, n: int):
     return GridFunction(level, n, h)
 
 
-def harmonic_on_grid(spec, system, xs, policy) -> np.ndarray:
+def harmonic_masses(spec: FilterSpec, system: PathSystem, xs, policy: TruncationPolicy) -> MeasureArray:
     """The minimal harmonic function h(x) = sum_k atom(x + k) at every x in xs.
 
-    Two kinds of filter have h exactly, with no truncation (policy is
-    not used):
+    The one route choice for h.  Two kinds of filter have h exactly, with
+    no truncation (policy is not used), and their rows are exact:
+    converged, tail_bound 0.0, depth_used 0:
       * a low-pass coefficient filter that is an exact partition: the
         trigonometric polynomial of _harmonic_taps;
       * a tabulated partition whose breakpoints lie on the N**-L grid,
@@ -686,21 +688,29 @@ def harmonic_on_grid(spec, system, xs, policy) -> np.ndarray:
         _chain_harmonic, read by its values_at as weight_array reads a table.
     Every other filter (a table off the grid or not a partition, a
     coefficient filter that is not a low-pass partition, or one of
-    either kind whose exact solve is declined) takes the lattice route,
-    lattice_masses(...).value: the sum over |k| <= K,
-    K = policy.tail_cutoff_k.  A NaN or infinite x raises
-    NonFiniteArgument.
+    either kind whose exact solve is declined) takes the lattice route:
+    lattice_masses(spec, system, xs, policy), returned unchanged, the
+    sum over |k| <= K, K = policy.tail_cutoff_k.  A NaN or infinite x
+    raises NonFiniteArgument.
     """
     _check_scales(spec, system)
     xs = np.asarray(xs, dtype=np.float64)
     _check_finite(xs)
     taps = _harmonic_taps(spec)
     if taps is not None:
-        return _trig_series(taps, xs)
-    chain = _chain_harmonic(spec, system.scale_n)
-    if chain is not None:
-        return chain.values_at(xs)
-    return lattice_masses(spec, system, xs, policy).value
+        value = _trig_series(taps, xs)
+    else:
+        chain = _chain_harmonic(spec, system.scale_n)
+        if chain is None:
+            return lattice_masses(spec, system, xs, policy)
+        value = chain.values_at(xs)
+    return MeasureArray(value, np.ones(xs.shape, dtype=bool), np.zeros(xs.shape),
+                        np.zeros(xs.shape, dtype=np.int64))
+
+
+def harmonic_on_grid(spec, system, xs, policy) -> np.ndarray:
+    """h at every x in xs: the value of harmonic_masses, whose docstring gives the routes."""
+    return harmonic_masses(spec, system, xs, policy).value
 
 
 def lattice_mass(spec: FilterSpec, system: PathSystem, x: float, policy: TruncationPolicy) -> MeasureValue:

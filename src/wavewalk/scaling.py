@@ -7,11 +7,10 @@ time-domain cascade iteration phi <- N sum_k a_k phi(N. - k)
 on a dyadic sample grid.  On top of those sit the norm and
 autocorrelation checks (via the minimal harmonic function
 h(x) = sum_k |phi^(x + k)|^2 of measures.harmonic_on_grid, so cascade
-error cannot contaminate them; h is exact for a low-pass partition
-filter and for an on-grid tabulated partition, and a lattice sum
-truncated at K otherwise) and the banded
-analysis operators that compute wavelet coefficients of discrete
-signals.
+error cannot contaminate them; measures.harmonic_masses gives the routes
+on which h is exact, and a lattice sum truncated at K otherwise) and
+the banded analysis operators that compute wavelet coefficients of
+discrete signals.
 
 Sign conventions: Fourier transform with kernel exp(-i 2 pi t x); the
 companion wavelet uses b_k = (-1)**(k+1) conj(a_{1-k}).

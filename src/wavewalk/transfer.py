@@ -23,11 +23,8 @@ def harmonic_gridfunction(
 ) -> GridFunction:
     """The minimal harmonic function (harmonic_on_grid) sampled on the level-L grid.
 
-    Exact for a low-pass partition coefficient filter (a trigonometric
-    polynomial) and for a tabulated partition with breakpoints on the
-    N**-L' grid, N**L' <= MAX_CHAIN_CELLS (a level-L' step function); the
-    lattice sum truncated at K = policy.tail_cutoff_k for every other
-    filter.
+    Exact, or the lattice sum truncated at K = policy.tail_cutoff_k, by
+    the routes of measures.harmonic_masses.
     """
     pts = cell_grid(system.scale_n, level)
     return GridFunction(level, system.scale_n, harmonic_on_grid(spec, system, pts, policy))

@@ -9,6 +9,7 @@ import pytest
 import wavewalk as ww
 from wavewalk import cli
 from wavewalk.cli import main
+from wavewalk.ifs import cell_grid
 
 
 def gpath(name: str) -> str:
@@ -135,11 +136,17 @@ class _RefusingGenerator(np.random.Generator):
         return _refusing(super().standard_normal, "standard_normal")(*args, **kwargs)
 
 
+#: the gallery filter whose h takes the lattice route, the one route of
+#: harmonic that reads K (d4's h is exact)
+LATTICE_ROUTE = "highpass_haar"
+
+
 def _huge_api_call(command):
     d4, system, policy = ww.load_gallery("d4"), ww.PathSystem(2), ww.TruncationPolicy()
     word = ww.DigitWord((0, 1))
+    huge_k = ww.TruncationPolicy(tail_cutoff_k=HUGE)
     return {
-        "harmonic": lambda: ww.lattice_masses(d4, system, [0.3], ww.TruncationPolicy(tail_cutoff_k=HUGE)),
+        "harmonic": lambda: ww.harmonic_masses(ww.load_gallery(LATTICE_ROUTE), system, [0.3], huge_k),
         "simulate": lambda: ww.estimate_cylinder(d4, system, 0.3, word, trials=HUGE, seed=1),
         "diagnose": lambda: ww.diagnose_convergence(d4, system, 0.3, HUGE, policy),
         "coeffs": None,
@@ -163,7 +170,8 @@ UNALLOCATABLE = [
 @pytest.mark.parametrize("argv, patch, message", UNALLOCATABLE, ids=[a[0] for a, _, _ in UNALLOCATABLE])
 def test_unallocatable_array_is_an_error_not_a_traceback(argv, patch, message, monkeypatch, capsys):
     monkeypatch.setattr(*patch)
-    assert main(argv[:1] + [gpath("d4")] + argv[1:]) == 1
+    name = LATTICE_ROUTE if argv[0] == "harmonic" else "d4"
+    assert main(argv[:1] + [gpath(name)] + argv[1:]) == 1
     err = capsys.readouterr().err
     assert err.startswith("wavewalk: error: ") and message in err
     api = _huge_api_call(argv[0])
@@ -180,10 +188,23 @@ def test_a_row_numpy_cannot_count_is_an_error_not_a_traceback(kk, capsys):
     message = f"a lattice row of 2K+1 = {2 * kk + 1} terms cannot be allocated"
     policy = ww.TruncationPolicy(tail_cutoff_k=kk)
     with pytest.raises(ww.WavewalkError, match=re.escape(message)):
-        ww.lattice_masses(ww.load_gallery("d4"), ww.PathSystem(2), [0.3], policy)
-    assert main(["harmonic", gpath("d4"), "--grid-level", "2", "--tail-K", str(kk)]) == 1
+        ww.lattice_masses(ww.load_gallery(LATTICE_ROUTE), ww.PathSystem(2), [0.3], policy)
+    assert main(["harmonic", gpath(LATTICE_ROUTE), "--grid-level", "2", "--tail-K", str(kk)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("wavewalk: error: ") and message in err
+
+
+@pytest.mark.parametrize("command", ["harmonic", "scaling"])
+def test_tail_k_is_unread_where_h_is_exact(command, tmp_path):
+    # d4's h is exact (measures.harmonic_masses), so not even a K whose
+    # lattice row numpy cannot count is read
+    argv = [command, gpath("d4"), "--grid-level", "2", "--out", str(tmp_path / "k.csv")]
+    assert main(argv + ["--tail-K", str(2**62)]) == 0
+    default_k = ww.TruncationPolicy().tail_cutoff_k
+    huge = (tmp_path / "k.csv").read_text().replace(f"tail_k={2**62}", f"tail_k={default_k}")
+    argv[-1] = str(tmp_path / "default.csv")
+    assert main(argv) == 0
+    assert huge == (tmp_path / "default.csv").read_text()
 
 
 def _file_cases(tmp_path):
@@ -283,6 +304,18 @@ def test_config_records_the_policy_default(command, tmp_path):
     assert "depth" not in config
     # the one lattice cutoff default is the policy's
     assert config.get("tail_k") == (None if command == "atom" else ww.TruncationPolicy().tail_cutoff_k)
+
+
+def test_on_grid_table_harmonic_rows_are_exact_ones(tmp_path):
+    # h = 1 exactly for this partition, its level-2 chain's absorption
+    # probability; a lattice sum at the default K read 0.98 at x >= 1/2
+    table = tmp_path / "table.json"
+    ww.save_filter(ww.FilterSpec.from_table([0.0, 0.25, 0.5, 0.75], [1.0, 0.3, 0.0, 0.7]), table)
+    out = tmp_path / "h.csv"
+    assert main(["harmonic", str(table), "--grid-level", "3", "--out", str(out)]) == 0
+    rows = [l for l in out.read_text().splitlines() if not l.startswith("#")][1:]
+    assert len(rows) == 8
+    assert all(row.split(",")[1:] == ["1.0", "true", "0.0", "0"] for row in rows)
 
 
 def test_highpass_harmonic_rows_are_exact_zeros(tmp_path):
@@ -397,18 +430,33 @@ def _assert_same_floats(cells, want):
     assert got[keep].tobytes() == want[keep].tobytes()
 
 
-@pytest.mark.parametrize("command", ["atom", "harmonic"])
-def test_sweep_csv_round_trips(command, tmp_path):
+BOX3 = ww.FilterSpec.from_coefficients({0: 1 / 3, 1: 1 / 3, 2: 1 / 3}, scale_n=3, label="box3")
+
+#: (command, filter): the atom on d4, and harmonic on every gallery filter
+#: and on the scale-3 box
+SWEEPS = [("atom", "d4")] + [("harmonic", name) for name in (*ww.GALLERY_NAMES, "box3")]
+
+
+@pytest.mark.parametrize("command, name", SWEEPS,
+                         ids=["atom"] + [f"harmonic-{name}" for _, name in SWEEPS[1:]])
+def test_sweep_csv_round_trips(command, name, tmp_path):
+    if name == "box3":
+        spec, path = BOX3, tmp_path / "box3.json"
+        ww.save_filter(spec, path)
+    else:
+        spec, path = ww.load_gallery(name), gpath(name)
     out = tmp_path / "o.csv"
-    argv = [command, gpath("d4"), "--grid-level", "7", "--out", str(out)]
-    assert main(argv + (["--tail-K", "100"] if command == "harmonic" else [])) == 0
-    spec, system = ww.load_gallery("d4"), ww.PathSystem(2)
-    xs = np.arange(2**7) / 2**7
+    assert main([command, str(path), "--grid-level", "7", "--out", str(out)]) == 0
+    system = ww.PathSystem(spec.scale_n)
+    xs = cell_grid(spec.scale_n, 7)
+    cols = _csv_columns(out)
     if command == "harmonic":
-        arr = ww.lattice_masses(spec, system, xs, ww.TruncationPolicy(tail_cutoff_k=100))
+        # one routine for h: the CLI sweep, harmonic_masses and harmonic_on_grid
+        policy = ww.TruncationPolicy()
+        arr = ww.harmonic_masses(spec, system, xs, policy)
+        _assert_same_floats(cols["value"], ww.harmonic_on_grid(spec, system, xs, policy))
     else:
         arr = ww.zero_path_atoms(spec, system, xs)
-    cols = _csv_columns(out)
     _assert_same_floats(cols["x"], xs)
     _assert_same_floats(cols["value"], arr.value)
     _assert_same_floats(cols["tail_bound"], arr.tail_bound)

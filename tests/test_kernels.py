@@ -330,6 +330,9 @@ def test_lattice_masses_keep_the_shape_of_the_points(d4, system2):
     grid = ww.harmonic_on_grid(d4, system2, xs, policy)
     assert grid.shape == (2, 3)
     np.testing.assert_allclose(grid, 1.0, rtol=0, atol=1e-13)
+    exact = ww.harmonic_masses(d4, system2, xs, policy)
+    assert exact.converged.shape == exact.tail_bound.shape == exact.depth_used.shape == (2, 3)
+    assert exact.converged.all() and not exact.tail_bound.any() and not exact.depth_used.any()
 
 
 def test_lattice_masses_with_stride_sum_the_sublattice(haar, system2):
@@ -348,6 +351,17 @@ END_CELLS = ww.FilterSpec.from_table([0.0, 0.25, 0.5, 0.75], [1.0, 0.3, 0.0, 0.7
 
 #: end cells of unequal width: the closure is [-0.4, 0.1), a rest of 0 below 0 and of 1 above
 ASYM_CELLS = ww.FilterSpec.from_table([0.0, 0.1, 0.6], [1.0, 0.8, 0.5], label="asym cells")
+
+
+@pytest.mark.parametrize("spec", [ww.load_gallery("highpass_haar"), FADING, ASYM_CELLS],
+                         ids=["highpass_haar", "fading", "asym_cells"])
+def test_harmonic_masses_off_the_exact_routes_are_lattice_masses(spec, system2):
+    # no exact h: a coefficient filter that is not low-pass, and two tables off every N-adic grid
+    policy = ww.TruncationPolicy(tail_cutoff_k=300)
+    xs = np.random.default_rng(7).random(9)
+    got, want = ww.harmonic_masses(spec, system2, xs, policy), ww.lattice_masses(spec, system2, xs, policy)
+    for field in ("value", "converged", "tail_bound", "depth_used"):
+        np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
 
 
 @pytest.mark.parametrize("kk", [5, 50, 2000])

@@ -530,6 +530,7 @@ SCALE_MISMATCH_CALLS = {
     "expect_finite": lambda spec, s: ww.expect_finite(spec, s, 0.3, _ONES),
     "harmonic_from_cocycle": lambda spec, s: ww.harmonic_from_cocycle(spec, s, lambda y: _ONES, 0.3),
     "harmonic_gridfunction": lambda spec, s: ww.harmonic_gridfunction(spec, s, 3, _POLICY),
+    "harmonic_masses": lambda spec, s: ww.harmonic_masses(spec, s, [0.3], _POLICY),
     "harmonic_on_grid": lambda spec, s: ww.harmonic_on_grid(spec, s, [0.3], _POLICY),
     # h on the path system's own grid: only the filter's scale is off
     "harmonic_residual": lambda spec, s: ww.harmonic_residual(spec, s, ww.GridFunction(3, 2, np.ones(8))),
