@@ -309,7 +309,8 @@ _COMMANDS = {
                                    harmonic_masses(spec, system, xs, _policy(args)))),
     "diagnose": ("pointwise convergence diagnosis", _diagnose_args, _diagnose),
     "transfer": ("grid power iteration and stationary masses", _transfer_args, _transfer),
-    "scaling": ("cascade the scaling function or its wavelet", _scaling_args, _scaling),
+    "scaling": ("cascade the scaling function or its wavelet; norm_sq_harmonic: a(0) of h, exact "
+                "where h is, else a quadrature on the grid level (at most 10)", _scaling_args, _scaling),
     "coeffs": ("subband wavelet coefficients of a signal", _coeffs_args, _coeffs),
     "simulate": ("sample walk paths / estimate a cylinder", _simulate_args, _simulate),
 }

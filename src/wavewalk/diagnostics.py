@@ -155,12 +155,8 @@ def diagnose_convergence(
     else:
         harmonic_verdict = "inconclusive"
 
-    if hypothesis != "met":
-        consistent = True
-    elif product_verdict == "inconclusive" or harmonic_verdict == "inconclusive":
-        consistent = True
-    else:
-        consistent = (product_verdict == "converged") == (harmonic_verdict == "limit-one")
+    # where the hypothesis is met the product converged, so only h stabilized below 1 contradicts it
+    consistent = hypothesis != "met" or harmonic_verdict != "limit-below-one"
 
     return DiagnosisReport(
         x=float(x),

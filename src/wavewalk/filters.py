@@ -315,9 +315,9 @@ def _series_closure(amps, rates, excess, n: int, real: bool) -> _Closure:
     return _Closure(-rho, math.nextafter(rho, math.inf), rest, math.expm1(remainder(terms)))
 
 
-def _rounding(terms) -> float:
-    """The rounding level of a sum of these terms."""
-    return 100.0 * np.finfo(float).eps * float(np.sum(np.abs(terms)))
+def _is_one(total, terms) -> bool:
+    """Whether total, the sum of these terms, is 1 to its rounding level (100 eps sum |terms|)."""
+    return abs(total - 1.0) <= 100.0 * np.finfo(float).eps * float(np.sum(np.abs(terms)))
 
 
 def _limit_closure(f0: complex) -> _Closure:
@@ -348,7 +348,7 @@ def _weight_closure(spec: FilterSpec) -> _Closure:
     c0, cos_taps, sin_taps = _weight_taps(spec)
     a = np.asarray(cos_taps)
     s = np.asarray(sin_taps or np.zeros(a.size))
-    if abs(c0 + a.sum() - 1.0) > _rounding(np.concatenate([[c0], a, s])):
+    if not _is_one(c0 + a.sum(), np.concatenate([[c0], a, s])):
         return _limit_closure(c0 + a.sum())
     w = 2.0 * np.pi * np.arange(1, a.size + 1)
     amps = np.concatenate([[c0], (a - 1j * s) / 2, (a + 1j * s) / 2])
@@ -367,7 +367,7 @@ def _response_closure(spec: FilterSpec) -> _Closure:
     otherwise.  Cached per filter.
     """
     ks, vs = spec.coeff_indices(), spec.coeff_values()
-    if abs(vs.sum() - 1.0) > _rounding(vs):
+    if not _is_one(vs.sum(), vs):
         return _limit_closure(complex(vs.sum()))
     w = 2.0 * np.pi * np.abs(ks)
     return _series_closure(
@@ -511,13 +511,15 @@ def check_quadrature(spec: FilterSpec, tol: float = DEFAULT_TOL) -> ValidationRe
 
 
 def check_lowpass(spec: FilterSpec, tol: float = DEFAULT_TOL) -> ValidationReport:
-    """Deviation of sum_k a_k from 1."""
+    """Deviation of sum_k a_k from 1.  The verdict also asks for m(0) = 1 to rounding
+    level, the test by which _response_closure gives the products a limit that is not 0."""
     spec._need_coefficients()
     err = abs(sum(v for _, v in spec.coeffs) - 1.0)
+    vs = spec.coeff_values()
     return ValidationReport(
         grid_level=0,
         lowpass_error=err,
-        verdicts={"lowpass": err <= tol},
+        verdicts={"lowpass": err <= tol and _is_one(vs.sum(), vs)},
     )
 
 

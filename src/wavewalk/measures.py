@@ -48,8 +48,9 @@ x + k is the mass of k's digit word times the atom at the word's end
 point (integer_atom), so all k with the same residue r mod N**m share
 their first m factors W((x - floor(x) + r) / N**n), n <= m.
 lattice_masses grows those products over all N**m words once per point,
-m the most levels with N**m <= 2K+1, and the product kernel carries each
-atom on from its word's product at (x + k) / N**m.  So a row keeps the
+m the most levels with N**m <= 2K+1 (none where the closure covers the
+whole line), and the product kernel carries each atom on from its
+word's product at (x + k) / N**m.  So a row keeps the
 stop rule of its atoms taken whole: a word whose product falls below
 the underflow floor at level s makes its atoms 0 at depth s, an atom
 whose closure comes within the first m levels is taken whole, and
@@ -77,6 +78,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,7 +95,7 @@ from .filters import (
     eval_weight,
     weight_array,
 )
-from .ifs import DigitWord, GridFunction, PathSystem, _check_finite, frac
+from .ifs import DigitWord, GridFunction, PathSystem, _check_finite, cell_grid, frac
 
 ATOM_UNDERFLOW = 1e-300
 
@@ -362,7 +364,8 @@ def _word_products(spec, fracs, n, levels):
 def _row_atoms(spec, system, xs, policy, stride):
     """atom(x + stride*k), |k| <= K, for every x in xs, over the tree of integer words.
 
-    With m the most levels with N**m <= 2K+1, the atom is the product
+    With m the most levels with N**m <= 2K+1 (0 where the closure covers
+    the whole line, so every atom is taken whole), the atom is the product
     of the first m factors of its word
     r = (floor(x) + stride*k) mod N**m (_word_products at x - floor(x)),
     carried on by the product kernel from z = (x + stride*k) / N**m, z
@@ -374,11 +377,11 @@ def _row_atoms(spec, system, xs, policy, stride):
     """
     n = system.scale_n
     ks = np.arange(-policy.tail_cutoff_k, policy.tail_cutoff_k + 1)
+    closure = _weight_closure(spec)
     levels = 0
-    while n ** (levels + 1) <= ks.size:
+    while n ** (levels + 1) <= ks.size and closure.hi < math.inf:
         levels += 1
     words = n**levels
-    closure = _weight_closure(spec)
     base = np.floor(xs)
     tree, dead_at = _word_products(spec, xs - base, n, levels)
     # each atom's word, as an index into the flattened word tables
@@ -678,9 +681,9 @@ def _chain_harmonic(spec: FilterSpec, n: int):
 def harmonic_masses(spec: FilterSpec, system: PathSystem, xs, policy: TruncationPolicy) -> MeasureArray:
     """The minimal harmonic function h(x) = sum_k atom(x + k) at every x in xs.
 
-    The one route choice for h.  Two kinds of filter have h exactly, with
-    no truncation (policy is not used), and their rows are exact:
-    converged, tail_bound 0.0, depth_used 0:
+    The route choice for h, taken as well by _harmonic_coefficients.  Two
+    kinds of filter have h exactly, with no truncation (policy is not
+    used), and their rows are exact: converged, tail_bound 0.0, depth_used 0:
       * a low-pass coefficient filter that is an exact partition: the
         trigonometric polynomial of _harmonic_taps;
       * a tabulated partition whose breakpoints lie on the N**-L grid,
@@ -706,6 +709,35 @@ def harmonic_masses(spec: FilterSpec, system: PathSystem, xs, policy: Truncation
         value = chain.values_at(xs)
     return MeasureArray(value, np.ones(xs.shape, dtype=bool), np.zeros(xs.shape),
                         np.zeros(xs.shape, dtype=np.int64))
+
+
+def _harmonic_coefficients(spec: FilterSpec, system: PathSystem, ks, policy: TruncationPolicy, level: int) -> np.ndarray:
+    """a(k) = int_0^1 h(x) exp(2 pi i k x) dx = <phi, phi(. - k)> for every integer k in ks, complex.
+
+    The routes of harmonic_masses, in its order.  The polynomial of
+    _harmonic_taps, degree L: a(0) = c_0, a(+-k) = (cos_k +- i sin_k) / 2
+    up to L, 0 past it.  The step function of _chain_harmonic: each level-L
+    cell integrates exactly, to sinc(k / N**L) times its midpoint term.
+    Else the midpoint quadrature of lattice_masses on the level-`level` grid,
+    aliased once |k| + L >= N**level (h of degree L), the one route to read
+    level and policy.  A negative level raises ValueError, a lag not an int TypeError.
+    """
+    _check_scales(spec, system)
+    if level < 0:
+        raise ValueError(f"grid level must be >= 0, got {level}")
+    ks = np.array([operator.index(k) for k in ks], dtype=np.int64)
+    taps = _harmonic_taps(spec)
+    if taps is not None:
+        c0, cos_taps, sin_taps = taps
+        half = (np.asarray(cos_taps) + 1j * np.asarray(sin_taps or np.zeros(len(cos_taps)))) / 2
+        # a(k) for |k| <= L + 1, 0 at both ends (past the degree)
+        two_sided = np.concatenate([[0.0], half[::-1].conj(), [c0], half, [0.0]])
+        return two_sided[np.clip(ks, -half.size - 1, half.size + 1) + half.size + 1]
+    chain = _chain_harmonic(spec, system.scale_n)
+    mids = cell_grid(system.scale_n, level if chain is None else chain.level, 0.5)
+    h = lattice_masses(spec, system, mids, policy).value if chain is None else chain.values
+    quad = np.array([complex(np.mean(h * np.exp(2j * np.pi * k * mids))) for k in ks])
+    return quad if chain is None else quad * np.sinc(ks / mids.size)
 
 
 def harmonic_on_grid(spec, system, xs, policy) -> np.ndarray:

@@ -5,10 +5,10 @@ frequency-domain product of responses m(x/N) m(x/N^2) ..., settled by
 the one zero-path product kernel of measures (scaling_hat), and the
 time-domain cascade iteration phi <- N sum_k a_k phi(N. - k)
 on a dyadic sample grid.  On top of those sit the norm and
-autocorrelation checks (via the minimal harmonic function
-h(x) = sum_k |phi^(x + k)|^2 of measures.harmonic_on_grid, so cascade
-error cannot contaminate them; measures.harmonic_masses gives the routes
-on which h is exact, and a lattice sum truncated at K otherwise) and
+autocorrelation checks (the Fourier coefficients of the minimal harmonic
+function h(x) = sum_k |phi^(x + k)|^2, measures._harmonic_coefficients,
+so cascade error cannot contaminate them: exact where h is, else a
+quadrature on the level-`level` grid, aliased once |k| + L >= N**level) and
 the banded analysis operators that compute wavelet coefficients of
 discrete signals.
 
@@ -26,8 +26,8 @@ import numpy as np
 
 from .errors import FilterKindError, NonFiniteArgument, UnsupportedScale
 from .filters import FilterSpec, KIND_COEFFICIENTS, _response_closure, high_pass, response_array
-from .ifs import PathSystem, cell_grid, grid_cells
-from .measures import MeasureValue, TruncationPolicy, _check_scales, _zero_path_products, harmonic_on_grid
+from .ifs import PathSystem, grid_cells
+from .measures import MeasureValue, TruncationPolicy, _check_scales, _harmonic_coefficients, _zero_path_products
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,18 +161,13 @@ def wavelet_from_scaling(spec: FilterSpec, phi: SampledFunction) -> SampledFunct
 
 
 def scaling_norm_sq(spec: FilterSpec, system: PathSystem, policy: TruncationPolicy, level: int) -> float:
-    """Squared L2 norm of the scaling function.
+    """Squared L2 norm of the scaling function, the lag-0 autocorrelation.
 
-    Midpoint quadrature of h = harmonic_on_grid over one period;
-    unfolding the integer sum turns the period integral into the line
-    integral of the squared Fourier transform.  Where h is the exact
-    trigonometric polynomial of degree L < N**level, or the exact step
-    function of a table on the N**-L grid with L <= level, the
-    quadrature is exact too; elsewhere h is the lattice sum truncated
-    at K.
+    Unfolding the integer sum turns the period integral of h into the line
+    integral of the squared Fourier transform.  The routes, and where level
+    and policy are read, are those of measures._harmonic_coefficients.
     """
-    mids = cell_grid(system.scale_n, level, 0.5)
-    return float(np.mean(harmonic_on_grid(spec, system, mids, policy)))
+    return autocorrelation(spec, system, [0], policy, level)[0].value
 
 
 @dataclass(frozen=True)
@@ -192,17 +187,15 @@ def autocorrelation(
 ) -> list[Autocorrelation]:
     """Fourier coefficients of h = the autocorrelations at lags.
 
-    Midpoint quadrature of h(x) exp(i 2 pi k x) over one period, one
-    Autocorrelation per lag k in `lags`, all from a single evaluation of
-    h = harmonic_on_grid on the level-`level` grid: exact for a low-pass
-    partition filter while |k| + L < N**level, and from the lattice sum
-    truncated at K otherwise.  The imaginary part must vanish for any
-    real filter and is reported as a sanity residual.
+    One Autocorrelation per integer lag k in `lags`, the a(k) of
+    measures._harmonic_coefficients: read off h's own representation where
+    h is exact (level and policy unread), else the midpoint quadrature on
+    the level-`level` grid, which aliases once |k| + L >= N**level.  The
+    imaginary part must vanish for any real filter and is reported as a
+    sanity residual.
     """
-    mids = cell_grid(system.scale_n, level, 0.5)
-    h = harmonic_on_grid(spec, system, mids, policy)
-    vals = [complex(np.mean(h * np.exp(2j * np.pi * k * mids))) for k in lags]
-    return [Autocorrelation(value=v.real, imag_residual=abs(v.imag)) for v in vals]
+    coeffs = _harmonic_coefficients(spec, system, lags, policy, level).tolist()
+    return [Autocorrelation(value=v.real, imag_residual=abs(v.imag)) for v in coeffs]
 
 
 def autocorrelation_time_domain(phi: SampledFunction, k: int) -> float:

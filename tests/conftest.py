@@ -53,6 +53,12 @@ def sinc_sq(x: float) -> float:
 DIVERGENT = ww.FilterSpec.from_coefficients({0: 0.6, 1: 0.6}, label="divergent")
 
 
+#: on 16 bins, with h = 3/13, 6/13 and 8/13 on cells 6, 10 and 12
+TABLE16 = ww.FilterSpec.from_table(
+    np.arange(16) / 16, [1, 0, 1, 0.5, 1, 0.25, 0.5, 0, 0, 1, 0, 0.5, 0, 0.75, 0.5, 1]
+)
+
+
 def quadrature_family(theta: float) -> ww.FilterSpec:
     """Real orthogonal 4-tap family; theta = pi/3 recovers the d4 taps."""
     c, s = math.cos(theta), math.sin(theta)

@@ -37,6 +37,23 @@ def test_validate_highpass_verdict_exit(tmp_path):
     assert doc["report"]["verdicts"]["partition"] is True
 
 
+@pytest.mark.parametrize("shift", [1e-11, -1e-11])
+def test_validate_fails_a_filter_whose_products_have_no_limit(shift, tmp_path):
+    # d4 with a_0 moved by 1e-11 is within the default tol of low-pass, but
+    # m(0) is off 1 by more than rounding: its products have no limit
+    # (shift up) or are 0 (shift down), and the lowpass verdict says so
+    coeffs = dict(ww.load_gallery("d4").coeffs)
+    coeffs[0] += shift
+    path = tmp_path / "shifted.json"
+    ww.save_filter(ww.FilterSpec.from_coefficients(coeffs, label="shifted"), path)
+    code, doc = run_json(["validate", str(path)], tmp_path)
+    assert code == 2
+    assert doc["report"]["lowpass_error"] == pytest.approx(1e-11, rel=1e-6)
+    assert doc["report"]["verdicts"] == {"partition": True, "quadrature": True, "lowpass": False}
+    assert main(["validate", str(path), "--out", str(tmp_path / "v.csv")]) == 2
+    assert "lowpass,1.000000082740371e-11,false" in (tmp_path / "v.csv").read_text().splitlines()
+
+
 @pytest.mark.parametrize("tol", ["0", "1e-30"])
 def test_validate_tol_zero_is_taken_as_given(tmp_path, tol):
     # d4's partition error is a few ulp, above a zero tolerance
@@ -402,6 +419,14 @@ def test_scaling_csv(tmp_path):
     assert any("norm_sq_riemann" in l for l in meta)
     rows = [l for l in lines if not l.startswith("#")][1:]
     assert rows[0].split(",")[1] == "1.0"
+
+
+def test_scaling_norm_is_exact_at_a_coarse_grid(tmp_path):
+    # stretched_haar's h is exact, so the norm is 1/3 even at grid level 1,
+    # where a midpoint quadrature of h would read 1/9
+    code, doc = run_json(["scaling", gpath("stretched_haar"), "--grid-level", "1"], tmp_path)
+    assert code == 0
+    assert doc["meta"]["norm_sq_harmonic"] == 0.3333333333333333
 
 
 def test_transfer_runs(tmp_path):

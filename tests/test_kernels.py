@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import wavewalk as ww
-from conftest import DIVERGENT, complex_quadrature_filter, quadrature_family
+from conftest import DIVERGENT, TABLE16, complex_quadrature_filter, quadrature_family
 from wavewalk.ifs import cell_grid
 from wavewalk.filters import (
     _response_closure,
@@ -690,11 +690,6 @@ def test_filters_off_the_exact_route_keep_the_lattice_sum(system2):
 # ----------------------------------------------------------------------
 # the exact harmonic function of a table on the N-adic grid
 
-
-#: on 16 bins, with h = 3/13, 6/13 and 8/13 on cells 6, 10 and 12
-TABLE16 = ww.FilterSpec.from_table(
-    np.arange(16) / 16, [1, 0, 1, 0.5, 1, 0.25, 0.5, 0, 0, 1, 0, 0.5, 0, 0.75, 0.5, 1]
-)
 
 #: a partition whose lattice sums approach h = 1 slowly
 SLOW_TAIL = ww.FilterSpec.from_table(np.arange(8) / 8, [1, 0.0276, 0.7535, 0, 0, 0.9724, 0.2465, 1])

@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 import wavewalk as ww
 from wavewalk.ifs import DigitWord
 from wavewalk import measures
-from wavewalk.measures import FiniteCoordFn, _chain_harmonic, _grow, _table_order
+from wavewalk.measures import FiniteCoordFn, _chain_harmonic, _grow, _harmonic_coefficients, _table_order
 
-from conftest import DIVERGENT, EDGE_STATES, nextafter_branch, quadrature_family, sinc_sq
+from conftest import DIVERGENT, EDGE_STATES, TABLE16, nextafter_branch, quadrature_family, sinc_sq
 
 
 @st.composite
@@ -473,6 +473,27 @@ def test_chain_harmonic_of_random_partition_tables(spec):
         assert h[-1] == 1.0
     grid = ww.harmonic_gridfunction(spec, system, level + 1, policy)
     assert ww.harmonic_residual(spec, system, grid, eval_level=level) <= 1e-12
+
+
+@given(spec=dyadic_partition_filter(), finer=st.integers(min_value=0, max_value=3))
+@example(spec=TABLE16, finer=0)
+@example(spec=TABLE16, finer=2)
+@settings(max_examples=40, deadline=None)
+def test_chain_harmonic_coefficients_of_random_partition_tables(spec, finer):
+    # h is a step function on the level-L cells, so on the cells of every
+    # level l >= L: each cell integrates exactly to its midpoint value times
+    # sinc(k / 2**l), at every lag k, those past 2**l included
+    system, policy = ww.PathSystem(2), ww.TruncationPolicy(tail_cutoff_k=50)
+    chain = _chain_harmonic(spec, 2)
+    if chain is None:
+        return
+    ks = np.arange(-40, 41)
+    exact = _harmonic_coefficients(spec, system, ks, policy, 0)
+    cells = 2 ** (chain.level + finer)
+    mids = (np.arange(cells) + 0.5) / cells
+    h = ww.harmonic_on_grid(spec, system, mids, policy)
+    quadrature = np.array([np.mean(h * np.exp(2j * np.pi * k * mids)) for k in ks]) * np.sinc(ks / cells)
+    assert np.max(np.abs(exact - quadrature)) <= 1e-13
 
 
 @given(theta=st.floats(min_value=0.05, max_value=6.2), x=st.floats(min_value=0, max_value=1, exclude_max=True))

@@ -1,12 +1,13 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 import wavewalk as ww
 from wavewalk.scaling import SampledFunction
 
-from conftest import complex_quadrature_filter, quadrature_family, sinc_sq
+from conftest import DIVERGENT, TABLE16, complex_quadrature_filter, quadrature_family, sinc_sq
 
 
 def exact_stretched_phi(level=7):
@@ -278,6 +279,68 @@ def test_autocorrelation_stretched(stretched, system2, policy):
     lag1, lag3 = ww.autocorrelation(stretched, system2, [1, 3], policy, level=10)
     assert lag1.value == pytest.approx(2 / 9, abs=5e-3)
     assert abs(lag3.value) < 1e-4
+
+
+LAGS = range(-6, 7)
+
+#: TABLE16's h exactly: (lo, hi, p, q) for the value p/q on [lo/8, hi/8), 0 elsewhere
+TABLE16_H = ((-1, 1, 1, 1), (3, 4, 3, 13), (5, 6, 6, 13), (6, 7, 8, 13))
+
+
+def _step_coefficient(pieces, k) -> complex:
+    """int_0^1 h(x) exp(2 pi i k x) dx of the 1-periodic step function h, at 40 digits."""
+    with mpmath.workdps(40):
+        total = mpmath.mpc(0)
+        for lo, hi, p, q in pieces:
+            a, b = mpmath.mpf(lo) / 8, mpmath.mpf(hi) / 8
+            cell = b - a if k == 0 else (mpmath.expjpi(2 * k * b) - mpmath.expjpi(2 * k * a)) / (2j * mpmath.pi * k)
+            total += mpmath.mpf(p) / q * cell
+        return complex(total)
+
+
+DELTA = [float(k == 0) for k in LAGS]
+
+#: filters whose h harmonic_masses has exactly, and their a(k) at LAGS
+EXACT_AUTOCORRELATIONS = {
+    "haar": (ww.load_gallery("haar"), DELTA),
+    "d4": (ww.load_gallery("d4"), DELTA),
+    "shannon": (ww.load_gallery("shannon"), DELTA),
+    "box3": (ww.FilterSpec.from_coefficients({0: 1 / 3, 1: 1 / 3, 2: 1 / 3}, scale_n=3), DELTA),
+    "stretched_haar": (ww.load_gallery("stretched_haar"), [{0: 1 / 3, 1: 2 / 9, 2: 1 / 9}.get(abs(k), 0.0) for k in LAGS]),
+    "table16": (TABLE16, [_step_coefficient(TABLE16_H, k) for k in LAGS]),
+}
+
+
+@pytest.mark.parametrize("level", [0, 1, 2, 12])
+@pytest.mark.parametrize("name", list(EXACT_AUTOCORRELATIONS))
+def test_autocorrelation_is_exact_where_h_is(name, level, policy):
+    # read off h's own representation: no grid, so no level is too coarse
+    spec, want = EXACT_AUTOCORRELATIONS[name]
+    system = ww.PathSystem(spec.scale_n)
+    got = ww.autocorrelation(spec, system, LAGS, policy, level)
+    for lag, a in zip(got, np.asarray(want, dtype=complex)):
+        assert abs(lag.value - a.real) <= 1e-15
+        assert abs(lag.imag_residual - abs(a.imag)) <= 1e-15
+
+
+@pytest.mark.parametrize("spec", [
+    ww.load_gallery("d4"),
+    TABLE16,
+    ww.load_gallery("highpass_haar"),
+    ww.FilterSpec.from_table([0, 0.1, 0.5, 0.75], [1, 0.3, 0, 0.7]),
+    DIVERGENT,
+], ids=["trigonometric", "chain", "highpass_haar", "off-grid-table", "divergent"])
+def test_norm_is_the_lag_0_autocorrelation(spec, system2):
+    policy = ww.TruncationPolicy(tail_cutoff_k=300)
+    norm = ww.scaling_norm_sq(spec, system2, policy, 5)
+    lag0 = ww.autocorrelation(spec, system2, [0], policy, 5)[0].value
+    assert norm == lag0 or (math.isnan(norm) and math.isnan(lag0))
+
+
+@pytest.mark.parametrize("lag", [1.5, 1.0, "1"])
+def test_autocorrelation_takes_integer_lags_only(lag, d4, system2, policy):
+    with pytest.raises(TypeError):
+        ww.autocorrelation(d4, system2, [0, lag], policy, 3)
 
 
 def test_autocorrelation_time_domain_cross_check(stretched):
