@@ -18,7 +18,7 @@ path, on which every trial still counted sits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -99,16 +99,7 @@ class DiagnosisReport:
     consistent: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "x": self.x,
-            "partial_products": list(self.partial_products),
-            "harmonic_values": list(self.harmonic_values),
-            "atom_positive": self.atom_positive,
-            "hypothesis": self.hypothesis,
-            "product_verdict": self.product_verdict,
-            "harmonic_verdict": self.harmonic_verdict,
-            "consistent": self.consistent,
-        }
+        return asdict(self)
 
 
 def diagnose_convergence(
@@ -297,12 +288,7 @@ class CylinderEstimate:
     seed: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "estimate": self.estimate,
-            "stderr": self.stderr,
-            "trials": self.trials,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def estimate_cylinder(

@@ -5,8 +5,9 @@ The expanding map x -> N*x mod 1, its N inverse branches
 integers (base-N expansion, least significant digit first) and
 negative integers (modular complement) to branch compositions and
 to N-adic subintervals.  The level-L grids of N**L cells (cell_grid),
-the step functions on them (GridFunction), and the one cell reader that
-they and filters.weight_array use (_cell_of) are here too.
+the step functions on them (GridFunction), and the one cell reader of
+step functions (_cell_of: GridFunction, filters.weight_array and the
+chain of measures._chain_harmonic) are here too.
 
 Everything here is pure arithmetic and safe for concurrent use.
 """

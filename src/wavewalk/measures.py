@@ -12,9 +12,10 @@ h) is also computed exactly where the filter allows it:
   * a low-pass coefficient filter whose weight is an exact partition:
     h is a trigonometric polynomial, the fixed point of the transfer
     operator on such polynomials (_harmonic_taps);
-  * a tabulated partition whose breakpoints lie on the N**-L grid: the
-    walk on level-L cells is a finite Markov chain, and h is a level-L
-    GridFunction, its absorption probability into the end cells
+  * a tabulated partition with rational breakpoints: the walk on the
+    cells of the Markov partition of x -> N*x mod 1 (the breakpoints'
+    forward orbits) is a finite Markov chain, and h is a step function
+    on those cells, its absorption probability into the end cells
     (_chain_harmonic).
 Every other filter keeps the truncated lattice sum.  The one pointwise
 branch step (N branch points and W there) is _branch_weights, and the
@@ -88,14 +89,13 @@ from .filters import (
     DEFAULT_TOL,
     KIND_COEFFICIENTS,
     FilterSpec,
-    _grid_flows,
     _trig_series,
     _weight_closure,
     _weight_taps,
     eval_weight,
     weight_array,
 )
-from .ifs import DigitWord, GridFunction, PathSystem, _check_finite, cell_grid, frac
+from .ifs import DigitWord, PathSystem, _cell_of, _check_finite, cell_grid, frac
 
 ATOM_UNDERFLOW = 1e-300
 
@@ -106,8 +106,8 @@ ATOM_TILE = 1 << 14
 #: hard cap on the number of enumerated words in exact tree sums
 MAX_TREE_WORDS = 1 << 20
 
-#: most level-L cells in the chain of a tabulated filter; its dense solve
-#: holds a (cells x cells) float64 matrix, 2 MiB at 2**9 cells
+#: most cells of the partition in the chain of a tabulated filter; its dense
+#: solve holds a (cells x cells) float64 matrix, 2 MiB at 2**9 cells
 MAX_CHAIN_CELLS = 1 << 9
 
 
@@ -604,39 +604,56 @@ def _absorption_solve(inner, leak, rhs):
 
 
 @functools.lru_cache(maxsize=64)
-def _chain_harmonic(spec: FilterSpec, n: int):
+def _chain_harmonic(spec: FilterSpec):
     """The minimal harmonic function of a tabulated filter, exactly.
 
-    Let L >= 1 be the least level with every breakpoint on the N**-L grid
-    (as a rational: 0.1 or a float ninth is on no grid).  W is then
-    constant on each level-(L+1) cell, so the walk on level-L cells is a
-    finite Markov chain: cell m goes to cell (m + j*N**L) // N with weight
-    W at (m + j*N**L) / N**(L+1) (filters._grid_flows).  h(x) = P_x(the
-    digits end in 0^inf or in (N-1)^inf) is its absorption probability in the end
-    cells whose digit repeats forever, a level-L step function
-    (Kemeny-Snell, Finite Markov Chains, 1960): the bottom cell counts
-    when its digit-0 weight is exactly 1, the top cell when its
-    digit-(N-1) weight is; h = 1 there and 0 on every cell that cannot
+    The cells lie between consecutive points of E, which is {0} and the
+    forward orbits of the breakpoints under x -> N*x mod 1, in exact
+    rationals: the Markov partition.  A float breakpoint b reads as the
+    rational of denominator at most MAX_CHAIN_CELLS that rounds to b where
+    there is one (0.1 is 1/10; two such rationals are more than an ulp
+    apart), else as b itself.  No point of E lies strictly inside a branch
+    image (C + j)/N of a cell C, so W is constant on the image, which lies
+    in one cell: the walk on the cells is a finite Markov chain, read at
+    the images' midpoints.  h(x) = P_x(the digits end in 0^inf or in
+    (N-1)^inf) is its absorption probability in the end cells whose digit
+    repeats forever (Kemeny-Snell, Finite Markov Chains, 1960): the bottom
+    cell counts when its digit-0 weight is exactly 1, the top cell when
+    its digit-(N-1) weight is; h = 1 there and 0 on every cell that cannot
     reach one along positive weights; the rest solve (I - Q) h = b
     (_absorption_solve).
 
-    Returns h as the level-L GridFunction of its N**L cell values, which
-    are read-only, or None where the route does not apply: a coefficient
-    filter, N**L above MAX_CHAIN_CELLS, a weight that is not an exact
-    partition on the cells (to rounding level), or a solve whose
-    condition number (in the infinity norm) times the unit roundoff, or
-    whose residual, exceeds DEFAULT_TOL.  Cached per filter and scale.
+    Returns (edges, values), both read-only: values[i] on the cell
+    [edges[i], edges[i+1]), read by ifs._cell_of as a table is.  Returns
+    None where the route does not apply: a coefficient filter, E past
+    MAX_CHAIN_CELLS points or with two that round to one float, a weight
+    that is not an exact partition on the cells (to rounding level), or a
+    solve whose condition number (in the infinity norm) times the unit
+    roundoff, or whose residual, exceeds DEFAULT_TOL.  Cached per filter.
     """
     if spec.kind == KIND_COEFFICIENTS:
         return None
-    # a float is a rational p/q, q a power of 2: on the N**-L grid when q divides N**L
-    denominators = [b.as_integer_ratio()[1] for b in spec.breakpoints]
-    level, cells = 1, n
-    while any(cells % q for q in denominators) and cells <= MAX_CHAIN_CELLS:
-        level, cells = level + 1, cells * n
-    if cells > MAX_CHAIN_CELLS:
+    # imported here, so that importing the package does not pay for it
+    from fractions import Fraction
+
+    n = spec.scale_n
+    todo = [Fraction(b).limit_denominator(MAX_CHAIN_CELLS) for b in spec.breakpoints]
+    todo = [r if float(r) == b else Fraction(b) for r, b in zip(todo, spec.breakpoints)]
+    points = {Fraction(0)}
+    while todo:
+        p = todo.pop()
+        if p not in points:
+            points.add(p)
+            if len(points) > MAX_CHAIN_CELLS:
+                return None
+            todo.append(p * n % 1)
+    edges = np.array([float(p) for p in sorted(points)])
+    if np.any(np.diff(edges) <= 0.0):
         return None
-    flows, dest = _grid_flows(spec, level)
+    cells = edges.size
+    mids = (edges + np.append(edges[1:], 1.0)) / 2
+    ys = (mids + np.arange(n)[:, None]) / n
+    flows, dest = weight_array(spec, ys), _cell_of(edges, ys)
     total = flows.sum(axis=0)
     if np.any(np.abs(total - 1.0) > 100 * np.finfo(float).eps * total):
         return None
@@ -653,9 +670,9 @@ def _chain_harmonic(spec: FilterSpec, n: int):
     h = target.astype(np.float64)
     free = live & ~target
     if free.any():
-        # every cell goes to N distinct cells, so no entry is written twice
+        # two digits of a cell may go to one cell, so their weights add
         step = np.zeros((cells, cells))
-        step[np.arange(cells), dest] = flows
+        np.add.at(step, (np.arange(cells), dest), flows)
         np.fill_diagonal(step, 0.0)
         inner = step[np.ix_(free, free)]
         leak = step[np.ix_(free, ~free)].sum(axis=1)
@@ -674,8 +691,8 @@ def _chain_harmonic(spec: FilterSpec, n: int):
         if not (well_conditioned and residual <= DEFAULT_TOL):
             return None
         h[free] = sol[:, 0]
-    h.flags.writeable = False
-    return GridFunction(level, n, h)
+    edges.flags.writeable = h.flags.writeable = False
+    return edges, h
 
 
 def harmonic_masses(spec: FilterSpec, system: PathSystem, xs, policy: TruncationPolicy) -> MeasureArray:
@@ -686,15 +703,16 @@ def harmonic_masses(spec: FilterSpec, system: PathSystem, xs, policy: Truncation
     used), and their rows are exact: converged, tail_bound 0.0, depth_used 0:
       * a low-pass coefficient filter that is an exact partition: the
         trigonometric polynomial of _harmonic_taps;
-      * a tabulated partition whose breakpoints lie on the N**-L grid,
-        N**L <= MAX_CHAIN_CELLS: the level-L GridFunction of
-        _chain_harmonic, read by its values_at as weight_array reads a table.
-    Every other filter (a table off the grid or not a partition, a
-    coefficient filter that is not a low-pass partition, or one of
-    either kind whose exact solve is declined) takes the lattice route:
-    lattice_masses(spec, system, xs, policy), returned unchanged, the
-    sum over |k| <= K, K = policy.tail_cutoff_k.  A NaN or infinite x
-    raises NonFiniteArgument.
+      * a tabulated partition whose Markov partition has at most
+        MAX_CHAIN_CELLS cells: the step function of _chain_harmonic, read
+        by ifs._cell_of as weight_array reads a table.
+    Every other filter (a table that is not a partition or whose
+    breakpoint orbits pass that cap, a coefficient filter that is not a
+    low-pass partition, or one of either kind whose exact solve is
+    declined) takes the lattice route: lattice_masses(spec, system, xs,
+    policy), returned unchanged, the sum over |k| <= K,
+    K = policy.tail_cutoff_k.  A NaN or infinite x raises
+    NonFiniteArgument.
     """
     _check_scales(spec, system)
     xs = np.asarray(xs, dtype=np.float64)
@@ -703,10 +721,11 @@ def harmonic_masses(spec: FilterSpec, system: PathSystem, xs, policy: Truncation
     if taps is not None:
         value = _trig_series(taps, xs)
     else:
-        chain = _chain_harmonic(spec, system.scale_n)
+        chain = _chain_harmonic(spec)
         if chain is None:
             return lattice_masses(spec, system, xs, policy)
-        value = chain.values_at(xs)
+        edges, h = chain
+        value = h[_cell_of(edges, xs)]
     return MeasureArray(value, np.ones(xs.shape, dtype=bool), np.zeros(xs.shape),
                         np.zeros(xs.shape, dtype=np.int64))
 
@@ -716,11 +735,12 @@ def _harmonic_coefficients(spec: FilterSpec, system: PathSystem, ks, policy: Tru
 
     The routes of harmonic_masses, in its order.  The polynomial of
     _harmonic_taps, degree L: a(0) = c_0, a(+-k) = (cos_k +- i sin_k) / 2
-    up to L, 0 past it.  The step function of _chain_harmonic: each level-L
-    cell integrates exactly, to sinc(k / N**L) times its midpoint term.
-    Else the midpoint quadrature of lattice_masses on the level-`level` grid,
-    aliased once |k| + L >= N**level (h of degree L), the one route to read
-    level and policy.  A negative level raises ValueError, a lag not an int TypeError.
+    up to L, 0 past it.  The step function of _chain_harmonic: a cell of
+    width w and midpoint m integrates exactly to its value times
+    w sinc(k w) e(k m), e(t) = exp(2 pi i t).  Else the midpoint quadrature
+    of lattice_masses on the level-`level` grid, aliased once
+    |k| + L >= N**level (h of degree L), the one route to read level and
+    policy.  A negative level raises ValueError, a lag not an int TypeError.
     """
     _check_scales(spec, system)
     if level < 0:
@@ -733,11 +753,15 @@ def _harmonic_coefficients(spec: FilterSpec, system: PathSystem, ks, policy: Tru
         # a(k) for |k| <= L + 1, 0 at both ends (past the degree)
         two_sided = np.concatenate([[0.0], half[::-1].conj(), [c0], half, [0.0]])
         return two_sided[np.clip(ks, -half.size - 1, half.size + 1) + half.size + 1]
-    chain = _chain_harmonic(spec, system.scale_n)
-    mids = cell_grid(system.scale_n, level if chain is None else chain.level, 0.5)
-    h = lattice_masses(spec, system, mids, policy).value if chain is None else chain.values
-    quad = np.array([complex(np.mean(h * np.exp(2j * np.pi * k * mids))) for k in ks])
-    return quad if chain is None else quad * np.sinc(ks / mids.size)
+    chain = _chain_harmonic(spec)
+    if chain is None:
+        mids = cell_grid(system.scale_n, level, 0.5)
+        h = lattice_masses(spec, system, mids, policy).value
+        return np.array([complex(np.mean(h * np.exp(2j * np.pi * k * mids))) for k in ks])
+    edges, h = chain
+    widths = np.diff(edges, append=1.0)
+    phases = np.exp(2j * np.pi * np.outer(ks, edges + widths / 2))
+    return (h * widths * np.sinc(np.outer(ks, widths)) * phases).sum(axis=1)
 
 
 def harmonic_on_grid(spec, system, xs, policy) -> np.ndarray:

@@ -58,6 +58,11 @@ TABLE16 = ww.FilterSpec.from_table(
     np.arange(16) / 16, [1, 0, 1, 0.5, 1, 0.25, 0.5, 0, 0, 1, 0, 0.5, 0, 0.75, 0.5, 1]
 )
 
+#: partitions whose breakpoints are on no dyadic grid (tenths, sixths);
+#: their h is 1, the probability that the walk ends in the bottom cell
+TENTHS = ww.FilterSpec.from_table([0.0, 0.1, 0.5, 0.6], [1.0, 0.3, 0.0, 0.7], label="tenths")
+SIXTHS = ww.FilterSpec.from_table(np.arange(6) / 6, [1.0, 0.2, 0.9, 0.0, 0.8, 0.1], label="sixths")
+
 
 def quadrature_family(theta: float) -> ww.FilterSpec:
     """Real orthogonal 4-tap family; theta = pi/3 recovers the d4 taps."""

@@ -11,6 +11,8 @@ from wavewalk import cli
 from wavewalk.cli import main
 from wavewalk.ifs import cell_grid
 
+from conftest import SIXTHS, TENTHS
+
 
 def gpath(name: str) -> str:
     return str(ww.gallery_path(name))
@@ -328,6 +330,24 @@ def test_on_grid_table_harmonic_rows_are_exact_ones(tmp_path):
     # probability; a lattice sum at the default K read 0.98 at x >= 1/2
     table = tmp_path / "table.json"
     ww.save_filter(ww.FilterSpec.from_table([0.0, 0.25, 0.5, 0.75], [1.0, 0.3, 0.0, 0.7]), table)
+    out = tmp_path / "h.csv"
+    assert main(["harmonic", str(table), "--grid-level", "3", "--out", str(out)]) == 0
+    rows = [l for l in out.read_text().splitlines() if not l.startswith("#")][1:]
+    assert len(rows) == 8
+    assert all(row.split(",")[1:] == ["1.0", "true", "0.0", "0"] for row in rows)
+
+
+@pytest.mark.parametrize("spec", [
+    TENTHS,
+    SIXTHS,
+    ww.FilterSpec.from_table([0.0, 2.0**-10, 0.5, 0.5 + 2.0**-10], [1.0, 0.5, 0.0, 0.5]),
+], ids=["tenths", "sixths", "over_cap"])
+def test_rational_table_harmonic_rows_are_exact_ones(spec, tmp_path):
+    # h = 1 exactly, the chain on the Markov partition; off every small
+    # N-adic grid, the lattice sum at the default K read 0.013-0.76 on
+    # 5 to 7 of the 8 rows, each called converged
+    table = tmp_path / "table.json"
+    ww.save_filter(spec, table)
     out = tmp_path / "h.csv"
     assert main(["harmonic", str(table), "--grid-level", "3", "--out", str(out)]) == 0
     rows = [l for l in out.read_text().splitlines() if not l.startswith("#")][1:]

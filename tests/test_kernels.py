@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import wavewalk as ww
-from conftest import DIVERGENT, TABLE16, complex_quadrature_filter, quadrature_family
+from conftest import DIVERGENT, SIXTHS, TABLE16, TENTHS, complex_quadrature_filter, quadrature_family
 from wavewalk.ifs import cell_grid
 from wavewalk.filters import (
     _response_closure,
@@ -662,55 +662,50 @@ def test_harmonic_residual_for_n2_is_the_branch_point_formula(name, system2, pol
 def test_filters_off_the_exact_route_keep_the_lattice_sum(system2):
     policy = ww.TruncationPolicy(tail_cutoff_k=50)
     xs = np.random.default_rng(23).random(9)
-    off_grid = ww.FilterSpec.from_table([0.0, 0.1, 0.5, 0.6], [1.0, 0.5, 0.0, 0.5])
-    over_cap = ww.FilterSpec.from_table([0.0, 2.0**-10, 0.5, 0.5 + 2.0**-10], [1.0, 0.5, 0.0, 0.5])
-    assert 2**10 > MAX_CHAIN_CELLS
+    # 2**-40 has an orbit of 2**38 points under x -> 3x mod 1
+    beyond_cap = ww.FilterSpec.from_table([0.0, 2.0**-40], [1 / 3, 1 / 3], scale_n=3)
+    assert _chain_harmonic(beyond_cap) is None
     specs = [
         ww.load_gallery("highpass_haar"),
-        off_grid,
-        ww.FilterSpec.from_table([0.0], [0.4]),  # on the grid, not a partition
-        over_cap,
+        ww.FilterSpec.from_table([0.0], [0.4]),  # not a partition
         ww.FilterSpec.from_coefficients({0: 0.6, 1: 0.4}),  # low-pass, not a partition
         quadrature_family(np.pi + 1e-4),  # a fixed point too ill-conditioned to solve for
         # eigenvalue 1 neither simple nor double at rounding level
         quadrature_family(np.pi + 1e-5),
         quadrature_family(np.pi + 1e-6),
+        beyond_cap,
     ]
-    assert ww.check_partition(off_grid, 10).all_ok and ww.check_partition(over_cap, 10).all_ok
     for spec in specs:
-        got = ww.harmonic_on_grid(spec, system2, xs, policy)
-        np.testing.assert_array_equal(got, ww.lattice_masses(spec, system2, xs, policy).value)
-    # a float ninth is on no 3-adic grid
-    ninth = ww.FilterSpec.from_table([0.0, 1 / 9], [1 / 3, 1 / 3], scale_n=3)
-    system3 = ww.PathSystem(3)
-    got = ww.harmonic_on_grid(ninth, system3, xs, policy)
-    np.testing.assert_array_equal(got, ww.lattice_masses(ninth, system3, xs, policy).value)
+        system = ww.PathSystem(spec.scale_n)
+        got = ww.harmonic_on_grid(spec, system, xs, policy)
+        np.testing.assert_array_equal(got, ww.lattice_masses(spec, system, xs, policy).value)
 
 
 # ----------------------------------------------------------------------
-# the exact harmonic function of a table on the N-adic grid
+# the exact harmonic function of a table: the chain on its Markov partition
 
 
 #: a partition whose lattice sums approach h = 1 slowly
 SLOW_TAIL = ww.FilterSpec.from_table(np.arange(8) / 8, [1, 0.0276, 0.7535, 0, 0, 0.9724, 0.2465, 1])
 
 
-def _end_cell_fraction(spec, system, xs, trials, steps, seed):
-    """Per start point, the fraction of dyadic walks that sit in a 16-bin end
-    cell after `steps` steps: the end cells of TABLE16 have W = 1 on the
-    digit that keeps a walk inside them, so this estimates h there."""
+def _end_cell_fraction(spec, system, xs, trials, steps, seed, lo=1 / 16, hi=15 / 16):
+    """Per start point, the fraction of dyadic walks that sit in an end
+    cell, [0, lo) or [hi, 1), after `steps` steps: where the end cells have
+    W = 1 on the digit that keeps a walk inside them (the 16-bin end cells
+    of TABLE16 by default), this estimates h there."""
     rng = np.random.default_rng(seed)
     y = np.repeat(np.asarray(xs, dtype=np.float64), trials)
     for _ in range(steps):
         one = rng.random(y.size) >= weight_array(spec, system.branch_array(0, y))
         y = system.branch_array(one.astype(np.float64), y)
-    ends = (y < 1 / 16) | (y >= 15 / 16)
+    ends = (y < lo) | (y >= hi)
     return ends.reshape(len(xs), trials).mean(axis=1)
 
 
 def test_chain_harmonic_of_shannon_is_one(system2):
     shannon = ww.load_gallery("shannon")
-    assert _chain_harmonic(shannon, 2) is not None
+    assert _chain_harmonic(shannon) is not None
     policy = ww.TruncationPolicy(tail_cutoff_k=2000)
     xs = _far_points(400)
     assert np.max(np.abs(ww.harmonic_on_grid(shannon, system2, xs, policy) - 1.0)) <= 1e-14
@@ -726,7 +721,7 @@ def test_chain_harmonic_without_a_target_is_zero(system2, policy):
         # W = 1 on the cycle {1/3, 2/3}, and 0 at both ends
         ww.FilterSpec.from_table([0.0, 0.25, 0.5, 0.75], [0.0, 1.0, 1.0, 0.0]),
     ):
-        assert _chain_harmonic(spec, 2) is not None
+        assert _chain_harmonic(spec) is not None
         np.testing.assert_array_equal(ww.harmonic_on_grid(spec, system2, xs, policy), 0.0)
 
 
@@ -752,27 +747,65 @@ def test_chain_harmonic_against_walks_and_the_lattice_sum(system2):
     assert np.max(np.abs(lattice - h)) <= 1e-3
 
 
+@pytest.mark.parametrize("spec, bottom", [(TENTHS, 0.1), (SIXTHS, 1 / 6)], ids=["tenths", "sixths"])
+def test_chain_harmonic_off_the_dyadic_grid_against_walks(spec, bottom, system2):
+    # the bottom cell [0, bottom) keeps every walk that enters it (W = 1 on
+    # digit 0), and every walk enters it: h = 1, where the lattice sum at
+    # K = 2000 read 0.32-0.76 and called it converged
+    policy = ww.TruncationPolicy(tail_cutoff_k=2000)
+    xs = np.array([0.05, 0.3, 0.45, 0.55, 0.7, 0.95])
+    h = ww.harmonic_on_grid(spec, system2, xs, policy)
+    np.testing.assert_array_equal(h, 1.0)
+    trials = 2_000
+    walked = _end_cell_fraction(spec, system2, xs, trials, 400, seed=31, lo=bottom, hi=1.0)
+    stderr = np.sqrt(walked * (1.0 - walked) / trials)
+    # 1e-3 allows for the walks not yet absorbed after 400 steps (a few
+    # in 10,000 are left after 300 on the tenths)
+    assert np.all(np.abs(walked - h) <= 6 * stderr + 1e-3)
+
+
+@pytest.mark.parametrize("spec, scale, h", [
+    (ww.FilterSpec.from_table([0.0, 0.1, 0.5, 0.6], [1.0, 0.5, 0.0, 0.5]), 2, 1.0),
+    (ww.FilterSpec.from_table([0.0, 2.0**-10, 0.5, 0.5 + 2.0**-10], [1.0, 0.5, 0.0, 0.5]), 2, 1.0),
+    # a float ninth reads as 1/9: the weight is 1/3 everywhere, no end cell keeps a walk
+    (ww.FilterSpec.from_table([0.0, 1 / 9], [1 / 3, 1 / 3], scale_n=3), 3, 0.0),
+], ids=["tenths", "over_cap", "ninth"])
+def test_tables_off_every_small_grid_take_the_chain(spec, scale, h, policy):
+    # as floats, these breakpoints lie on no N**-L grid with
+    # N**L <= MAX_CHAIN_CELLS (2**-10 needs 2**10 cells), yet their Markov
+    # partition has a few cells: h is exact, not the lattice sum
+    assert 2**10 > MAX_CHAIN_CELLS
+    system = ww.PathSystem(scale)
+    masses = ww.harmonic_masses(spec, system, _far_points(400), policy)
+    np.testing.assert_array_equal(masses.value, h)
+    assert masses.converged.all() and not masses.tail_bound.any()
+    assert ww.check_partition(spec, 10 if scale == 2 else 6).all_ok
+
+
 def test_chain_harmonic_reads_cells_as_the_grid_function_does(system2, policy):
-    chain = _chain_harmonic(TABLE16, 2)
-    level, cells = chain.level, chain.values
+    # breakpoints on sixteenths: the Markov partition is the level-4 grid
+    edges, cells = _chain_harmonic(TABLE16)
+    np.testing.assert_array_equal(edges, cell_grid(2, 4))
     xs = np.concatenate([_far_points(400), [1 - 2.0**-53, -(2.0**-60), 15 / 16, 1 / 16]])
-    grid = ww.GridFunction(level, 2, np.asarray(cells))
+    grid = ww.GridFunction(4, 2, np.asarray(cells))
     np.testing.assert_array_equal(ww.harmonic_on_grid(TABLE16, system2, xs, policy), grid.values_at(xs))
-    np.testing.assert_array_equal(ww.harmonic_gridfunction(TABLE16, system2, level, policy).values, cells)
+    np.testing.assert_array_equal(ww.harmonic_gridfunction(TABLE16, system2, 4, policy).values, cells)
 
 
 def test_chain_harmonic_at_scale_6_reads_its_own_grid_points(policy):
-    # breakpoints on eighths lie on the 6**-3 grid and on no coarser one;
+    # x -> 6x mod 1 maps eighths to eighths, so the cells are the eighths;
     # a table on eighths is a partition at N = 6 exactly when
     # v_i + v_(i+4) = 1/3, so no end cell has weight 1 and h is 0
     spec = ww.FilterSpec.from_table(np.arange(8) / 8, [0.25, 0.125, 0.0, 1 / 3, 1 / 12, 5 / 24, 1 / 3, 0.0],
                                     scale_n=6)
     system6 = ww.PathSystem(6)
-    chain = _chain_harmonic(spec, 6)
-    assert chain.level == 3 and chain.n_branches == 6
+    edges, cells = _chain_harmonic(spec)
+    np.testing.assert_array_equal(edges, np.arange(8) / 8)
+    # each 6**-3 grid point m/216 lies in the eighth floor(m/27)
     pts = cell_grid(6, 3)
-    np.testing.assert_array_equal(ww.harmonic_on_grid(spec, system6, pts, policy), chain.values)
-    np.testing.assert_array_equal(ww.harmonic_gridfunction(spec, system6, 3, policy).values, chain.values)
+    want = cells[np.arange(216) // 27]
+    np.testing.assert_array_equal(ww.harmonic_on_grid(spec, system6, pts, policy), want)
+    np.testing.assert_array_equal(ww.harmonic_gridfunction(spec, system6, 3, policy).values, want)
     assert ww.check_partition(spec, 6).all_ok
 
 

@@ -3,6 +3,7 @@ import dataclasses
 import inspect
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from wavewalk.ifs import DigitWord
 from wavewalk import measures
 from wavewalk.measures import FiniteCoordFn, _chain_harmonic, _grow, _harmonic_coefficients, _table_order
 
-from conftest import DIVERGENT, EDGE_STATES, TABLE16, nextafter_branch, quadrature_family, sinc_sq
+from conftest import DIVERGENT, EDGE_STATES, SIXTHS, TABLE16, TENTHS, nextafter_branch, quadrature_family, sinc_sq
 
 
 @st.composite
@@ -31,6 +32,30 @@ def dyadic_partition_filter(draw):
     )
     bps = [m / 2**level for m in range(2**level)]
     return ww.FilterSpec.from_table(bps, vals + [1.0 - v for v in vals], label="rand")
+
+
+@st.composite
+def rational_partition_filter(draw):
+    """A partition table at N = 2 or 3 with rational breakpoints.
+
+    The cuts of [0, 1/N) have denominators 3 to 12; the table repeats
+    them at each shift by j/N, with the N weights of a piece summing to 1
+    (to rounding level), so an end weight is exactly 1 now and then.
+    """
+    n = draw(st.sampled_from([2, 3]))
+    qs = draw(st.lists(st.integers(min_value=3, max_value=12), max_size=6))
+    cuts = {Fraction(draw(st.integers(min_value=1, max_value=q - 1)), q) for q in qs}
+    base = [Fraction(0)] + sorted(c for c in cuts if c < Fraction(1, n))
+    shares = []
+    for _ in base:
+        rest, piece = 1.0, []
+        for _ in range(n - 1):
+            piece.append(draw(st.floats(min_value=0, max_value=1)) * rest)
+            rest -= piece[-1]
+        shares.append(piece + [rest])
+    bps = [float(b + Fraction(j, n)) for j in range(n) for b in base]
+    vals = [share[j] for j in range(n) for share in shares]
+    return ww.FilterSpec.from_table(bps, vals, scale_n=n, label="rational")
 
 
 # ----------------------------------------------------------------------
@@ -459,13 +484,14 @@ def test_chain_harmonic_of_random_partition_tables(spec):
     level = len(spec.breakpoints).bit_length() - 1
     xs = (np.arange(2**level) + 0.5) / 2**level
     h = ww.harmonic_on_grid(spec, system, xs, policy)
-    chain = _chain_harmonic(spec, 2)
+    chain = _chain_harmonic(spec)
     if chain is None:
         # declined: weights so small that the walk takes more steps to
         # leave the inner cells than DEFAULT_TOL allows the solve
         np.testing.assert_array_equal(h, ww.lattice_masses(spec, system, xs, policy).value)
         return
-    assert chain.level == level
+    # every breakpoint m / 2**L goes to 0 along the level-L grid, so those are the cells
+    np.testing.assert_array_equal(chain[0], np.arange(2**level) / 2**level)
     assert h.min() >= 0.0 and h.max() <= 1.0 + 1e-12
     if spec.values[0] == 1.0:
         assert h[0] == 1.0
@@ -480,20 +506,69 @@ def test_chain_harmonic_of_random_partition_tables(spec):
 @example(spec=TABLE16, finer=2)
 @settings(max_examples=40, deadline=None)
 def test_chain_harmonic_coefficients_of_random_partition_tables(spec, finer):
-    # h is a step function on the level-L cells, so on the cells of every
-    # level l >= L: each cell integrates exactly to its midpoint value times
-    # sinc(k / 2**l), at every lag k, those past 2**l included
+    # h is a step function on the level-L cells (the Markov partition of
+    # these tables), so on the cells of every level l >= L: each cell
+    # integrates exactly to its midpoint value times sinc(k / 2**l), at
+    # every lag k, those past 2**l included
     system, policy = ww.PathSystem(2), ww.TruncationPolicy(tail_cutoff_k=50)
-    chain = _chain_harmonic(spec, 2)
+    chain = _chain_harmonic(spec)
     if chain is None:
         return
     ks = np.arange(-40, 41)
     exact = _harmonic_coefficients(spec, system, ks, policy, 0)
-    cells = 2 ** (chain.level + finer)
+    cells = chain[0].size * 2**finer
     mids = (np.arange(cells) + 0.5) / cells
     h = ww.harmonic_on_grid(spec, system, mids, policy)
     quadrature = np.array([np.mean(h * np.exp(2j * np.pi * k * mids)) for k in ks]) * np.sinc(ks / cells)
     assert np.max(np.abs(exact - quadrature)) <= 1e-13
+
+
+@given(spec=rational_partition_filter())
+@example(spec=TENTHS)
+@example(spec=SIXTHS)
+# declined: the top cell keeps a walk with weight 1 - 1e-12, too long for DEFAULT_TOL
+@example(spec=ww.FilterSpec.from_table([0.0, 0.25, 0.5, 0.75], [1.0, 1e-12, 0.0, 1 - 1e-12]))
+@settings(max_examples=60, deadline=None)
+def test_chain_harmonic_of_random_rational_tables(spec):
+    # the chain on the Markov partition: h is a probability, 1 on an end
+    # cell whose digit repeats with weight 1, and a fixed point of the
+    # transfer operator; where the chain declines, the lattice sum
+    system, policy = ww.PathSystem(spec.scale_n), ww.TruncationPolicy(tail_cutoff_k=50)
+    xs = np.random.default_rng(17).random(8)
+
+    def read(y):
+        return ww.harmonic_on_grid(spec, system, [y], policy)[0]
+
+    h = ww.harmonic_on_grid(spec, system, xs, policy)
+    if _chain_harmonic(spec) is None:
+        np.testing.assert_array_equal(h, ww.lattice_masses(spec, system, xs, policy).value)
+        return
+    assert h.min() >= 0.0 and h.max() <= 1.0 + 1e-12
+    if spec.values[0] == 1.0:
+        assert read(0.0) == 1.0
+    if spec.values[-1] == 1.0:
+        assert read(1 - 2**-53) == 1.0
+    for x in xs:
+        assert abs(ww.apply_transfer(spec, system, read, x) - read(x)) <= 1e-12
+
+
+def test_breakpoints_read_as_small_rationals():
+    # 0.1 and 0.6 read as 1/10 and 3/5, whose orbits under doubling give 7
+    # cells.  Read as the floats themselves, this table is no partition:
+    # on [0.19999999999999996, 0.2) the branch points x/2 lie below the
+    # float 0.1 and (x + 1)/2 at or above the float 0.6, weights 1 and 0.7
+    edges, h = _chain_harmonic(TENTHS)
+    np.testing.assert_array_equal(edges, [0.0, 0.1, 0.2, 0.4, 0.5, 0.6, 0.8])
+    np.testing.assert_array_equal(h, 1.0)
+    x = Fraction(0.19999999999999998)
+    assert Fraction(0.19999999999999996) <= x < Fraction(0.2)
+    assert x / 2 < Fraction(0.1) and (x + 1) / 2 >= Fraction(0.6)
+    # a float third reads as 1/3, whose orbit is {1/3, 2/3}; 2**-10 is a
+    # rational of denominator past MAX_CHAIN_CELLS and reads as itself
+    third = ww.FilterSpec.from_table([0.0, 1 / 3], [0.5, 0.5])
+    np.testing.assert_array_equal(_chain_harmonic(third)[0], [0.0, 1 / 3, 2 / 3])
+    tiny = ww.FilterSpec.from_table([0.0, 2.0**-10], [0.5, 0.5])
+    np.testing.assert_array_equal(_chain_harmonic(tiny)[0], [0.0] + [2.0**-k for k in range(10, 0, -1)])
 
 
 @given(theta=st.floats(min_value=0.05, max_value=6.2), x=st.floats(min_value=0, max_value=1, exclude_max=True))
