@@ -12,7 +12,9 @@ Randomness is pinned to the Philox counter-based generator (fixed
 constants, platform-stable streams); derived streams use the key pair
 (seed, stream_index).  Both Monte Carlo samplers walk one state at a
 time: sample_path its sampled path, estimate_cylinder the word's own
-path, on which every trial still counted sits.
+path, on which every trial still counted sits.  Both read the stream's
+raw 64-bit words and pick digits by one integer rule (_word_bounds),
+exact against the uniforms numpy would make of the same words.
 """
 
 from __future__ import annotations
@@ -248,6 +250,19 @@ def _shares(spec: FilterSpec, system: PathSystem, y: float):
     return branches[:, 0], total, cum[:-1] / total
 
 
+def _word_bounds(cum) -> list[int]:
+    """The word bounds K_i = ceil(cum_i * 2**53) of cumulative shares, as ints.
+
+    numpy's Philox double is u = (r >> 11) * 2**-53 for the 64-bit word r,
+    so u >= cum_i exactly when r >> 11 >= K_i: the scale is a power of 2
+    and the ceiling an integer one, so K_i is exact.  A share below 0 (a
+    weight rounded below 0) gets the bound 0 that every word meets, and
+    one above 1, or NaN, the bound 2**53 that none does, as no uniform
+    meets those shares either.
+    """
+    return [math.ceil(max(c, 0.0) * 2.0**53) if c <= 1.0 else 1 << 53 for c in cum.tolist()]
+
+
 def sample_path(
     spec: FilterSpec,
     system: PathSystem,
@@ -258,22 +273,27 @@ def sample_path(
 ) -> WalkSample:
     """Draw n digits: from state y, digit i with weight W(branch(i, y)).
 
-    One uniform of the (seed, stream) Philox stream per step picks the
-    digit by the cumulative shares of _shares, the step estimate_cylinder
-    takes.  Weights are renormalized by their sum each step as a guard
-    against partition error; the per-step sums are logged in the sample.
+    One 64-bit word r of the (seed, stream) Philox stream per step picks
+    the digit by the cumulative shares of _shares, the step
+    estimate_cylinder takes: the digit is the number of word bounds
+    (_word_bounds) at or below r >> 11, which is exactly the number of
+    shares at or below the uniform (r >> 11) * 2**-53 that numpy's
+    random() makes of the same word.  Weights are renormalized by their
+    sum each step as a guard against partition error; the per-step sums
+    are logged in the sample.
     Raises DegenerateStep at the first state reached whose branch weights
     all vanish, and ValueError for a negative n.
     """
     _check_scales(spec, system)
     if n < 0:
         raise ValueError(f"path length must be >= 0, got {n}")
-    rng = _rng(seed, stream)
+    words = _rng(seed, stream).bit_generator
     y = frac(x)
     digits, norms = [], []
     for _ in range(n):
         branches, total, cum = _shares(spec, system, y)
-        d = int((rng.random() >= cum).sum())
+        v = words.random_raw() >> 11
+        d = sum(k <= v for k in _word_bounds(cum))
         digits.append(d)
         norms.append(float(total))
         y = branches[d]
@@ -305,13 +325,20 @@ def estimate_cylinder(
     Every trial that still follows the word after s steps sits at the
     same state, the branch composition of frac(x) along the word's first
     s digits, and only those trials count.  So the estimate walks that one
-    state: step s draws one uniform per trial off a single Philox stream,
-    keeps the trials whose uniform picks the word's digit, and moves to
-    the branch of that digit.  A step's uniforms are drawn ATOM_TILE at a
-    time into one reused buffer: the same draws of the same stream, in
-    the same order, as one array of `trials` uniforms per step.  The
-    estimate is bit-reproducible for a given (seed, stream), and equal to
-    that of walking every trial.
+    state: step s draws one 64-bit word per trial off a single Philox
+    stream, keeps the trials whose word picks the word's digit, and moves
+    to the branch of that digit.  The digit rule is sample_path's, in
+    integers: with the word bounds K of _word_bounds, the uniform
+    (r >> 11) * 2**-53 that numpy's random() makes of the word r lies in
+    [cum[t-1], cum[t]) exactly when K[t-1] <= r >> 11 < K[t], that is
+    when K[t-1] << 11 <= r < K[t] << 11.  Where that range is empty no
+    trial is left and no word is drawn; otherwise a bound of 0 or 2**64
+    holds for every word and is not tested, and the others fit in 64
+    bits.  A step's words are drawn ATOM_TILE at a time: the same words
+    of the same stream, in the same order, as one array of `trials`
+    words per step.  The estimate is bit-reproducible for a given
+    (seed, stream), equal to that of walking every trial, and equal to
+    that of the same walk on numpy's uniforms.
 
     Raises DigitOutOfRange for a digit outside [0, N), and DegenerateStep
     when the branch weights all vanish at a state of the word's own path
@@ -325,23 +352,26 @@ def estimate_cylinder(
         raise ValueError("need at least 100 trials")
     for target in word:
         system._check_digit(target)
-    rng = _rng(seed, stream)
+    words = _rng(seed, stream).bit_generator
     y = frac(x)
-    last = system.scale_n - 1
     with _allocating(f"a flag for each of {trials} trials"):
         match = np.ones(trials, dtype=bool)
-    buf = np.empty(min(trials, ATOM_TILE))
     for target in word:
         branches, _, cum = _shares(spec, system, y)
-        for start in range(0, trials, buf.size):
-            tile = match[start : start + buf.size]
-            u = rng.random(out=buf[: tile.size])
-            # u draws the target digit when exactly `target` shares are <= u;
-            # the shares never decrease, so that is cum[t-1] <= u < cum[t]
-            if target > 0:
-                tile &= cum[target - 1] <= u
-            if target < last:
-                tile &= u < cum[target]
+        # r draws the target digit when exactly `target` bounds are <= r >> 11;
+        # the shares never decrease, so that is lo <= r < hi
+        bounds = [0, *_word_bounds(cum), 1 << 53]
+        lo, hi = bounds[target] << 11, bounds[target + 1] << 11
+        if lo >= hi:
+            match[:] = False
+            break
+        for start in range(0, trials, ATOM_TILE):
+            tile = match[start : start + ATOM_TILE]
+            r = words.random_raw(tile.size)
+            if lo > 0:
+                tile &= r >= np.uint64(lo)
+            if hi < 2**64:
+                tile &= r < np.uint64(hi)
         if not match.any():
             break
         y = branches[target]

@@ -904,14 +904,25 @@ def _grow(spec, system, weights, ys, levels):
     return weights, ys
 
 
+@functools.lru_cache(maxsize=64)
+def _table_permutation(n, levels, size):
+    """The gather indices of _table_order, read-only, for `size` entries."""
+    perm = np.arange(size).reshape((n,) * levels + (-1,)).T.ravel()
+    perm.flags.writeable = False
+    return perm
+
+
 def _table_order(a, n, levels):
     """Reorder a digit-major growth `levels` deep (_grow) into table order.
 
     Reversing the axes gives state N**levels + d_1 N**(levels-1) + ... +
     d_levels, index * N + digit at every level: the words below one state
-    stay consecutive, in the order of the flat table.
+    stay consecutive, in the order of the flat table.  The reorder is one
+    gather (`take`) over a permutation cached per (N, levels, size): a
+    transposed copy over levels + 1 axes of size N runs numpy's inner
+    loop over N elements at a time.
     """
-    return a.reshape((n,) * levels + (-1,)).T.ravel()
+    return a.take(_table_permutation(n, levels, a.size))
 
 
 def _sum_halves(parts):

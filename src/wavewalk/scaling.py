@@ -119,9 +119,15 @@ def cascade(spec: FilterSpec, system: PathSystem, iters: int, level: int) -> Sam
     """Cascade iteration from the unit box, sampled at step N**-level.
 
     The sample window is the hull of [0, 1) and the limit support
-    [k_min, k_max] / (N - 1).  A negative iteration count or level raises
-    ValueError, and a window whose samples cannot be allocated
-    GridTooLarge.
+    [k_min, k_max] / (N - 1).  The cascade refines at its iterate's
+    resolution: the j-th iterate (the box for j = 0) is constant on cells
+    of width N**-j, so step j runs on the grid of level min(j, level),
+    with each sample repeated N times before it, and an iterate coarser
+    than the level is repeated up to it at the end.  Every level-`level`
+    sample gets the same arithmetic and the same window cut as on the
+    fine grid throughout, bit for bit.  A negative iteration count or
+    level raises ValueError, and a window whose level-`level` samples
+    cannot be allocated GridTooLarge, before any refinement.
     """
     spec._need_coefficients()
     _check_scales(spec, system)
@@ -132,11 +138,17 @@ def cascade(spec: FilterSpec, system: PathSystem, iters: int, level: int) -> Sam
     t_min = min(0, int(np.floor(k_lo / (n - 1))))
     t_max = max(1, int(np.ceil(k_hi / (n - 1))) + 1)
     with grid_cells(n, level) as cells:
-        start = np.zeros((t_max - t_min) * cells, dtype=np.complex128)
-    start[(0 - t_min) * cells : (1 - t_min) * cells] = 1.0
-    phi = SampledFunction(float(t_min), float(t_max), 1.0 / cells, start)
-    for _ in range(iters):
+        fine = np.empty((t_max - t_min) * cells, dtype=np.complex128)
+    box = np.zeros(t_max - t_min, dtype=np.complex128)
+    box[0 - t_min] = 1.0
+    phi = SampledFunction(float(t_min), float(t_max), 1.0, box)
+    for j in range(iters):
+        if j < level:
+            phi = SampledFunction(phi.t_min, phi.t_max, 1.0 / n ** (j + 1), np.repeat(phi.samples, n))
         phi = cascade_step(spec, system, phi)
+    if phi.samples.size < fine.size:
+        fine.reshape(phi.samples.size, -1)[:] = phi.samples[:, None]
+        phi = SampledFunction(phi.t_min, phi.t_max, 1.0 / cells, fine)
     return phi
 
 

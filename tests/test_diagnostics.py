@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import wavewalk as ww
-from wavewalk.diagnostics import _rng, _shares
+from wavewalk.diagnostics import _rng, _shares, _word_bounds
 from wavewalk.ifs import DigitWord
 from wavewalk.measures import ATOM_TILE, FiniteCoordFn
 
@@ -269,7 +269,37 @@ ESTIMATE_FILTERS = {
     "table partition": _table_partition,
     "table scale 9": _table_scale9,
     "table scale 4 ties": _table_scale4_ties,
+    # W = 0 on [1/2, 1): digits 2 and 3 have weight 0, and two shares are exactly 1
+    "table last weights 0": lambda: ww.FilterSpec.from_table(np.arange(4) / 4, [0.5, 0.5, 0.0, 0.0], scale_n=4),
 }
+
+
+@pytest.mark.parametrize("make", list(ESTIMATE_FILTERS.values()), ids=list(ESTIMATE_FILTERS))
+@pytest.mark.parametrize("x", [0.3, 0.71, 1 - 2**-53, 5e-324])
+def test_sample_path_digits_are_the_float_uniform_rule(make, x):
+    # sample_path reads raw 64-bit words; the reference reads numpy's
+    # uniforms of the same stream and counts the shares at or below them
+    spec = make()
+    system = ww.PathSystem(spec.scale_n)
+    for seed in range(6):
+        walk = ww.sample_path(spec, system, x, 40, seed, stream=seed % 3)
+        rng = _rng(seed, seed % 3)
+        y, digits = ww.frac(x), []
+        for _ in range(40):
+            branches, _, cum = _shares(spec, system, y)
+            digits.append(int((rng.random() >= cum).sum()))
+            y = branches[digits[-1]]
+        assert walk.digits.digits == tuple(digits), seed
+
+
+def test_word_bounds_are_the_uniform_test_in_integers():
+    # numpy's uniform of a word r is (r >> 11) * 2**-53, so r >> 11 = m
+    # meets a share c exactly when m * 2**-53 >= c
+    shares = np.array([-1e-17, -0.0, 0.0, 5e-324, 2**-54, 2**-53, 0.3, 0.5, 1 - 2**-53, 1.0, 1 + 2**-52, math.nan])
+    for c, k in zip(shares.tolist(), _word_bounds(shares)):
+        assert 0 <= k <= 2**53
+        for m in {0, 1, max(k - 1, 0), min(k, 2**53 - 1), min(k + 1, 2**53 - 1), 2**52, 2**53 - 1}:
+            assert (m >= k) == (m * 2.0**-53 >= c), (c, m)
 
 
 @pytest.mark.parametrize("make", list(ESTIMATE_FILTERS.values()), ids=list(ESTIMATE_FILTERS))

@@ -181,6 +181,17 @@ def test_grow_is_the_state_major_growth_bit_for_bit(n):
                 assert g.view(np.int64).tolist() == w.view(np.int64).tolist(), (spec.label, levels)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_table_order_is_the_transposed_copy(n):
+    rng = np.random.default_rng(n)
+    for levels in (0, 1, 2, 5, 8):
+        for states in (1, 3, 7):
+            a = rng.standard_normal(n**levels * states) + 1j * rng.standard_normal(n**levels * states)
+            for b in (a, a.real.copy()):
+                want = b.reshape((n,) * levels + (-1,)).T.ravel()
+                assert _table_order(b, n, levels).tobytes() == want.tobytes(), (levels, states)
+
+
 @pytest.mark.parametrize("n, arities", [(3, (1, 5, 8, 9, 10, 12)), (4, (1, 4, 7, 8, 10))])
 def test_tree_sum_is_the_state_major_tree_sum(n, arities, monkeypatch):
     # the N = 3 box and an N = 4 filter: the streamed sum over blocks is

@@ -128,6 +128,52 @@ def test_cascade_stretched_weak_limit_only(stretched, system2):
     assert mean_box == pytest.approx(1 / 3, abs=1e-12)
 
 
+def fine_grid_cascade(spec, system, iters, level):
+    """The cascade refined on the level-`level` grid from the box on: the
+    per-step reference for cascade, which refines at its iterate's resolution."""
+    box = ww.cascade(spec, system, 0, 0)
+    cells = system.scale_n**level
+    phi = SampledFunction(box.t_min, box.t_max, 1.0 / cells, np.repeat(box.samples, cells))
+    for _ in range(iters):
+        phi = ww.cascade_step(spec, system, phi)
+    return phi
+
+
+CASCADE_FILTERS = {
+    "haar": lambda: ww.load_gallery("haar"),
+    "d4": lambda: ww.load_gallery("d4"),
+    "stretched_haar": lambda: ww.load_gallery("stretched_haar"),
+    "box3": lambda: ww.FilterSpec.from_coefficients({0: 1 / 3, 1: 1 / 3, 2: 1 / 3}, scale_n=3),
+    "box3 spread": lambda: ww.FilterSpec.from_coefficients({0: 1 / 3, 2: 1 / 3, 4: 1 / 3}, scale_n=3),
+    "d4 shifted right": lambda: ww.FilterSpec.from_coefficients({k + 3: a for k, a in ww.load_gallery("d4").coeffs}),
+    "d4 shifted left": lambda: ww.FilterSpec.from_coefficients({k - 2: a for k, a in ww.load_gallery("d4").coeffs}),
+    "complex": lambda: ww.FilterSpec.from_coefficients({0: 0.5, 1: 0.3 + 0.4j, 2: -0.1j}),
+}
+
+
+@pytest.mark.parametrize("make", list(CASCADE_FILTERS.values()), ids=list(CASCADE_FILTERS))
+def test_cascade_is_the_fine_grid_cascade_bit_for_bit(make):
+    spec = make()
+    system = ww.PathSystem(spec.scale_n)
+    for iters in (0, 1, 3, 7, 9):
+        for level in (0, 1, 4, 7):
+            got = ww.cascade(spec, system, iters, level)
+            want = fine_grid_cascade(spec, system, iters, level)
+            assert (got.t_min, got.t_max, got.step) == (want.t_min, want.t_max, want.step), (iters, level)
+            assert got.samples.tobytes() == want.samples.tobytes(), (iters, level)
+
+
+@pytest.mark.parametrize("level", [45, 70])
+def test_cascade_checks_its_grid_before_refining(d4, system2, level, monkeypatch):
+    def refused(*args):
+        raise AssertionError("refined before the level-L grid was checked")
+
+    monkeypatch.setattr(ww.scaling, "cascade_step", refused)
+    monkeypatch.setattr(np, "repeat", refused)
+    with pytest.raises(ww.GridTooLarge):
+        ww.cascade(d4, system2, iters=3, level=level)
+
+
 def test_cascade_window_guard(stretched, system2):
     bad = SampledFunction(0.25, 1.25, 1 / 8, np.ones(8, dtype=np.complex128))
     with pytest.raises(ValueError):

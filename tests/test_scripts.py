@@ -3,6 +3,7 @@
 import ast
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -42,6 +43,21 @@ def test_convergence_census(tmp_path):
 def test_stationary_measures(tmp_path):
     out = _run_script("stationary_measures.py", "--grid-level", "4", "--iters", "5", cwd=tmp_path)
     assert out.count("residual") == 5
+
+
+def test_digests(tmp_path):
+    out = _run_script("digests.py", str(ROOT / "src"), cwd=tmp_path)
+    lines = out.splitlines()
+    kernels = ["weight_array", "zero_path_atoms", "lattice_masses", "harmonic_on_grid", "scaling_hat",
+               "estimate_cylinder", "sample_path", "cascade", "expect_finite",
+               "cli simulate", "cli scaling", "cli atom"]
+    for kernel in kernels:
+        assert any(f" {kernel}" in line for line in lines), kernel
+    for line in lines:
+        assert re.fullmatch(r".* ((?:[0-9a-f]{16}|DegenerateStep)/)*(?:[0-9a-f]{16}|DegenerateStep)", line), line
+        assert " cli " not in line or line.split()[-2] == "0", line
+    # the dead states of the holes table stop its walks
+    assert "holes sample_path x=0.3 DegenerateStep/" in out
 
 
 def _private_wavewalk_names(path):
