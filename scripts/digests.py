@@ -9,7 +9,8 @@ bits.  A kernel that raises prints the exception's name instead.
 
 Kernels: weight_array, zero_path_atoms, lattice_masses, harmonic_on_grid,
 scaling_hat, estimate_cylinder, sample_path, cascade and expect_finite,
-and the bytes that CLI simulate, scaling and atom print.
+and the bytes that CLI simulate, scaling, atom, diagnose, validate and
+harmonic print.
 
 Usage:
     python scripts/digests.py SRC
@@ -112,7 +113,12 @@ def cli_lines(ww):
                      ["scaling", path, "--grid-level", "6", "--iters", "9"],
                      ["scaling", path, "--grid-level", "7", "--iters", "4", "--format", "json"],
                      ["scaling", path, "--grid-level", "5", "--iters", "8", "--function", "psi"],
-                     ["atom", path, "--grid-level", "8"]):
+                     ["atom", path, "--grid-level", "8"],
+                     ["diagnose", path, "--x", "0.3", "--format", "json"],
+                     ["diagnose", path, "--x", "0.71", "--max-n", "12", "--tail-K", "7", "--format", "json"],
+                     ["validate", path, "--grid-level", "6", "--format", "json"],
+                     ["harmonic", path, "--grid-level", "7"],
+                     ["harmonic", path, "--grid-level", "5", "--tail-K", "7"]):
             out = io.StringIO()
             with contextlib.redirect_stdout(out):
                 code = main(argv)

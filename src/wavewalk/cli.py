@@ -3,6 +3,10 @@
 Subcommands: validate, atom, harmonic, diagnose, transfer, scaling,
 coeffs, simulate.  Exit codes: 0 success, 1 usage, argument or I/O
 error, 2 a validation verdict failed.
+
+A process builds the parser of each subcommand once, on its first run,
+and main() parses every later run of it with the same parser;
+build_parser() returns a fresh parser of every subcommand each call.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ def _add_common(p, *names):
     p.add_argument("--format", choices=("csv", "json"), default=None)
 
 
-def _parser(names) -> _Parser:
+def _new_parser(names) -> _Parser:
     """The top-level parser with the subparsers of the named subcommands only."""
     p = _Parser(prog="wavewalk", description=__doc__)
     p.add_argument("--version", action="version", version=f"wavewalk {__version__}")
@@ -64,9 +68,24 @@ def _parser(names) -> _Parser:
     return p
 
 
+_cached_parser = functools.lru_cache(maxsize=None)(_new_parser)
+
+
+def _parser(names) -> _Parser:
+    """The parser of _new_parser(names), built once per process for each
+    tuple of names and shared by every later call.
+
+    Reusing it is safe: argparse fills a new Namespace on every parse,
+    and every default here is immutable (an int, a str or None).  The
+    shared parser is main's; build_parser() gives a caller its own.
+    """
+    return _cached_parser(tuple(names))
+
+
 def build_parser() -> _Parser:
-    """The parser of every subcommand, for -h, --version and unknown commands."""
-    return _parser(_COMMANDS)
+    """A fresh parser of every subcommand, which the caller owns: what it
+    adds to the parser never reaches main."""
+    return _new_parser(_COMMANDS)
 
 
 def _policy(args) -> TruncationPolicy:
@@ -121,7 +140,8 @@ def main(argv=None) -> int:
     try:
         argv = sys.argv[1:] if argv is None else list(argv)
         # a run of one subcommand needs only that subparser, which parses
-        # the arguments as the full parser does
+        # the arguments as the full parser does; each is built once per
+        # process and reused by every later run
         names = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
         args = _parser(names).parse_args(argv)
         spec = _load_spec(args.filter)

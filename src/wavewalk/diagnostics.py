@@ -20,7 +20,7 @@ exact against the uniforms numpy would make of the same words.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -101,7 +101,9 @@ class DiagnosisReport:
     consistent: bool
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        """The fields by name, in field order: a shallow dict that shares
+        the report's tuples, which are immutable."""
+        return dict(vars(self))
 
 
 def diagnose_convergence(
@@ -239,12 +241,19 @@ def _shares(spec: FilterSpec, system: PathSystem, y: float):
     Digit i has weight W(branch(i, y)) over the weight total.  The N - 1
     cumulative shares never decrease, so the number of them at or below
     a uniform u is the digit u draws, and it stays below N.
+    Raises DegenerateStep unless N * 1e-15 < total < inf: where the
+    weights vanish, and where they overflow (a weight inf, or NaN from
+    inf - inf), so that no share is read off an infinite total.  Callers
+    evaluate it under np.errstate(over="ignore", invalid="ignore"), as
+    those overflows are raised here instead.
     """
     branches, w = _branch_weights(spec, system, np.array([y]))
     # one sum in branch order, as over a trial axis: np.sum of a single
     # column may add N >= 8 weights in another order
     cum = np.cumsum(w[:, 0])
     total = cum[-1]
+    if not total < math.inf:
+        raise DegenerateStep(f"the branch weights overflow at state {float(y)!r}: their total is {total}")
     if not total > system.scale_n * 1e-15:
         raise DegenerateStep(f"all branch weights vanish at state {float(y)!r}")
     return branches[:, 0], total, cum[:-1] / total
@@ -282,7 +291,7 @@ def sample_path(
     sum each step as a guard against partition error; the per-step sums
     are logged in the sample.
     Raises DegenerateStep at the first state reached whose branch weights
-    all vanish, and ValueError for a negative n.
+    all vanish or overflow, and ValueError for a negative n.
     """
     _check_scales(spec, system)
     if n < 0:
@@ -290,13 +299,14 @@ def sample_path(
     words = _rng(seed, stream).bit_generator
     y = frac(x)
     digits, norms = [], []
-    for _ in range(n):
-        branches, total, cum = _shares(spec, system, y)
-        v = words.random_raw() >> 11
-        d = sum(k <= v for k in _word_bounds(cum))
-        digits.append(d)
-        norms.append(float(total))
-        y = branches[d]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(n):
+            branches, total, cum = _shares(spec, system, y)
+            v = words.random_raw() >> 11
+            d = sum(k <= v for k in _word_bounds(cum))
+            digits.append(d)
+            norms.append(float(total))
+            y = branches[d]
     return WalkSample(seed=seed, x0=float(x), digits=DigitWord(tuple(digits)), step_norms=tuple(norms))
 
 
@@ -308,7 +318,8 @@ class CylinderEstimate:
     seed: int
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        """The fields by name, in field order: a shallow dict of scalars."""
+        return dict(vars(self))
 
 
 def estimate_cylinder(
@@ -341,10 +352,11 @@ def estimate_cylinder(
     that of the same walk on numpy's uniforms.
 
     Raises DigitOutOfRange for a digit outside [0, N), and DegenerateStep
-    when the branch weights all vanish at a state of the word's own path
-    that some trial reaches.  Trials that have left the word are not
-    walked, so a dead state off the path does not raise, and once no
-    trial is left the estimate is 0 whatever the rest of the word.
+    when the branch weights all vanish, or overflow, at a state of the
+    word's own path that some trial reaches.  Trials that have left the
+    word are not walked, so a dead state off the path does not raise,
+    and once no trial is left the estimate is 0 whatever the rest of the
+    word.
     Trials too many for numpy to allocate a flag each raise WavewalkError.
     """
     _check_scales(spec, system)
@@ -357,7 +369,8 @@ def estimate_cylinder(
     with _allocating(f"a flag for each of {trials} trials"):
         match = np.ones(trials, dtype=bool)
     for target in word:
-        branches, _, cum = _shares(spec, system, y)
+        with np.errstate(over="ignore", invalid="ignore"):
+            branches, _, cum = _shares(spec, system, y)
         # r draws the target digit when exactly `target` bounds are <= r >> 11;
         # the shares never decrease, so that is lo <= r < hi
         bounds = [0, *_word_bounds(cum), 1 << 53]

@@ -40,7 +40,7 @@ class DepthTooLarge(WavewalkError):
 
 
 class DegenerateStep(WavewalkError):
-    """All branch weights vanished at some state of a sampled walk."""
+    """The branch weights vanished or overflowed at some state of a sampled walk."""
 
 
 @contextlib.contextmanager

@@ -3,7 +3,9 @@
 JSON floats are printed with 17 significant digits and dict fields keep
 insertion order, so identical inputs yield byte-identical output.  A
 float64 ndarray of finite values is formatted in one pass; any other
-array goes element by element through its list form.
+array goes element by element through its list form.  A Python float is
+the first type json_text tests, so each float of a list or tuple takes
+one test before _fmt_float instead of the whole type dispatch.
 
 CSV tables are written a column at a time: each column is formatted
 once by its dtype and the rows are joined from the formatted columns.
@@ -30,6 +32,10 @@ def _fmt_float(x: float) -> str:
 
 def json_text(obj) -> str:
     """Serialize nested dict/list/scalar structures deterministically."""
+    # the commonest leaf is tested first; a float subclass such as
+    # np.float64 reaches the same _fmt_float below
+    if type(obj) is float:
+        return _fmt_float(obj)
     if obj is None:
         return "null"
     if obj is True:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import re
@@ -286,6 +287,58 @@ def test_one_subcommand_parser_parses_as_the_full_parser(argv):
 def test_every_subcommand_is_parsed_alone():
     assert {argv[0] for argv in PARSED} == set(cli._COMMANDS)
     assert parse_or_error(cli._parser(["atom"]), ["atom"]) == parse_or_error(cli.build_parser(), ["atom"])
+
+
+def test_subcommand_parsers_are_built_once_per_process(capsys):
+    assert cli._parser(["harmonic"]) is cli._parser(("harmonic",))
+    assert cli._parser(cli._COMMANDS) is cli._parser(tuple(cli._COMMANDS))
+    full = cli.build_parser()
+    assert full is not cli.build_parser() and full is not cli._parser(cli._COMMANDS)
+    # what a caller adds to its own parser never reaches main
+    subparsers = next(a for a in full._actions if isinstance(a, argparse._SubParsersAction))
+    subparsers.choices["harmonic"].add_argument("--extra")
+    argv = ["harmonic", gpath("d4"), "--extra", "1"]
+    assert full.parse_args(argv).extra == "1"
+    assert main(argv) == 1
+    assert "unrecognized arguments: --extra 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", [[], ["--word", "0,1"]], ids=["path", "word"])
+def test_simulate_on_overflowing_weights_is_an_error(extra, tmp_path, capsys):
+    # the N = 3 box with coefficients 6e153: its weights overflow to inf
+    path = tmp_path / "box3.json"
+    ww.save_filter(ww.FilterSpec.from_coefficients({0: 6e153, 1: 6e153, 2: 6e153}, scale_n=3), path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["simulate", str(path), "--x", "0.3", *extra]) == 1
+    out, err = capsys.readouterr()
+    assert not out
+    assert re.fullmatch(r"wavewalk: error: the branch weights overflow at state 0\.3: their total is inf\n", err)
+
+
+#: the required arguments of each subcommand after the filter
+REQUIRED = {"diagnose": ["--x", "0.3"], "simulate": ["--x", "0.3"], "coeffs": ["--random-n", "16"]}
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_runs_do_not_leak_into_each_other(command, tmp_path, capsys):
+    default = [command, gpath("d4"), *REQUIRED.get(command, [])]
+    other = default + ["--format", "json", "--out", str(tmp_path / "o")]
+    if command in ("harmonic", "diagnose", "scaling"):
+        other += ["--tail-K", "7"]
+    if command in ("validate", "atom", "harmonic", "transfer", "scaling"):
+        other += ["--grid-level", "2"]
+
+    def run(argv):
+        code = main(argv)
+        return code, capsys.readouterr()
+
+    first = run(default)
+    assert first[0] != 1 and first[1].out and not first[1].err
+    assert run(other)[0] != 1 and (tmp_path / "o").stat().st_size > 0
+    code, (out, err) = run(other + ["--format", "xml"])
+    assert code == 1 and not out and err.startswith("wavewalk: error: ")
+    assert run(default) == first
 
 
 @pytest.mark.parametrize("command", ["atom", "harmonic"])

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -68,6 +70,16 @@ def test_diagnose_serialization(haar, system2, policy):
     assert len(doc["partial_products"]) == 11
     assert len(doc["harmonic_values"]) == 11
     assert doc["consistent"] is True
+
+
+def test_to_json_dict_is_asdict(d4, system2, policy):
+    reports = [ww.diagnose_convergence(d4, system2, 0.3, 30, policy),
+               ww.estimate_cylinder(d4, system2, 0.3, DigitWord((0, 1)), 1000, seed=3)]
+    for rep in reports:
+        doc = rep.to_json_dict()
+        assert list(doc.items()) == list(dataclasses.asdict(rep).items())
+        # shallow: the fields themselves, not copies
+        assert all(doc[f.name] is getattr(rep, f.name) for f in dataclasses.fields(rep))
 
 
 def test_diagnose_requires_depth(haar, system2, policy):
@@ -333,6 +345,28 @@ def test_estimate_cylinder_reads_only_states_on_the_word(system2):
     assert abs(est.estimate - p) <= 6 * est.stderr
     with pytest.raises(ww.DegenerateStep):
         per_trial_estimate(HOLES, system2, 0.7, word.digits, 10**5, 0)
+
+
+#: weights that overflow: the N = 3 box (its weight at 0 is 9 * 3.6e307),
+#: and d4 scaled so far that inf - inf leaves NaN weights
+OVERFLOWING = {
+    "box3": ww.FilterSpec.from_coefficients({0: 6e153, 1: 6e153, 2: 6e153}, scale_n=3),
+    "d4-nan": ww.FilterSpec.from_coefficients(
+        {k: v.real * 2e154 for k, v in ww.load_gallery("d4").coeffs}),
+}
+
+
+@pytest.mark.parametrize("name", OVERFLOWING)
+def test_walk_raises_where_the_weight_total_is_not_finite(name):
+    spec = OVERFLOWING[name]
+    system = ww.PathSystem(spec.scale_n)
+    with warnings.catch_warnings():
+        # no inf / inf share may be formed, nor an overflow warned of
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ww.DegenerateStep, match="overflow at state 0.3"):
+            ww.sample_path(spec, system, 0.3, 5, seed=0)
+        with pytest.raises(ww.DegenerateStep, match="overflow at state 0.3"):
+            ww.estimate_cylinder(spec, system, 0.3, DigitWord((0, 1)), 1000, seed=0)
 
 
 def test_estimate_cylinder_raises_at_a_dead_state_on_the_word(system2):

@@ -50,7 +50,7 @@ def test_digests(tmp_path):
     lines = out.splitlines()
     kernels = ["weight_array", "zero_path_atoms", "lattice_masses", "harmonic_on_grid", "scaling_hat",
                "estimate_cylinder", "sample_path", "cascade", "expect_finite",
-               "cli simulate", "cli scaling", "cli atom"]
+               "cli simulate", "cli scaling", "cli atom", "cli diagnose", "cli validate", "cli harmonic"]
     for kernel in kernels:
         assert any(f" {kernel}" in line for line in lines), kernel
     for line in lines:

@@ -110,3 +110,26 @@ def test_csv_nan_payloads_are_null():
 def test_json_array_matches_element_route(arr):
     assert json_text(arr) == json_text(arr.tolist())
     assert json_text({"a": arr, "b": [arr]}) == json_text({"a": arr.tolist(), "b": [arr.tolist()]})
+
+
+FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 1e-5]
+
+
+@pytest.mark.parametrize("seq", [list, tuple])
+def test_json_float_sequence_matches_element_join(seq):
+    xs = seq(FLOATS)
+    want = '[null, "inf", "-inf", -0, 4.9406564584124654e-324, 10000000000000000, 1.0000000000000001e-05]'
+    assert json_text(xs) == want
+    assert json_text(xs) == "[" + ", ".join(json_text(v) for v in xs) + "]"
+    assert json_text({"a": xs, "b": [xs, seq()]}) == '{"a": %s, "b": [%s, []]}' % (want, want)
+
+
+def test_json_mixed_nested_and_bool_lists_keep_their_output():
+    mixed = [1.0, 2, True, None, "a", [0.5, False, [-0.0]], np.float64(0.25), (math.nan,),
+             np.bool_(True), np.int64(3), 1 + 2j]
+    assert json_text(mixed) == ('[1, 2, true, null, "a", [0.5, false, [-0]], 0.25, [null], true, 3, '
+                                '{"re": 1, "im": 2}]')
+    # float subclasses and float32 scalars are formatted as before
+    assert json_text([np.float64(math.inf), 0.1, np.float32(0.1)]) == \
+        '["inf", 0.10000000000000001, 0.10000000149011612]'
+    assert json_text([True, False]) == "[true, false]"
