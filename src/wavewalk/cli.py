@@ -307,7 +307,9 @@ def _simulate_args(p) -> None:
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--word", help="comma-separated digits of the target prefix")
     p.add_argument("--n", type=int, default=16, help="path length when sampling")
-    p.add_argument("--trials", type=int, default=100000)
+    p.add_argument("--trials", type=int, default=100000,
+                   help="sampled paths the --word estimate counts, 100 to 2**63 - 1; it draws "
+                        "one binomial count per digit, so its cost does not grow with them")
     p.add_argument("--seed", type=int, default=0)
     _add_common(p)
 
@@ -332,7 +334,9 @@ _COMMANDS = {
     "scaling": ("cascade the scaling function or its wavelet; norm_sq_harmonic: a(0) of h, exact "
                 "where h is, else a quadrature on the grid level (at most 10)", _scaling_args, _scaling),
     "coeffs": ("subband wavelet coefficients of a signal", _coeffs_args, _coeffs),
-    "simulate": ("sample walk paths / estimate a cylinder", _simulate_args, _simulate),
+    "simulate": ("sample a walk path of --n digits, or, with --word, estimate the cylinder mass "
+                 "of the word: the fraction of --trials paths that the walk keeps on it",
+                 _simulate_args, _simulate),
 }
 
 

@@ -9,12 +9,18 @@ read off finitely many values of h, a heuristic.  So verdicts are
 tri-state and "inconclusive" is a first-class outcome.
 
 Randomness is pinned to the Philox counter-based generator (fixed
-constants, platform-stable streams); derived streams use the key pair
-(seed, stream_index).  Both Monte Carlo samplers walk one state at a
-time: sample_path its sampled path, estimate_cylinder the word's own
-path, on which every trial still counted sits.  Both read the stream's
-raw 64-bit words and pick digits by one integer rule (_word_bounds),
-exact against the uniforms numpy would make of the same words.
+constants); derived streams use the key pair (seed, stream_index).
+Both Monte Carlo samplers walk one state at a time: sample_path its
+sampled path, estimate_cylinder the word's own path, on which every
+trial still counted sits.  sample_path reads the stream's raw 64-bit
+words and picks digits by one integer rule (_word_bounds), exact
+against the uniforms numpy would make of the same words, so its paths
+are platform-stable.  estimate_cylinder draws, per digit, how many
+trials that rule keeps on the word, a binomial count with the rule's
+exact probability; numpy's binomial sampler is not covered by its
+stream-compatibility policy and decides with libm's log and exp, so a
+seeded estimate is reproducible only for a given numpy version and
+platform, and is tested in law.
 """
 
 from __future__ import annotations
@@ -24,11 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateStep, NonFiniteArgument, _allocating
+from .errors import DegenerateStep, NonFiniteArgument
 from .filters import FilterSpec
 from .ifs import DigitWord, PathSystem, cell_grid, frac
 from .measures import (
-    ATOM_TILE,
     TruncationPolicy,
     _branch_weights,
     _check_scales,
@@ -48,6 +53,9 @@ VERDICT_WINDOW = 8
 
 #: how near 1 those harmonic values sit for "limit-one"
 H_TOL = 1e-3
+
+#: the most trials estimate_cylinder counts: numpy draws binomials of int64 counts
+MAX_TRIALS = 2**63 - 1
 
 
 def _rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -267,7 +275,8 @@ def _word_bounds(cum) -> list[int]:
     and the ceiling an integer one, so K_i is exact.  A share below 0 (a
     weight rounded below 0) gets the bound 0 that every word meets, and
     one above 1, or NaN, the bound 2**53 that none does, as no uniform
-    meets those shares either.
+    meets those shares either.  sample_path counts the bounds a word
+    meets; estimate_cylinder reads a digit's probability off two bounds.
     """
     return [math.ceil(max(c, 0.0) * 2.0**53) if c <= 1.0 else 1 << 53 for c in cum.tolist()]
 
@@ -283,13 +292,13 @@ def sample_path(
     """Draw n digits: from state y, digit i with weight W(branch(i, y)).
 
     One 64-bit word r of the (seed, stream) Philox stream per step picks
-    the digit by the cumulative shares of _shares, the step
-    estimate_cylinder takes: the digit is the number of word bounds
-    (_word_bounds) at or below r >> 11, which is exactly the number of
-    shares at or below the uniform (r >> 11) * 2**-53 that numpy's
-    random() makes of the same word.  Weights are renormalized by their
-    sum each step as a guard against partition error; the per-step sums
-    are logged in the sample.
+    the digit by the cumulative shares of _shares: the digit is the
+    number of word bounds (_word_bounds) at or below r >> 11, which is
+    exactly the number of shares at or below the uniform
+    (r >> 11) * 2**-53 that numpy's random() makes of the same word.
+    estimate_cylinder counts trials by the law of this rule.  Weights are
+    renormalized by their sum each step as a guard against partition
+    error; the per-step sums are logged in the sample.
     Raises DegenerateStep at the first state reached whose branch weights
     all vanish or overflow, and ValueError for a negative n.
     """
@@ -312,6 +321,9 @@ def sample_path(
 
 @dataclass(frozen=True)
 class CylinderEstimate:
+    """The fraction `estimate` of `trials` sampled paths on a word, and its
+    binomial standard error sqrt(estimate (1 - estimate) / trials)."""
+
     estimate: float
     stderr: float
     trials: int
@@ -336,58 +348,46 @@ def estimate_cylinder(
     Every trial that still follows the word after s steps sits at the
     same state, the branch composition of frac(x) along the word's first
     s digits, and only those trials count.  So the estimate walks that one
-    state: step s draws one 64-bit word per trial off a single Philox
-    stream, keeps the trials whose word picks the word's digit, and moves
-    to the branch of that digit.  The digit rule is sample_path's, in
-    integers: with the word bounds K of _word_bounds, the uniform
-    (r >> 11) * 2**-53 that numpy's random() makes of the word r lies in
-    [cum[t-1], cum[t]) exactly when K[t-1] <= r >> 11 < K[t], that is
-    when K[t-1] << 11 <= r < K[t] << 11.  Where that range is empty no
-    trial is left and no word is drawn; otherwise a bound of 0 or 2**64
-    holds for every word and is not tested, and the others fit in 64
-    bits.  A step's words are drawn ATOM_TILE at a time: the same words
-    of the same stream, in the same order, as one array of `trials`
-    words per step.  The estimate is bit-reproducible for a given
-    (seed, stream), equal to that of walking every trial, and equal to
-    that of the same walk on numpy's uniforms.
+    state and counts the trials left on it: of the trials still on the
+    word before step s, each stays with the probability p_s that
+    sample_path's digit rule picks the word's digit there, independently
+    of the others, so the count left after the step is
+    Binomial(count before, p_s), one draw of the (seed, stream) Philox
+    stream.  With the word bounds K of _word_bounds, and K[-1] = 0 and
+    K[N-1] = 2**53, the rule picks digit t for a 64-bit word r exactly
+    when K[t-1] <= r >> 11 < K[t], so p_s = (K[t] - K[t-1]) * 2**-53,
+    exact as a float (0 where the bounds do not increase).  The estimate
+    has the law of walking every trial by sample_path's rule, at one draw
+    per digit whatever the trial count, and is reproducible for a given
+    (seed, stream), numpy version and platform (unlike sample_path's raw
+    words, numpy's binomial draws are not pinned across versions).
 
-    Raises DigitOutOfRange for a digit outside [0, N), and DegenerateStep
-    when the branch weights all vanish, or overflow, at a state of the
-    word's own path that some trial reaches.  Trials that have left the
-    word are not walked, so a dead state off the path does not raise,
-    and once no trial is left the estimate is 0 whatever the rest of the
-    word.
-    Trials too many for numpy to allocate a flag each raise WavewalkError.
+    Raises ValueError for fewer than 100 trials or more than
+    MAX_TRIALS, DigitOutOfRange for a digit outside [0, N), and
+    DegenerateStep when the branch weights all vanish, or overflow, at a
+    state of the word's own path that some trial reaches.  Trials that
+    have left the word are not walked, so a dead state off the path does
+    not raise, and once no trial is left the estimate is 0 whatever the
+    rest of the word.
     """
     _check_scales(spec, system)
     if trials < 100:
         raise ValueError("need at least 100 trials")
+    if trials > MAX_TRIALS:
+        raise ValueError(f"at most 2**63 - 1 trials can be counted, got {trials}")
     for target in word:
         system._check_digit(target)
-    words = _rng(seed, stream).bit_generator
+    rng = _rng(seed, stream)
     y = frac(x)
-    with _allocating(f"a flag for each of {trials} trials"):
-        match = np.ones(trials, dtype=bool)
+    left = trials
     for target in word:
         with np.errstate(over="ignore", invalid="ignore"):
             branches, _, cum = _shares(spec, system, y)
-        # r draws the target digit when exactly `target` bounds are <= r >> 11;
-        # the shares never decrease, so that is lo <= r < hi
         bounds = [0, *_word_bounds(cum), 1 << 53]
-        lo, hi = bounds[target] << 11, bounds[target + 1] << 11
-        if lo >= hi:
-            match[:] = False
-            break
-        for start in range(0, trials, ATOM_TILE):
-            tile = match[start : start + ATOM_TILE]
-            r = words.random_raw(tile.size)
-            if lo > 0:
-                tile &= r >= np.uint64(lo)
-            if hi < 2**64:
-                tile &= r < np.uint64(hi)
-        if not match.any():
+        left = int(rng.binomial(left, max(bounds[target + 1] - bounds[target], 0) * 2.0**-53))
+        if not left:
             break
         y = branches[target]
-    p_hat = float(match.mean())
-    stderr = float(np.sqrt(p_hat * (1.0 - p_hat) / trials))
+    p_hat = left / trials
+    stderr = math.sqrt(p_hat * (1.0 - p_hat) / trials)
     return CylinderEstimate(estimate=p_hat, stderr=stderr, trials=trials, seed=seed)

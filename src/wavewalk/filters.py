@@ -56,6 +56,11 @@ class FilterSpec:
                 raise ValueError("duplicate coefficient index")
             if not all(cmath.isfinite(v) for _, v in self.coeffs):
                 raise NonFiniteArgument("coefficients must be finite")
+            for k, v in self.coeffs:
+                # |a_k|**2 is a term of the weight's constant tap (_weight_taps)
+                size = math.hypot(v.real, v.imag)
+                if not math.isfinite(size * size):
+                    raise NonFiniteArgument(f"coefficient a_{k} = {v!r}: |a_k|**2 overflows")
         elif self.kind == KIND_TABULATED:
             if len(self.breakpoints) != len(self.values) or not self.values:
                 raise ValueError("table needs matching nonempty breakpoints/values")

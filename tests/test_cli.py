@@ -163,11 +163,9 @@ LATTICE_ROUTE = "highpass_haar"
 
 def _huge_api_call(command):
     d4, system, policy = ww.load_gallery("d4"), ww.PathSystem(2), ww.TruncationPolicy()
-    word = ww.DigitWord((0, 1))
     huge_k = ww.TruncationPolicy(tail_cutoff_k=HUGE)
     return {
         "harmonic": lambda: ww.harmonic_masses(ww.load_gallery(LATTICE_ROUTE), system, [0.3], huge_k),
-        "simulate": lambda: ww.estimate_cylinder(d4, system, 0.3, word, trials=HUGE, seed=1),
         "diagnose": lambda: ww.diagnose_convergence(d4, system, 0.3, HUGE, policy),
         "coeffs": None,
     }[command]
@@ -178,8 +176,6 @@ def _huge_api_call(command):
 UNALLOCATABLE = [
     (["harmonic", "--tail-K", str(HUGE)], (np, "arange", _refusing(np.arange, "arange")),
      f"a lattice row of 2K+1 = {2 * HUGE + 1} terms cannot be allocated"),
-    (["simulate", "--x", "0.3", "--word", "0,1", "--trials", str(HUGE)], (np, "ones", _refusing(np.ones, "ones")),
-     f"a flag for each of {HUGE} trials cannot be allocated"),
     (["diagnose", "--x", "0.3", "--max-n", str(HUGE)], (np, "empty", _refusing(np.empty, "empty")),
      f"the {HUGE + 1} points x / N**n cannot be allocated"),
     (["coeffs", "--random-n", str(HUGE)], (np.random, "Generator", _RefusingGenerator),
@@ -199,6 +195,24 @@ def test_unallocatable_array_is_an_error_not_a_traceback(argv, patch, message, m
         with pytest.raises(ww.WavewalkError, match=re.escape(message)) as info:
             api()
         assert isinstance(info.value.__cause__, MemoryError)
+
+
+def test_simulate_counts_any_int64_number_of_trials_at_once(tmp_path):
+    # the estimate draws one binomial per digit, so 10**15 trials cost no
+    # more than 100
+    code, doc = run_json(["simulate", gpath("d4"), "--x", "0.3", "--word", "0,1", "--trials", str(HUGE)], tmp_path)
+    assert code == 0
+    result = doc["result"]
+    p = ww.cylinder_prob(ww.load_gallery("d4"), ww.PathSystem(2), 0.3, ww.DigitWord((0, 1)))
+    assert result["trials"] == HUGE and abs(result["estimate"] - p) <= 6 * result["stderr"]
+
+
+def test_simulate_past_the_int64_limit_is_an_error_not_a_traceback(capsys):
+    argv = ["simulate", gpath("d4"), "--x", "0.3", "--word", "0,1", "--trials", str(2**63)]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert not out
+    assert re.fullmatch(r"wavewalk: error: at most 2\*\*63 - 1 trials can be counted, got 9223372036854775808\n", err)
 
 
 @pytest.mark.parametrize("kk", [2**62 - 1, 2**62])
@@ -318,6 +332,17 @@ def test_simulate_on_overflowing_weights_is_an_error(extra, tmp_path, capsys):
 
 #: the required arguments of each subcommand after the filter
 REQUIRED = {"diagnose": ["--x", "0.3"], "simulate": ["--x", "0.3"], "coeffs": ["--random-n", "16"]}
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_a_coefficient_whose_square_overflows_is_an_error(command, tmp_path, capsys):
+    # |3e154|**2 is past the float range: the filter is refused as it is read
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"scale_N": 2, "coeffs": [{"k": 0, "re": 3e154}, {"k": 1, "re": 3e154}]}))
+    assert main([command, str(path), *REQUIRED.get(command, [])]) == 1
+    out, err = capsys.readouterr()
+    assert not out
+    assert re.fullmatch(r"wavewalk: error: [^\n]*\|a_k\|\*\*2[^\n]*\n", err)
 
 
 @pytest.mark.parametrize("command", list(cli._COMMANDS))

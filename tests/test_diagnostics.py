@@ -8,7 +8,7 @@ import pytest
 import wavewalk as ww
 from wavewalk.diagnostics import _rng, _shares, _word_bounds
 from wavewalk.ifs import DigitWord
-from wavewalk.measures import ATOM_TILE, FiniteCoordFn
+from wavewalk.measures import FiniteCoordFn
 
 from conftest import sinc_sq
 
@@ -229,13 +229,12 @@ def test_estimate_cylinder_needs_trials(haar, system2):
 # the cylinder estimate walks the word's own path
 
 
-def per_trial_estimate(spec, system, x, word, trials, seed, stream=0):
-    """The estimate as a walk of every trial: all N weights at every trial's state.
+def per_trial_matches(spec, system, x, word, trials, seed, stream=0):
+    """Whether each trial follows the word, walking every trial: all N weights at every trial's state.
 
-    Draws the same Philox stream and takes as digit the number of
-    cumulative shares at or below the uniform, the rule that the
-    estimate's test cum[t-1] <= u < cum[t] must match bit for bit; it
-    raises DegenerateStep at a dead state that any trial reaches.
+    Draws the (seed, stream) Philox stream's uniforms and takes as digit
+    the number of cumulative shares at or below the uniform, sample_path's
+    rule; it raises DegenerateStep at a dead state that any trial reaches.
     """
     key = np.array([seed, stream], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
@@ -252,7 +251,12 @@ def per_trial_estimate(spec, system, x, word, trials, seed, stream=0):
         digits = (rng.random(trials) >= cum).sum(axis=0)
         match &= digits == target
         y = np.take_along_axis(branches, digits[None, :], axis=0)[0]
-    return float(match.mean())
+    return match
+
+
+def per_trial_estimate(spec, system, x, word, trials, seed, stream=0):
+    """The cylinder estimate of the per-trial walk: the fraction of trials on the word."""
+    return float(per_trial_matches(spec, system, x, word, trials, seed, stream).mean())
 
 
 def _table_partition():
@@ -314,22 +318,100 @@ def test_word_bounds_are_the_uniform_test_in_integers():
             assert (m >= k) == (m * 2.0**-53 >= c), (c, m)
 
 
+def word_law(spec, system, x, word):
+    """(prod_t p_t, whether the weights sum to 1 at every state read).
+
+    p_t = (K[t] - K[t-1]) * 2**-53 in the word bounds K of _word_bounds
+    is the share of 64-bit words r with K[t-1] <= r >> 11 < K[t], so the
+    product is the chance that one trial of sample_path's rule follows
+    the word.  States past the first p_t of 0 are not read.
+    """
+    y, p, partition = ww.frac(x), 1.0, True
+    for target in word:
+        branches, total, cum = _shares(spec, system, y)
+        partition &= abs(total - 1.0) <= 1e-12
+        bounds = [0, *_word_bounds(cum), 1 << 53]
+        p *= max(bounds[target + 1] - bounds[target], 0) * 2.0**-53
+        if p == 0.0:
+            break
+        y = branches[target]
+    return p, partition
+
+
+def chi_square_sf(stat, dof):
+    """P(chi-square with dof degrees of freedom > stat): 1 minus the
+    regularized lower incomplete gamma P(dof/2, stat/2), by its series."""
+    a, z = dof / 2, stat / 2
+    if z == 0.0:
+        return 1.0
+    term = total = math.exp(a * math.log(z) - z - math.lgamma(a + 1))
+    n = 1
+    while term > 1e-17 * total:
+        term *= z / (a + n)
+        total += term
+        n += 1
+    return max(1.0 - total, 0.0)
+
+
+def binomial_fit(counts, trials, p):
+    """(z of the mean, chi-square p-value) of counts against Binomial(trials, p).
+
+    The z is continuity-corrected, as a word of small p is met a few
+    times in all the trials.  The chi-square bins the counts in runs of k
+    whose expected number is at least 5, the last run taking the upper
+    tail; where that leaves one bin it has nothing to test, and reads 1.
+    """
+    runs = len(counts)
+    pmf = [math.comb(trials, k) * p**k * (1 - p) ** (trials - k) for k in range(trials + 1)]
+    observed = np.bincount(counts, minlength=trials + 1)
+    bins, e, o = [], 0.0, 0
+    for k in range(trials + 1):
+        e, o = e + runs * pmf[k], o + observed[k]
+        if e >= 5 and runs * sum(pmf[k + 1:]) >= 5:
+            bins.append((o, e))
+            e, o = 0.0, 0
+    bins.append((o, e))
+    stat = sum((o - e) ** 2 / e for o, e in bins)
+    n = runs * trials
+    z = max(abs(sum(counts) - n * p) - 0.5, 0.0) / math.sqrt(n * p * (1 - p))
+    return z, chi_square_sf(stat, len(bins) - 1) if len(bins) > 1 else 1.0
+
+
+#: trials per estimate, and estimates per word, of the law test
+LAW_TRIALS, LAW_RUNS = 100, 200
+
+
 @pytest.mark.parametrize("make", list(ESTIMATE_FILTERS.values()), ids=list(ESTIMATE_FILTERS))
 @pytest.mark.parametrize("x", [0.3, 0.71, 1 - 2**-53, 5e-324])
 def test_estimate_cylinder_equals_the_per_trial_walk(make, x):
+    # equal in law: over seeds, the trials left on the word, by the
+    # estimate and by walking every trial, are both Binomial(T, prod p_t)
     spec = make()
     system = ww.PathSystem(spec.scale_n)
-    trials = [100, 1000, 10**4, 10**5]
+    t = LAW_TRIALS
     for length in range(9):
-        seed = 3 * length + 1
         # a word the walk itself takes, so its cylinder is rarely empty
-        digits = ww.sample_path(spec, system, x, length, seed + 100).digits.digits
+        digits = ww.sample_path(spec, system, x, length, length + 100).digits.digits
         for word in (digits, digits[:-1] + ((digits[-1] + 1) % system.scale_n,) if digits else ()):
-            n = trials[(length + len(word)) % 4]
+            p, partition = word_law(spec, system, x, word)
+            if partition:
+                # the cylinder mass, read off the weights themselves
+                assert abs(p - ww.cylinder_prob(spec, system, x, DigitWord(word))) <= 8 * length * 2.0**-53, word
             stream = length % 3
-            got = ww.estimate_cylinder(spec, system, x, DigitWord(word), n, seed, stream)
-            want = per_trial_estimate(spec, system, x, word, n, seed, stream)
-            assert got.estimate.hex() == want.hex(), (word, n)
+            got = [round(ww.estimate_cylinder(spec, system, x, DigitWord(word), t, seed, stream).estimate * t)
+                   for seed in range(LAW_RUNS)]
+            walked = per_trial_matches(spec, system, x, word, t * LAW_RUNS, length, stream)
+            want = walked.reshape(LAW_RUNS, t).sum(axis=1).tolist()
+            if not word:
+                # nothing is drawn on the empty word: every trial is on it
+                est = ww.estimate_cylinder(spec, system, x, DigitWord(()), t, 0, stream)
+                assert (est.estimate, est.stderr) == (1.0, 0.0)
+            for counts in (got, want):
+                if p in (0.0, 1.0):
+                    assert set(counts) == {round(p * t)}, word
+                else:
+                    z, p_value = binomial_fit(counts, t, p)
+                    assert z <= 6 and p_value >= 1e-4, (word, p, z, p_value)
 
 
 HOLES = ww.FilterSpec.from_table([0.0, 0.25, 0.5, 0.75], [0.0, 0.6, 0.0, 0.4], label="holes")
@@ -386,58 +468,35 @@ def test_estimate_cylinder_stops_once_no_trial_is_left(system2):
     assert per_trial_estimate(table, system2, 0.7, (0, 1), 1000, 0) == 0.0
 
 
-def one_array_estimate(spec, system, x, word, trials, seed, stream=0):
-    """The estimate drawing each step's uniforms as one array of `trials`.
-
-    The word's-own-path walk with every step's draws made at once, the
-    reference for the tile-wise draws of estimate_cylinder.
-    """
-    rng = _rng(seed, stream)
-    y = ww.frac(x)
-    last = system.scale_n - 1
-    match = np.ones(trials, dtype=bool)
-    for target in word:
-        branches, _, cum = _shares(spec, system, y)
-        u = rng.random(trials)
-        if target > 0:
-            match &= cum[target - 1] <= u
-        if target < last:
-            match &= u < cum[target]
-        if not match.any():
-            break
-        y = branches[target]
-    p_hat = float(match.mean())
-    return p_hat, float(np.sqrt(p_hat * (1.0 - p_hat) / trials))
-
-
-@pytest.mark.parametrize("name", ["d4", "stretched_haar", "shannon"])
-def test_estimate_cylinder_draws_as_one_array_per_step(name, system2):
-    spec = ww.load_gallery(name)
-    rng = np.random.default_rng(11)
-    # both sides of a tile of ATOM_TILE uniforms, and many tiles
-    for trials in (100, 12345, ATOM_TILE, ATOM_TILE + 1, 10**6):
-        for length in (1, 2, 3, 4):
-            word = tuple(int(d) for d in rng.integers(0, 2, length))
-            seed = int(rng.integers(0, 2**32))
-            x = float(rng.random())
-            got = ww.estimate_cylinder(spec, system2, x, DigitWord(word), trials, seed, stream=length)
-            want = one_array_estimate(spec, system2, x, word, trials, seed, stream=length)
-            assert (got.estimate, got.stderr) == want, (trials, word, seed)
-
-
-@pytest.mark.parametrize("trials", [1000, ATOM_TILE + 1, 10**5])
+@pytest.mark.parametrize("trials", [1000, 2**14 + 1, 10**5, 10**15])
 def test_estimate_cylinder_early_exit_and_dead_states_draw_as_one_array(trials, system2):
     # no trial is left after digit 0 from 0.7, so the dead state 0.35 is
-    # never read and later digits draw nothing
+    # never read and later digits draw nothing; up to 10**5 trials the
+    # walk of one array of every trial is the reference
+    walked = trials <= 10**5
     table = ww.FilterSpec.from_table([0.0, 0.25, 0.5, 0.75], [0.0, 0.0, 0.0, 1.0])
     got = ww.estimate_cylinder(table, system2, 0.7, DigitWord((0, 1)), trials, seed=0)
-    assert (got.estimate, got.stderr) == one_array_estimate(table, system2, 0.7, (0, 1), trials, 0) == (0.0, 0.0)
-    word = (1, 1, 1, 0)
-    got = ww.estimate_cylinder(HOLES, system2, 0.7, DigitWord(word), trials, seed=3)
-    assert (got.estimate, got.stderr) == one_array_estimate(HOLES, system2, 0.7, word, trials, 3)
-    for estimate in (ww.estimate_cylinder, one_array_estimate):
-        with pytest.raises(ww.DegenerateStep, match="0.35"):
-            estimate(HOLES, system2, 0.7, DigitWord((0, 1, 1)), trials, 0)
+    assert (got.estimate, got.stderr) == (0.0, 0.0)
+    if walked:
+        assert per_trial_estimate(table, system2, 0.7, (0, 1), trials, 0) == 0.0
+    # the word ends at the dead state 0.48125, which is never read
+    word = DigitWord((1, 1, 1, 0))
+    got = ww.estimate_cylinder(HOLES, system2, 0.7, word, trials, seed=3)
+    assert abs(got.estimate - ww.cylinder_prob(HOLES, system2, 0.7, word)) <= 6 * got.stderr
+    with pytest.raises(ww.DegenerateStep, match="0.35"):
+        ww.estimate_cylinder(HOLES, system2, 0.7, DigitWord((0, 1, 1)), trials, seed=0)
+    if walked:
+        with pytest.raises(ww.DegenerateStep):
+            per_trial_estimate(HOLES, system2, 0.7, (0, 1, 1), trials, 0)
+
+
+def test_estimate_cylinder_counts_up_to_the_int64_limit(d4, system2):
+    word = DigitWord((0, 1))
+    p = ww.cylinder_prob(d4, system2, 0.3, word)
+    est = ww.estimate_cylinder(d4, system2, 0.3, word, ww.diagnostics.MAX_TRIALS, seed=1)
+    assert est.trials == 2**63 - 1 and abs(est.estimate - p) <= 6 * est.stderr
+    with pytest.raises(ValueError, match="2\\*\\*63 - 1"):
+        ww.estimate_cylinder(d4, system2, 0.3, word, 2**63, seed=1)
 
 
 @pytest.mark.parametrize("word", [(2,), (0, 5), (1, 0, 2)])

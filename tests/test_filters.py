@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -75,6 +76,16 @@ def test_non_finite_filter_is_refused(v):
         ww.FilterSpec.from_coefficients({0: 0.5, 1: complex(0.5, v)})
     with pytest.raises(ww.NonFiniteArgument):
         ww.FilterSpec.from_table([0.0, v], [0.5, 0.5])
+
+
+@pytest.mark.parametrize("v", [3e154, -3e154j, complex(1e154, 1e154) * 1.4, complex(1.5e308, 1.5e308)])
+def test_coefficient_whose_square_overflows_is_refused(v):
+    with pytest.raises(ww.NonFiniteArgument, match=r"\|a_k\|\*\*2 overflows"):
+        ww.FilterSpec.from_coefficients({0: 0.5, 1: v})
+    # the largest |a_k| whose square is finite
+    edge = math.sqrt(sys.float_info.max)
+    spec = ww.FilterSpec.from_coefficients({0: edge, 1: -edge})
+    assert math.isfinite(abs(spec.coeffs[0][1]) ** 2)
 
 
 def test_partition_haar(haar):
