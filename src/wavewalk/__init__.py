@@ -82,4 +82,5 @@ from .diagnostics import (
     sample_path,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the public names, not the submodules the imports above bind
+__all__ = [name for name in dir() if not name.startswith("_") and not isinstance(globals()[name], type(errors))]

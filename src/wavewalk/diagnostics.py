@@ -6,7 +6,8 @@ exactly when the harmonic lattice mass h(x/N**n) tends to 1.  The
 product side is the atom itself, the certified limit of the one
 zero-path product kernel (measures.zero_path_atom); the harmonic side is
 read off finitely many values of h, a heuristic.  So verdicts are
-tri-state and "inconclusive" is a first-class outcome.
+tri-state and "inconclusive" is a first-class outcome.  A cocycle
+candidate's violation is exact, a maximum over the word tree.
 
 Randomness is pinned to the Philox counter-based generator (fixed
 constants); derived streams use the key pair (seed, stream_index).
@@ -37,7 +38,9 @@ from .measures import (
     TruncationPolicy,
     _branch_weights,
     _check_scales,
+    _grow,
     _partial_products,
+    _table_order,
     expect_finite,
     harmonic_on_grid,
     scaled_lattice_mass,
@@ -192,17 +195,16 @@ def harmonic_from_cocycle(
     candidate,
     x: float,
     grid_level: int = 5,
-    n_paths: int = 200,
-    seed: int = 0,
 ) -> CocycleHarmonicReport:
     """Average a base-point-dependent finite-depth candidate cocycle.
 
-    `candidate` maps a base point y to a FiniteCoordFn of fixed arity.
+    `candidate` maps a base point y to a FiniteCoordFn of fixed arity n.
     Returns h(x) = E_x[candidate(x)], the sup of |Rh - h| over a coarse
     grid (small only when the candidate is close to a cocycle), and the
     largest violation of the shift relation
-    candidate(y)(w_1..w_n) = candidate(branch(w_1, y))(w_2..w_{n+1})
-    seen along n_paths walk samples from x.
+    candidate(x)(w_1..w_n) = candidate(branch(w_1, x))(w_2..w_{n+1})
+    over every word w_1..w_{n+1} of positive cylinder mass at x: the
+    tree below each branch point, N**n words, as expect_finite sums.
     """
 
     def h(y: float) -> complex:
@@ -213,14 +215,16 @@ def harmonic_from_cocycle(
     residual = max(abs(apply_transfer(spec, system, h, y) - h(y))
                    for y in cell_grid(system.scale_n, grid_level).tolist())
 
-    arity = candidate(x).arity
+    n, here = system.scale_n, candidate(x)
+    ys, w = _branch_weights(spec, system, np.array([frac(x)]))
+    # row i: candidate(x) at (i, w_2..w_n) for the words w_2..w_{n+1} below branch i
+    lhs = np.repeat(here.table, n).reshape(n, -1)
     violation = 0.0
-    for t in range(n_paths):
-        walk = sample_path(spec, system, x, arity + 1, seed, stream=t + 1)
-        w = walk.digits.digits
-        lhs = candidate(x).value_at(w[:arity])
-        rhs = candidate(system.branch(w[0], frac(x))).value_at(w[1 : arity + 1])
-        violation = max(violation, abs(lhs - rhs))
+    for i in np.flatnonzero(w[:, 0] > 0.0).tolist():
+        below, _ = _grow(spec, system, np.ones(1), ys[i], here.arity)
+        gap = np.abs(lhs[i] - candidate(float(ys[i, 0])).table)
+        live = _table_order(below, n, here.arity) > 0.0
+        violation = max(violation, float(np.max(gap, where=live, initial=0.0)))
 
     return CocycleHarmonicReport(
         value=value,

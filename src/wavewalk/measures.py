@@ -854,12 +854,6 @@ class FiniteCoordFn:
             table[i] = fn(tuple(reversed(digits)))
         return cls(arity, n_branches, table)
 
-    def value_at(self, word) -> complex:
-        idx = 0
-        for d in word:
-            idx = idx * self.n_branches + d
-        return complex(self.table[idx])
-
     def lifted(self) -> "FiniteCoordFn":
         """The same function viewed with one more (ignored) coordinate."""
         return FiniteCoordFn(self.arity + 1, self.n_branches, np.repeat(self.table, self.n_branches))

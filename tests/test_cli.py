@@ -118,19 +118,22 @@ REJECTED = [
     (["simulate", "--x", "0.3", "--n", "-1"], "path length must be >= 0, got -1"),
     (["coeffs", "--random-n", "64", "--levels", "-1"], "levels must be >= 0, got -1"),
     (["coeffs", "--random-n", "0"], "--random-n must be >= 1, got 0"),
+    (["coeffs"], "give exactly one of --signal / --random-n"),
+    (["coeffs", "--random-n", "8", "--signal", "signal.csv"], "give exactly one of --signal / --random-n"),
 ]
 REJECTED_IDS = ["simulate", "atom", "diagnose", "harmonic", "simulate-digit", "simulate-word-nan",
                 "simulate-path-nan", "simulate-path-inf", "diagnose-nan", "diagnose-inf",
                 "atom-negative-level", "atom-level-40", "transfer-level-60", "validate-level-70",
                 "scaling-negative-iters", "simulate-negative-n", "coeffs-negative-levels",
-                "coeffs-zero-samples"]
+                "coeffs-zero-samples", "coeffs-no-signal", "coeffs-two-signals"]
 
 
 @pytest.mark.parametrize("argv, message", REJECTED, ids=REJECTED_IDS)
 def test_rejected_argument_is_an_error_not_a_traceback(argv, message, capsys):
     argv = argv[:1] + [gpath("d4")] + argv[1:]
     assert main(argv) == 1
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert not out and err.count("\n") == 1
     assert err.startswith("wavewalk: error: ") and message in err
 
 
@@ -519,12 +522,18 @@ def test_scaling_csv(tmp_path):
     assert rows[0].split(",")[1] == "1.0"
 
 
-def test_scaling_norm_is_exact_at_a_coarse_grid(tmp_path):
+@pytest.mark.parametrize("name, argv, key, want, tol", [
     # stretched_haar's h is exact, so the norm is 1/3 even at grid level 1,
     # where a midpoint quadrature of h would read 1/9
-    code, doc = run_json(["scaling", gpath("stretched_haar"), "--grid-level", "1"], tmp_path)
+    ("stretched_haar", ["--grid-level", "1"], "norm_sq_harmonic", 0.3333333333333333, 0.0),
+    # 4 cascade steps refined at levels 1-4 and repeated up to level 12:
+    # d4's fourth iterate keeps unit energy
+    ("d4", ["--grid-level", "12", "--iters", "4"], "norm_sq_riemann", 1.0, 1e-10),
+], ids=["stretched_haar-harmonic-level-1", "d4-riemann-level-12"])
+def test_scaling_norm_sq_in_meta(name, argv, key, want, tol, tmp_path):
+    code, doc = run_json(["scaling", gpath(name), *argv], tmp_path)
     assert code == 0
-    assert doc["meta"]["norm_sq_harmonic"] == 0.3333333333333333
+    assert abs(doc["meta"][key] - want) <= tol
 
 
 def test_transfer_runs(tmp_path):
@@ -553,23 +562,34 @@ def _assert_same_floats(cells, want):
     assert got[keep].tobytes() == want[keep].tobytes()
 
 
-BOX3 = ww.FilterSpec.from_coefficients({0: 1 / 3, 1: 1 / 3, 2: 1 / 3}, scale_n=3, label="box3")
+#: filters the tests write to a file, by name: the scale-3 box, and a_0 = 1
+#: alone, whose weight is 1 everywhere
+FILTERS = {
+    "box3": ww.FilterSpec.from_coefficients({0: 1 / 3, 1: 1 / 3, 2: 1 / 3}, scale_n=3, label="box3"),
+    "one": ww.FilterSpec.from_coefficients({0: 1.0}, label="one"),
+}
 
-#: (command, filter): the atom on d4, and harmonic on every gallery filter
-#: and on the scale-3 box
-SWEEPS = [("atom", "d4")] + [("harmonic", name) for name in (*ww.GALLERY_NAMES, "box3")]
+
+def filter_file(name, tmp_path) -> str:
+    """The gallery file of name, or FILTERS[name] saved under tmp_path."""
+    if name not in FILTERS:
+        return gpath(name)
+    path = tmp_path / f"{name}.json"
+    ww.save_filter(FILTERS[name], path)
+    return str(path)
+
+#: (command, filter): the atom on d4, harmonic on every gallery filter and
+#: on the scale-3 box, and the atom of a_0 = 1, exactly 1 everywhere
+SWEEPS = ([("atom", "d4")] + [("harmonic", name) for name in (*ww.GALLERY_NAMES, "box3")]
+          + [("atom", "one")])
 
 
 @pytest.mark.parametrize("command, name", SWEEPS,
-                         ids=["atom"] + [f"harmonic-{name}" for _, name in SWEEPS[1:]])
+                         ids=["atom"] + [f"{command}-{name}" for command, name in SWEEPS[1:]])
 def test_sweep_csv_round_trips(command, name, tmp_path):
-    if name == "box3":
-        spec, path = BOX3, tmp_path / "box3.json"
-        ww.save_filter(spec, path)
-    else:
-        spec, path = ww.load_gallery(name), gpath(name)
+    spec = FILTERS[name] if name in FILTERS else ww.load_gallery(name)
     out = tmp_path / "o.csv"
-    assert main([command, str(path), "--grid-level", "7", "--out", str(out)]) == 0
+    assert main([command, filter_file(name, tmp_path), "--grid-level", "7", "--out", str(out)]) == 0
     system = ww.PathSystem(spec.scale_n)
     xs = cell_grid(spec.scale_n, 7)
     cols = _csv_columns(out)
@@ -621,16 +641,19 @@ EXPECTED_EXIT = {
     ("validate", "highpass_haar"): 2,
     ("scaling", "shannon"): 1,
     ("coeffs", "shannon"): 1,
+    # the subband pipeline is dyadic
+    ("coeffs", "box3"): 1,
 }
 
 
-@pytest.mark.parametrize("name", ww.GALLERY_NAMES)
+# every gallery filter, and the scale-3 box
+@pytest.mark.parametrize("name", [*ww.GALLERY_NAMES, "box3"])
 @pytest.mark.parametrize(
     "command",
     ["validate", "atom", "harmonic", "diagnose", "transfer", "scaling", "coeffs", "simulate"],
 )
 def test_every_command_on_gallery(command, name, tmp_path):
-    argv = [command, gpath(name), "--out", str(tmp_path / "o.txt")]
+    argv = [command, filter_file(name, tmp_path), "--out", str(tmp_path / "o.txt")]
     if command in ("atom", "harmonic", "transfer", "scaling"):
         argv += ["--grid-level", "4"]
     if command == "harmonic":

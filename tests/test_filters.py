@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wavewalk as ww
+from wavewalk.cli import main
 from wavewalk.filters import check_lowpass, check_partition, check_quadrature
 
 from conftest import quadrature_family
@@ -231,6 +233,58 @@ def test_spec_invariants():
         ww.FilterSpec.from_table([0.1, 0.5], [1.0, 0.0])
     with pytest.raises(ww.FilterKindError):
         ww.eval_response(ww.load_gallery("shannon"), 0.0)
+
+
+_COEFF = {"k": 0, "re": 1.0}
+
+#: filter files that FilterSpec refuses, and the message of each
+BAD_SPECS = {
+    "empty-coeffs": ({"coeffs": []}, "coefficient filter needs a nonempty index set"),
+    "duplicate-index": ({"coeffs": [_COEFF, _COEFF]}, "duplicate coefficient index"),
+    "mismatched-table": ({"w_table": {"breakpoints": [0.0, 0.5], "values": [1.0]}},
+                         "table needs matching nonempty breakpoints/values"),
+    "empty-table": ({"w_table": {"breakpoints": [], "values": []}},
+                    "table needs matching nonempty breakpoints/values"),
+    "non-increasing": ({"w_table": {"breakpoints": [0.0, 0.5, 0.5], "values": [1.0, 0.0, 1.0]}},
+                       "breakpoints must be strictly increasing in [0, 1)"),
+    "breakpoint-at-1": ({"w_table": {"breakpoints": [0.0, 1.0], "values": [1.0, 0.0]}},
+                        "breakpoints must be strictly increasing in [0, 1)"),
+    "table-kind-coeffs": ({"kind": "tabulated_w", "coeffs": [_COEFF]},
+                          "kind 'tabulated_w' does not match 'coeffs' payload"),
+    "coeffs-kind-table": ({"kind": "coefficients", "w_table": {"breakpoints": [0.0], "values": [1.0]}},
+                          "kind 'coefficients' does not match 'w_table' payload"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_SPECS))
+def test_bad_filter_spec_is_refused_by_the_api_and_the_cli(case, tmp_path, capsys):
+    doc, message = BAD_SPECS[case]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ww.FilterSpec.from_json_dict(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert not out
+    assert err == f"wavewalk: error: {path}: bad filter spec: {message}\n"
+
+
+#: calls of this module and the gallery that refuse their input: (call, exception, message)
+REFUSED = {
+    "unknown-kind": (lambda: ww.FilterSpec(kind="wavelets"), ValueError, "unknown filter kind 'wavelets'"),
+    "partition-level-0": (lambda: check_partition(ww.load_gallery("haar"), 0), ValueError,
+                          "grid_level must be >= 1"),
+    "high-pass-scale-3": (lambda: ww.high_pass(ww.FilterSpec.from_coefficients({0: 0.5, 1: 0.5}, scale_n=3)),
+                          ww.UnsupportedScale, "high-pass mirror is defined for scale 2 only"),
+    "unknown-gallery-name": (lambda: ww.load_gallery("nope"), KeyError, "unknown gallery filter 'nope'"),
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSED))
+def test_refused_input(case):
+    call, exc, message = REFUSED[case]
+    with pytest.raises(exc, match=re.escape(message)):
+        call()
 
 
 def test_gallery_files_parse():

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -252,3 +253,21 @@ def test_branch_states_stay_in_the_exact_cells(n, digits, x):
     assert math.floor(Fraction(y) * 2**52) == math.floor(exact * 2**52)
     ys = sys_n.branch_array(np.arange(n), np.full(n, y))
     assert ys.tolist() == [sys_n.branch(j, y) for j in range(n)]
+
+
+#: calls of this module that refuse their input: (call, exception, message)
+REFUSED = {
+    "grid-negative-level": (lambda: ww.GridFunction(-1, 2, np.ones(1)), ValueError, "level must be >= 0"),
+    "grid-wrong-length": (lambda: ww.GridFunction(2, 2, np.ones(3)), ValueError, "values must have length 4"),
+    "grid-non-finite": (lambda: ww.GridFunction(1, 2, np.array([1.0, math.nan])), ValueError,
+                        "grid values must be finite"),
+    "word-negative-digit": (lambda: DigitWord((0, -1)), ww.DigitOutOfRange, "negative digit -1"),
+    "digits-of-negative": (lambda: PathSystem(2).digits_of(-1), ValueError, "digits_of needs k >= 0, got -1"),
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSED))
+def test_refused_input(case):
+    call, exc, message = REFUSED[case]
+    with pytest.raises(exc, match=re.escape(message)):
+        call()

@@ -10,6 +10,7 @@ precision.
 
 import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -391,6 +392,46 @@ def test_lattice_rows_keep_the_stop_rule_of_the_direct_rows(name, kk):
         assert dead_at[0, 0] == 1
 
 
+def _exact_end_cells_row(x, kk):
+    """The lattice sum of END_CELLS over |k| <= kk at the float x, in rationals.
+
+    Each atom multiplies W((x + k) / 2**n) until the argument enters the
+    first cell, where every later factor is 1, or the last cell shifted
+    by -1, where every later factor is 0.7 and the product tends to 0.
+    """
+    edges = [Fraction(b) for b in END_CELLS.breakpoints]
+    values = [Fraction(v) for v in END_CELLS.values]
+    total = Fraction(0)
+    for k in range(-kk, kk + 1):
+        y, atom = Fraction(x) + k, Fraction(1)
+        while True:
+            y /= 2
+            if edges[-1] - 1 <= y < edges[1]:
+                total += atom if y >= 0 else 0
+                break
+            r = y - math.floor(y)
+            atom *= values[max(i for i, e in enumerate(edges) if e <= r)]
+    return float(total)
+
+
+# a lattice row reads its atoms at the float x + k and x - floor(x), not
+# at the exact points: one float next to a breakpoint is misread
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="lattice rows misread floats next to a breakpoint (ROADMAP items 4, 5)")
+@pytest.mark.parametrize("x, want", [(0.5 - 2.0**-53, 1.0), (-(2.0**-60), 0.882351)],
+                         ids=["below-one-half", "below-zero"])
+def test_lattice_row_next_to_a_breakpoint_is_the_exact_sum(x, want, system2):
+    # at 0.5 - 2**-53 the row reads 1.582351 at K = 50 and 1.680227 at
+    # K = 2000, both called converged, where a mass cannot exceed 1; at
+    # -2**-60, x - floor(x) rounds to 1 and the row reads 0.0, converged
+    # with tail 0.0
+    assert _exact_end_cells_row(x, 50) == pytest.approx(want, abs=1e-15)
+    row = ww.lattice_masses(END_CELLS, system2, [x], ww.TruncationPolicy(tail_cutoff_k=50)).at(0)
+    assert row.value == pytest.approx(want, abs=1e-12)
+    wide = ww.lattice_masses(END_CELLS, system2, [x], ww.TruncationPolicy(tail_cutoff_k=2000)).at(0)
+    assert wide.value <= 1.0 + 1e-12 or not wide.converged
+
+
 def test_lattice_masses_take_only_a_positive_integral_stride(haar, system2):
     policy = ww.TruncationPolicy(tail_cutoff_k=50)
     for stride in (0, -1, 0.5, -2.0, np.nan, np.inf):
@@ -538,9 +579,15 @@ def test_weight_is_exact_to_rounding_at_large_arguments(spec):
     assert max(abs(eval_weight(spec, float(x)) - r) for x, r in zip(xs, ref)) <= 2e-15
 
 
-def test_single_coefficient_weight_is_constant():
+def test_single_coefficient_weight_is_constant(system2):
     spec = ww.FilterSpec.from_coefficients({3: 1.0})
     np.testing.assert_array_equal(weight_array(spec, np.array([0.0, 0.3, 1234.5])), 1.0)
+    # a_0 = 1 alone: W = m = 1, so |f - 1| <= 1/2 on a disc of every radius,
+    # and every product closes at once, at exactly 1
+    one = ww.FilterSpec.from_coefficients({0: 1.0})
+    xs = [0.3, -5.0, 1e300]
+    assert ww.zero_path_atoms(one, system2, xs).value.tolist() == [1.0] * 3
+    assert [ww.scaling_hat(one, system2, x).value for x in xs] == [1.0] * 3
 
 
 def test_zero_path_atoms_record(d4, stretched, system2, policy):
@@ -586,7 +633,10 @@ def test_exact_harmonic_closed_forms(system2, policy):
         spec = ww.FilterSpec.from_coefficients({0: 0.5, p: 0.5})
         h = ww.harmonic_on_grid(spec, system2, xs, policy)
         assert np.max(np.abs(h - stretched_h(xs, p))) <= 1e-13
-    # scale 3: a_0 = a_2 = a_4 = 1/3 has phi the box on [0, 2) over 2
+    # scale 3: the box a_0 = a_1 = a_2 = 1/3 has h = 1 with no lattice sum
+    masses = ww.harmonic_masses(BOX3, ww.PathSystem(3), xs, policy)
+    assert np.max(np.abs(masses.value - 1.0)) <= 1e-13 and not masses.tail_bound.any()
+    # a_0 = a_2 = a_4 = 1/3 has phi the box on [0, 2) over 2
     spec = ww.FilterSpec.from_coefficients({0: 1 / 3, 2: 1 / 3, 4: 1 / 3}, scale_n=3)
     h = ww.harmonic_on_grid(spec, ww.PathSystem(3), xs, policy)
     assert np.max(np.abs(h - stretched_h(xs, 2))) <= 1e-13

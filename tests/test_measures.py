@@ -2,6 +2,7 @@ import cmath
 import dataclasses
 import inspect
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -671,3 +672,23 @@ def test_scale_mismatch_guard_covers_every_spec_system_function():
         and list(inspect.signature(getattr(ww, name)).parameters)[:2] == ["spec", "system"]
     }
     assert takes_both == set(SCALE_MISMATCH_CALLS)
+
+
+#: calls of this module that refuse their input: (call, exception, message)
+REFUSED = {
+    "table-wrong-length": (lambda: FiniteCoordFn(2, 2, np.zeros(3)), ValueError, "table must have length 4"),
+    "slice-arity-0": (lambda: FiniteCoordFn.constant(1.0, 0, 2).slice_first(0), ValueError,
+                      "cannot slice an arity-0 function"),
+    "expect-branch-count": (lambda: ww.expect_finite(ww.load_gallery("haar"), ww.PathSystem(2), 0.3,
+                                                     FiniteCoordFn.constant(1.0, 2, 3)),
+                            ValueError, "function branch count does not match the system"),
+    "embedding-k-0": (lambda: ww.check_negative_embedding(ww.load_gallery("haar"), ww.PathSystem(2), 0.3, 0, [1]),
+                      ValueError, "embedding check is for negative k"),
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSED))
+def test_refused_input(case):
+    call, exc, message = REFUSED[case]
+    with pytest.raises(exc, match=re.escape(message)):
+        call()

@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -394,6 +395,11 @@ def test_autocorrelation_time_domain_cross_check(stretched):
     assert ww.autocorrelation_time_domain(phi, 0) == pytest.approx(1 / 3, abs=1e-12)
     assert ww.autocorrelation_time_domain(phi, 1) == pytest.approx(2 / 9, abs=1e-12)
     assert ww.autocorrelation_time_domain(phi, 3) == 0.0
+    # phi is real, so a lag and its negative read the same overlap
+    assert ww.autocorrelation_time_domain(phi, -1) == ww.autocorrelation_time_domain(phi, 1)
+    # past the sampled window [0, 4) no sample overlaps
+    assert ww.autocorrelation_time_domain(phi, 4) == 0.0
+    assert ww.autocorrelation_time_domain(phi, -5) == 0.0
 
 
 # ----------------------------------------------------------------------
@@ -542,3 +548,21 @@ def test_stretched_frame_energy_recovery():
     r_big = frame_recovery(f, n_range=8, k_range=256, level=11)
     assert r_big > r_small
     assert 0.995 <= r_big <= 1.0 + 1e-9
+
+
+BOX3 = ww.FilterSpec.from_coefficients({0: 1 / 3, 1: 1 / 3, 2: 1 / 3}, scale_n=3)
+
+#: calls of this module that refuse their input: (call, exception, message)
+REFUSED = {
+    "samples-wrong-length": (lambda: SampledFunction(0.0, 1.0, 0.25, np.zeros(3)), ValueError,
+                             "expected 4 samples, got 3"),
+    "coeffs-scale-3": (lambda: ww.wavelet_coeffs(BOX3, np.ones(8), 1), ww.UnsupportedScale,
+                       "subband pipeline is dyadic"),
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSED))
+def test_refused_input(case):
+    call, exc, message = REFUSED[case]
+    with pytest.raises(exc, match=re.escape(message)):
+        call()

@@ -1,6 +1,7 @@
 """The column CSV writer and the ndarray JSON path against row-wise references."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -126,10 +127,23 @@ def test_json_float_sequence_matches_element_join(seq):
 
 def test_json_mixed_nested_and_bool_lists_keep_their_output():
     mixed = [1.0, 2, True, None, "a", [0.5, False, [-0.0]], np.float64(0.25), (math.nan,),
-             np.bool_(True), np.int64(3), 1 + 2j]
+             np.bool_(True), np.int64(3), 1 + 2j, np.complex64(0.5 - 1j)]
     assert json_text(mixed) == ('[1, 2, true, null, "a", [0.5, false, [-0]], 0.25, [null], true, 3, '
-                                '{"re": 1, "im": 2}]')
+                                '{"re": 1, "im": 2}, {"re": 0.5, "im": -1}]')
     # float subclasses and float32 scalars are formatted as before
     assert json_text([np.float64(math.inf), 0.1, np.float32(0.1)]) == \
         '["inf", 0.10000000000000001, 0.10000000149011612]'
     assert json_text([True, False]) == "[true, false]"
+
+
+#: calls of this module that refuse their input: (call, exception, message)
+REFUSED = {
+    "json-object": (lambda: json_text(object()), TypeError, "cannot serialize <class 'object'>"),
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSED))
+def test_refused_input(case):
+    call, exc, message = REFUSED[case]
+    with pytest.raises(exc, match=re.escape(message)):
+        call()

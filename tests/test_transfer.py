@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -197,3 +198,29 @@ def test_ruelle_stretched_cycle_mass(stretched, system2):
     v = masses.values
     third = int(256 / 3)
     assert v[third] + v[2 * third] > 0.5
+
+
+_HAAR, _S2 = ww.load_gallery("haar"), ww.PathSystem(2)
+
+#: calls of this module that refuse their input: (call, exception, message)
+REFUSED = {
+    "power-negative": (lambda: ww.apply_transfer_n(_HAAR, _S2, lambda y: 1.0, 0.3, -1), ValueError,
+                       "power must be >= 0"),
+    "residual-eval-level-0": (lambda: ww.harmonic_residual(_HAAR, _S2, GridFunction(3, 2, np.ones(8)), eval_level=0),
+                              ValueError, "need a grid of level >= 1"),
+    "residual-grid-scale": (lambda: ww.harmonic_residual(_HAAR, _S2, GridFunction(2, 3, np.ones(9))), ValueError,
+                            "grid scale 3 != path-system scale 2"),
+    "power-iterate-level-0": (lambda: ww.power_iterate(_HAAR, _S2, 0, 5), ValueError,
+                              "need level >= 1 and iters >= 1"),
+    "power-iterate-iters-0": (lambda: ww.power_iterate(_HAAR, _S2, 3, 0), ValueError,
+                              "need level >= 1 and iters >= 1"),
+    "ruelle-level-0": (lambda: ww.ruelle_measure(_HAAR, _S2, 0, 5), ValueError, "need level >= 1 and iters >= 1"),
+    "ruelle-iters-0": (lambda: ww.ruelle_measure(_HAAR, _S2, 3, 0), ValueError, "need level >= 1 and iters >= 1"),
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSED))
+def test_refused_input(case):
+    call, exc, message = REFUSED[case]
+    with pytest.raises(exc, match=re.escape(message)):
+        call()
