@@ -9,8 +9,9 @@ bits.  A kernel that raises prints the exception's name instead.
 
 Kernels: weight_array, zero_path_atoms, lattice_masses, harmonic_on_grid,
 scaling_hat, estimate_cylinder, sample_path, cascade and expect_finite,
-and the bytes that CLI simulate, scaling, atom, diagnose, validate and
-harmonic print.
+and the bytes, stdout and stderr, and the exit code of every CLI
+subcommand: runs of each, one usage error of each, --version and every
+--help (wrapped at COLUMNS=100).
 
 Usage:
     python scripts/digests.py SRC
@@ -20,6 +21,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import os
 import sys
 
 import numpy as np
@@ -106,6 +108,19 @@ def kernel_lines(ww, spec):
 def cli_lines(ww):
     from wavewalk.cli import main
 
+    # argparse wraps --help to the terminal width it reads from COLUMNS
+    os.environ["COLUMNS"] = "100"
+
+    def run(argv):
+        """The exit code of main(argv), and the digest of its stdout and stderr."""
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # --help and --version
+                code = exc.code
+        return f"{code} {digest(*(np.frombuffer(f.getvalue().encode(), np.uint8) for f in (out, err)))}"
+
     for name in ("haar", "d4", "stretched_haar"):
         path = str(ww.gallery_path(name))
         for argv in (["simulate", path, "--x", "0.3", "--word", "0,1", "--trials", "100000", "--seed", "7"],
@@ -118,11 +133,24 @@ def cli_lines(ww):
                      ["diagnose", path, "--x", "0.71", "--max-n", "12", "--tail-K", "7", "--format", "json"],
                      ["validate", path, "--grid-level", "6", "--format", "json"],
                      ["harmonic", path, "--grid-level", "7"],
-                     ["harmonic", path, "--grid-level", "5", "--tail-K", "7"]):
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out):
-                code = main(argv)
-            yield name, f"cli {' '.join(argv[:1] + argv[2:])}", f"{code} {digest(np.frombuffer(out.getvalue().encode(), np.uint8))}"
+                     ["harmonic", path, "--grid-level", "5", "--tail-K", "7"],
+                     ["transfer", path, "--grid-level", "6", "--iters", "30"],
+                     ["transfer", path, "--grid-level", "4", "--iters", "5", "--format", "json"],
+                     ["coeffs", path, "--random-n", "64", "--seed", "5"],
+                     ["coeffs", path, "--random-n", "40", "--levels", "2", "--seed", "11"]):
+            yield name, f"cli {' '.join(argv[:1] + argv[2:])}", run(argv)
+
+    # usage errors (exit 1, one stderr line), then --version and every --help
+    path = str(ww.gallery_path("d4"))
+    for argv in (["validate", path, "--tol", "abc"], ["atom", path, "--depth", "40"],
+                 ["harmonic", path, "--tail-K", "x"], ["diagnose", path], ["transfer", path, "--iters", "2.5"],
+                 ["scaling", path, "--function", "chi"], ["coeffs", path, "--bogus"], ["simulate", path],
+                 ["frobnicate", path], []):
+        yield "d4", f"usage {' '.join(argv[:1] + argv[2:]) or '(none)'}", run(argv)
+    yield "-", "cli --version", run(["--version"])
+    yield "-", "cli --help", run(["--help"])
+    for command in ("validate", "atom", "harmonic", "diagnose", "transfer", "scaling", "coeffs", "simulate"):
+        yield "-", f"cli {command} --help", run([command, "--help"])
 
 
 def main():

@@ -3,10 +3,6 @@
 Subcommands: validate, atom, harmonic, diagnose, transfer, scaling,
 coeffs, simulate.  Exit codes: 0 success, 1 usage, argument or I/O
 error, 2 a validation verdict failed.
-
-A process builds the parser of each subcommand once, on its first run,
-and main() parses every later run of it with the same parser;
-build_parser() returns a fresh parser of every subcommand each call.
 """
 
 from __future__ import annotations
@@ -39,53 +35,31 @@ class _Parser(argparse.ArgumentParser):
         raise CliUsageError(message)
 
 
-_TAIL_K_HELP = ("lattice-sum cutoff K (|k| <= K), read only where the filter has no exact "
-                "harmonic function")
-
-
-def _add_common(p, *names):
-    if "grid_level" in names:
-        p.add_argument("--grid-level", type=int, default=8, dest="grid_level")
-    if "tail_k" in names:
-        p.add_argument("--tail-K", type=int, default=TruncationPolicy.tail_cutoff_k, dest="tail_k",
-                       help=_TAIL_K_HELP)
-    if "tol" in names:
-        p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--out", default="-")
-    p.add_argument("--format", choices=("csv", "json"), default=None)
-
-
-def _new_parser(names) -> _Parser:
-    """The top-level parser with the subparsers of the named subcommands only."""
-    p = _Parser(prog="wavewalk", description=__doc__)
-    p.add_argument("--version", action="version", version=f"wavewalk {__version__}")
-    sub = p.add_subparsers(dest="command", required=True)
-    for name in names:
-        help_text, add_arguments, _ = _COMMANDS[name]
-        s = sub.add_parser(name, help=help_text)
-        s.add_argument("filter")
-        add_arguments(s)
-    return p
-
-
-_cached_parser = functools.lru_cache(maxsize=None)(_new_parser)
-
-
-def _parser(names) -> _Parser:
-    """The parser of _new_parser(names), built once per process for each
-    tuple of names and shared by every later call.
-
-    Reusing it is safe: argparse fills a new Namespace on every parse,
-    and every default here is immutable (an int, a str or None).  The
-    shared parser is main's; build_parser() gives a caller its own.
-    """
-    return _cached_parser(tuple(names))
+#: argument specs, (flag, add_argument keywords), that several subcommands share
+_GRID_LEVEL = ("--grid-level", dict(type=int, default=8, dest="grid_level"))
+_TAIL_K = ("--tail-K", dict(type=int, default=TruncationPolicy.tail_cutoff_k, dest="tail_k",
+                            help="lattice-sum cutoff K (|k| <= K), read only where the filter has no "
+                                 "exact harmonic function"))
+_OUTPUT = (("--out", dict(default="-")), ("--format", dict(choices=("csv", "json"), default=None)))
 
 
 def build_parser() -> _Parser:
-    """A fresh parser of every subcommand, which the caller owns: what it
-    adds to the parser never reaches main."""
-    return _new_parser(_COMMANDS)
+    """A fresh parser of every subcommand of _COMMANDS, which the caller owns:
+    what it adds to the parser never reaches main.
+
+    main parses every run in a process with one such parser, built on its
+    first run.  Reusing it is safe: argparse fills a new Namespace on every
+    parse, and every default here is immutable (an int, a str or None).
+    """
+    p = _Parser(prog="wavewalk", description=__doc__)
+    p.add_argument("--version", action="version", version=f"wavewalk {__version__}")
+    sub = p.add_subparsers(dest="command", required=True)
+    for name, (help_text, arguments, _) in _COMMANDS.items():
+        s = sub.add_parser(name, help=help_text)
+        s.add_argument("filter")
+        for flag, kwargs in arguments:
+            s.add_argument(flag, **kwargs)
+    return p
 
 
 def _policy(args) -> TruncationPolicy:
@@ -93,7 +67,7 @@ def _policy(args) -> TruncationPolicy:
 
 
 def _meta(args, spec: FilterSpec) -> dict:
-    skip = {"out", "command", "filter", "func"}
+    skip = {"out", "command", "filter"}
     config = {
         k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None
     }
@@ -136,14 +110,13 @@ def _load_spec(path: str) -> FilterSpec:
         raise CliUsageError(f"{path}: bad filter spec: {exc}")
 
 
+#: main's parser: one per process, built on its first run
+_main_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
     try:
-        argv = sys.argv[1:] if argv is None else list(argv)
-        # a run of one subcommand needs only that subparser, which parses
-        # the arguments as the full parser does; each is built once per
-        # process and reused by every later run
-        names = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
-        args = _parser(names).parse_args(argv)
+        args = _main_parser().parse_args(argv)
         spec = _load_spec(args.filter)
         handler = _COMMANDS[args.command][2]
         return handler(args, spec, PathSystem(spec.scale_n), _meta(args, spec))
@@ -266,77 +239,52 @@ def _simulate(args, spec, system, meta_doc) -> int:
     return 0
 
 
-def _validate_args(p) -> None:
-    _add_common(p, "grid_level", "tol")
-
-
-def _atom_args(p) -> None:
-    _add_common(p, "grid_level")
-
-
-def _harmonic_args(p) -> None:
-    _add_common(p, "grid_level", "tail_k")
-
-
-def _diagnose_args(p) -> None:
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--max-n", type=int, default=30, dest="max_n")
-    _add_common(p, "tail_k")
-
-
-def _transfer_args(p) -> None:
-    p.add_argument("--iters", type=int, default=200)
-    _add_common(p, "grid_level")
-
-
-def _scaling_args(p) -> None:
-    p.add_argument("--iters", type=int, default=10)
-    p.add_argument("--function", choices=("phi", "psi"), default="phi")
-    _add_common(p, "grid_level", "tail_k")
-
-
-def _coeffs_args(p) -> None:
-    p.add_argument("--levels", type=int, default=3)
-    p.add_argument("--signal", help="single-column CSV of samples")
-    p.add_argument("--random-n", type=int, default=None, dest="random_n")
-    p.add_argument("--seed", type=int, default=0)
-    _add_common(p)
-
-
-def _simulate_args(p) -> None:
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--word", help="comma-separated digits of the target prefix")
-    p.add_argument("--n", type=int, default=16, help="path length when sampling")
-    p.add_argument("--trials", type=int, default=100000,
-                   help="sampled paths the --word estimate counts, 100 to 2**63 - 1; it draws "
-                        "one binomial count per digit, so its cost does not grow with them")
-    p.add_argument("--seed", type=int, default=0)
-    _add_common(p)
-
-
-#: subcommand -> (help, builder of its arguments after the filter,
+#: subcommand -> (help, the argument specs after the filter, in order,
 #: handler(args, spec, system, meta_doc) returning the exit code)
 _COMMANDS = {
-    "validate": ("run filter sanity checks", _validate_args, _validate),
+    "validate": ("run filter sanity checks",
+                 (_GRID_LEVEL, ("--tol", dict(type=float, default=None)), *_OUTPUT),
+                 _validate),
     "atom": ("sweep the all-zero-path atom over a grid; a product stops at its closed rest "
              "(tail_bound: proven relative bound on it), at 0 on underflow, or unconverged "
              "with value null where it has no limit",
-             _atom_args,
+             (_GRID_LEVEL, *_OUTPUT),
              functools.partial(_sweep, lambda spec, system, xs, args: zero_path_atoms(spec, system, xs))),
     "harmonic": ("sweep the minimal harmonic function h, the lattice mass: exact where the "
                  "filter allows it (tail_bound 0.0), else the lattice sum over |k| <= K "
                  "(tail_bound: the outer decade of |k|, an indicator, not a proven bound)",
-                 _harmonic_args,
+                 (_GRID_LEVEL, _TAIL_K, *_OUTPUT),
                  functools.partial(_sweep, lambda spec, system, xs, args:
                                    harmonic_masses(spec, system, xs, _policy(args)))),
-    "diagnose": ("pointwise convergence diagnosis", _diagnose_args, _diagnose),
-    "transfer": ("grid power iteration and stationary masses", _transfer_args, _transfer),
+    "diagnose": ("pointwise convergence diagnosis",
+                 (("--x", dict(type=float, required=True)),
+                  ("--max-n", dict(type=int, default=30, dest="max_n")), _TAIL_K, *_OUTPUT),
+                 _diagnose),
+    "transfer": ("grid power iteration and stationary masses",
+                 (("--iters", dict(type=int, default=200)), _GRID_LEVEL, *_OUTPUT),
+                 _transfer),
     "scaling": ("cascade the scaling function or its wavelet; norm_sq_harmonic: a(0) of h, exact "
-                "where h is, else a quadrature on the grid level (at most 10)", _scaling_args, _scaling),
-    "coeffs": ("subband wavelet coefficients of a signal", _coeffs_args, _coeffs),
+                "where h is, else a quadrature on the grid level (at most 10)",
+                (("--iters", dict(type=int, default=10)),
+                 ("--function", dict(choices=("phi", "psi"), default="phi")), _GRID_LEVEL, _TAIL_K, *_OUTPUT),
+                _scaling),
+    "coeffs": ("subband wavelet coefficients of a signal",
+               (("--levels", dict(type=int, default=3)),
+                ("--signal", dict(help="single-column CSV of samples")),
+                ("--random-n", dict(type=int, default=None, dest="random_n")),
+                ("--seed", dict(type=int, default=0)), *_OUTPUT),
+               _coeffs),
     "simulate": ("sample a walk path of --n digits, or, with --word, estimate the cylinder mass "
                  "of the word: the fraction of --trials paths that the walk keeps on it",
-                 _simulate_args, _simulate),
+                 (("--x", dict(type=float, required=True)),
+                  ("--word", dict(help="comma-separated digits of the target prefix")),
+                  ("--n", dict(type=int, default=16, help="path length when sampling")),
+                  ("--trials", dict(type=int, default=100000,
+                                    help="sampled paths the --word estimate counts, 100 to 2**63 - 1; it "
+                                         "draws one binomial count per digit, so its cost does not grow "
+                                         "with them")),
+                  ("--seed", dict(type=int, default=0)), *_OUTPUT),
+                 _simulate),
 }
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FilterKindError, NonFiniteArgument, UnsupportedScale
-from .ifs import _cell_of, grid_cells
+from .ifs import _cell_of, _check_scale, grid_cells
 
 KIND_COEFFICIENTS = "coefficients"
 KIND_TABULATED = "tabulated_w"
@@ -46,8 +46,7 @@ class FilterSpec:
     label: str = ""
 
     def __post_init__(self) -> None:
-        if self.scale_n < 2:
-            raise ValueError(f"scale must be >= 2, got {self.scale_n}")
+        _check_scale(self.scale_n)
         if self.kind == KIND_COEFFICIENTS:
             if not self.coeffs:
                 raise ValueError("coefficient filter needs a nonempty index set")
@@ -85,7 +84,7 @@ class FilterSpec:
             pairs = sorted(coeffs.items())
         else:
             pairs = sorted(coeffs)
-        pairs = tuple((int(k), complex(v)) for k, v in pairs)
+        pairs = tuple((_integer(k, "coefficient index"), complex(v)) for k, v in pairs)
         return cls(kind=KIND_COEFFICIENTS, scale_n=scale_n, coeffs=pairs, label=label)
 
     @classmethod
@@ -104,7 +103,7 @@ class FilterSpec:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "FilterSpec":
         label = str(doc.get("label", ""))
-        scale_n = int(doc.get("scale_N", 2))
+        scale_n = _integer(doc.get("scale_N", 2), "scale_N")
         kind = doc.get("kind")
         has_coeffs = "coeffs" in doc
         has_table = "w_table" in doc
@@ -113,9 +112,11 @@ class FilterSpec:
         if has_coeffs:
             if kind not in (None, KIND_COEFFICIENTS):
                 raise ValueError(f"kind {kind!r} does not match 'coeffs' payload")
+            for c in doc["coeffs"]:
+                if not set(c) <= {"k", "re", "im"}:
+                    raise ValueError(f"coefficient entry {c!r}: keys other than 'k', 're', 'im'")
             pairs = [
-                (int(c["k"]), complex(float(c.get("re", 0.0)), float(c.get("im", 0.0))))
-                for c in doc["coeffs"]
+                (c["k"], complex(float(c.get("re", 0.0)), float(c.get("im", 0.0)))) for c in doc["coeffs"]
             ]
             return cls.from_coefficients(pairs, scale_n=scale_n, label=label)
         if kind not in (None, KIND_TABULATED):
@@ -147,6 +148,17 @@ class FilterSpec:
     def _need_coefficients(self) -> None:
         if self.kind != KIND_COEFFICIENTS:
             raise FilterKindError("operation needs a coefficient filter")
+
+
+def _integer(value, what: str) -> int:
+    """value as an int: an integer, or a float equal to one (JSON may write 2 as 2.0)."""
+    try:
+        k = int(value)
+    except (TypeError, ValueError, OverflowError):
+        k = None
+    if k is None or k != value:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return k
 
 
 def load_filter(path) -> FilterSpec:

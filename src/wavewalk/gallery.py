@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from importlib import resources
 
-from .filters import FilterSpec
+from .filters import FilterSpec, load_filter
 
 GALLERY_NAMES = ("haar", "stretched_haar", "d4", "shannon", "highpass_haar")
 
@@ -21,8 +21,5 @@ def gallery_path(name: str):
 
 
 def load_gallery(name: str) -> FilterSpec:
-    """Load one bundled filter by name."""
-    doc = gallery_path(name).read_text(encoding="utf-8")
-    import json
-
-    return FilterSpec.from_json_dict(json.loads(doc))
+    """Load one bundled filter by name, as load_filter reads any filter file."""
+    return load_filter(gallery_path(name))

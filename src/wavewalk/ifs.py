@@ -17,6 +17,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,6 +120,20 @@ class GridFunction:
         return cls(level, n_branches, np.asarray([float(fn(p)) for p in cell_grid(n_branches, level)]))
 
 
+def _check_scale(n) -> None:
+    """Raise ValueError unless the scale n is an integer >= 2."""
+    if not isinstance(n, numbers.Integral):
+        raise ValueError(f"scale must be an integer, got {n!r}")
+    if n < 2:
+        raise ValueError(f"scale must be >= 2, got {n}")
+
+
+def _check_integer(d) -> None:
+    """Raise DigitOutOfRange unless the digit d is an integer."""
+    if not isinstance(d, numbers.Integral):
+        raise DigitOutOfRange(f"digit {d!r} is not an integer")
+
+
 @dataclass(frozen=True)
 class DigitWord:
     """A finite word (i_1, ..., i_n) of base-N digits.
@@ -132,6 +147,7 @@ class DigitWord:
 
     def __post_init__(self) -> None:
         for d in self.digits:
+            _check_integer(d)
             if d < 0:
                 raise DigitOutOfRange(f"negative digit {d}")
 
@@ -160,8 +176,7 @@ class PathSystem:
     scale_n: int = 2
 
     def __post_init__(self) -> None:
-        if self.scale_n < 2:
-            raise ValueError(f"scale must be >= 2, got {self.scale_n}")
+        _check_scale(self.scale_n)
 
     def shift(self, x: float) -> float:
         """The expanding map N*x mod 1."""
@@ -267,5 +282,6 @@ class PathSystem:
         return (left, left + scale)
 
     def _check_digit(self, j: int) -> None:
+        _check_integer(j)
         if not 0 <= j < self.scale_n:
             raise DigitOutOfRange(f"digit {j} not in [0, {self.scale_n})")

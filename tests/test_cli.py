@@ -1,7 +1,10 @@
 import argparse
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -293,24 +296,84 @@ def parse_or_error(parser, argv):
         return str(exc)
 
 
+#: each subcommand's parse with no option given, in the order of its arguments
+DEFAULTS = {
+    "validate": {"grid_level": 8, "tol": None},
+    "atom": {"grid_level": 8},
+    "harmonic": {"grid_level": 8, "tail_k": 2000},
+    "diagnose": {"x": None, "max_n": 30, "tail_k": 2000},
+    "transfer": {"iters": 200, "grid_level": 8},
+    "scaling": {"iters": 10, "function": "phi", "grid_level": 8, "tail_k": 2000},
+    "coeffs": {"levels": 3, "signal": None, "random_n": None, "seed": 0},
+    "simulate": {"x": None, "word": None, "n": 16, "trials": 100000, "seed": 0},
+}
+
+#: what the parser makes of each PARSED and REJECTED list: the values that
+#: differ from DEFAULTS, or the usage message
+PARSES = {
+    "validate": {},
+    "validate --tol 1e-9 --grid-level 3": {"grid_level": 3, "tol": 1e-9},
+    "atom --format json --out x.json": {"out": "x.json", "format": "json"},
+    "harmonic --tail-K 50 --grid-le 2": {"grid_level": 2, "tail_k": 50},
+    "diagnose --x 0.3": {"x": 0.3},
+    "transfer --iters 5": {"iters": 5},
+    "scaling --function psi": {"function": "psi"},
+    "coeffs --random-n 8": {"random_n": 8},
+    "simulate --x 0.3 --word 0,1": {"x": 0.3, "word": "0,1"},
+    "simulate": "the following arguments are required: --x",
+    "diagnose --x abc": "argument --x: invalid float value: 'abc'",
+    "scaling --function chi": "argument --function: invalid choice: 'chi' (choose from 'phi', 'psi')",
+    "atom --format xml": "argument --format: invalid choice: 'xml' (choose from 'csv', 'json')",
+    "atom --version": "unrecognized arguments: --version",
+    "coeffs --bogus": "unrecognized arguments: --bogus",
+    "simulate --x 0.3 --word 0,1 --trials 50": {"x": 0.3, "word": "0,1", "trials": 50},
+    "atom --depth 40": "unrecognized arguments: --depth 40",
+    "diagnose --x 0.3 --max-n 3": {"x": 0.3, "max_n": 3},
+    "harmonic --tail-K 0": {"tail_k": 0},
+    "simulate --x 0.3 --word 0,5": {"x": 0.3, "word": "0,5"},
+    "simulate --x nan --word 0,1": {"x": math.nan, "word": "0,1"},
+    "simulate --x nan": {"x": math.nan},
+    "simulate --x=-inf --n 4": {"x": -math.inf, "n": 4},
+    "diagnose --x nan": {"x": math.nan},
+    "diagnose --x inf": {"x": math.inf},
+    "atom --grid-level -1": {"grid_level": -1},
+    "atom --grid-level 40": {"grid_level": 40},
+    "transfer --grid-level 60": {"grid_level": 60},
+    "validate --grid-level 70": {"grid_level": 70},
+    "scaling --iters -1": {"iters": -1},
+    "simulate --x 0.3 --n -1": {"n": -1, "x": 0.3},
+    "coeffs --random-n 64 --levels -1": {"levels": -1, "random_n": 64},
+    "coeffs --random-n 0": {"random_n": 0},
+    "coeffs": {},
+    "coeffs --random-n 8 --signal signal.csv": {"signal": "signal.csv", "random_n": 8},
+}
+
+
 @pytest.mark.parametrize("argv", PARSED + [argv for argv, _ in REJECTED])
 def test_one_subcommand_parser_parses_as_the_full_parser(argv):
-    # main builds only the subparser of the subcommand being run
-    argv = argv[:1] + [gpath("d4")] + argv[1:]
-    want = parse_or_error(cli.build_parser(), argv)
-    assert parse_or_error(cli._parser(argv[:1]), argv) == want
+    # every list parses to the namespace, or fails with the message, in
+    # PARSES; the filter goes after the subcommand and is not read
+    want = PARSES[" ".join(argv)]
+    if isinstance(want, dict):
+        want = repr({"command": argv[0], "filter": "F", **DEFAULTS[argv[0]], "out": "-", "format": None,
+                     **want})
+    assert parse_or_error(cli.build_parser(), argv[:1] + ["F"] + argv[1:]) == want
 
 
-def test_every_subcommand_is_parsed_alone():
-    assert {argv[0] for argv in PARSED} == set(cli._COMMANDS)
-    assert parse_or_error(cli._parser(["atom"]), ["atom"]) == parse_or_error(cli.build_parser(), ["atom"])
+def test_the_parse_table_covers_every_subcommand_and_list():
+    assert {argv[0] for argv in PARSED} == set(DEFAULTS) == set(cli._COMMANDS)
+    assert set(PARSES) == {" ".join(argv) for argv in PARSED + [argv for argv, _ in REJECTED]}
 
 
 def test_subcommand_parsers_are_built_once_per_process(capsys):
-    assert cli._parser(["harmonic"]) is cli._parser(("harmonic",))
-    assert cli._parser(cli._COMMANDS) is cli._parser(tuple(cli._COMMANDS))
+    # main's parser is built on its first run, not on import, and only once
+    probe = "import wavewalk.cli as c; print(c._main_parser.cache_info().misses)"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    assert subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True).stdout == "0\n"
+    assert main(["validate", gpath("d4")]) == 0
+    assert cli._main_parser() is cli._main_parser() and cli._main_parser.cache_info().misses == 1
     full = cli.build_parser()
-    assert full is not cli.build_parser() and full is not cli._parser(cli._COMMANDS)
+    assert full is not cli.build_parser() and full is not cli._main_parser()
     # what a caller adds to its own parser never reaches main
     subparsers = next(a for a in full._actions if isinstance(a, argparse._SubParsersAction))
     subparsers.choices["harmonic"].add_argument("--extra")

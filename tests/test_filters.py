@@ -253,6 +253,12 @@ BAD_SPECS = {
                           "kind 'tabulated_w' does not match 'coeffs' payload"),
     "coeffs-kind-table": ({"kind": "coefficients", "w_table": {"breakpoints": [0.0], "values": [1.0]}},
                           "kind 'coefficients' does not match 'w_table' payload"),
+    # an index or scale is an integer: 2.7 and 0.9 are not read as 2 and 0
+    "fractional-scale": ({"scale_N": 2.7, "coeffs": [_COEFF]}, "scale_N must be an integer, got 2.7"),
+    "fractional-index": ({"coeffs": [{"k": 0.9, "re": 1.0}]}, "coefficient index must be an integer, got 0.9"),
+    "string-index": ({"coeffs": [{"k": "1", "re": 1.0}]}, "coefficient index must be an integer, got '1'"),
+    "unknown-coefficient-key": ({"coeffs": [{"k": 1, "re": 0.5, "imag": 3}]},
+                                "coefficient entry {'k': 1, 're': 0.5, 'imag': 3}: keys other than 'k', 're', 'im'"),
 }
 
 
@@ -277,7 +283,20 @@ REFUSED = {
     "high-pass-scale-3": (lambda: ww.high_pass(ww.FilterSpec.from_coefficients({0: 0.5, 1: 0.5}, scale_n=3)),
                           ww.UnsupportedScale, "high-pass mirror is defined for scale 2 only"),
     "unknown-gallery-name": (lambda: ww.load_gallery("nope"), KeyError, "unknown gallery filter 'nope'"),
+    "fractional-scale": (lambda: ww.FilterSpec.from_coefficients({0: 0.5, 1: 0.5}, scale_n=2.5), ValueError,
+                         "scale must be an integer, got 2.5"),
+    "fractional-table-scale": (lambda: ww.FilterSpec.from_table([0.0], [1.0], scale_n=2.5), ValueError,
+                               "scale must be an integer, got 2.5"),
+    "fractional-index": (lambda: ww.FilterSpec.from_coefficients({0.9: 1.0}), ValueError,
+                         "coefficient index must be an integer, got 0.9"),
 }
+
+
+def test_integral_floats_in_a_filter_file_are_integers():
+    doc = {"scale_N": 3.0, "coeffs": [{"k": 0.0, "re": 0.5}, {"k": 2.0, "re": 0.5}]}
+    spec = ww.FilterSpec.from_json_dict(doc)
+    assert spec == ww.FilterSpec.from_coefficients({0: 0.5, 2: 0.5}, scale_n=3)
+    assert type(spec.scale_n) is int and all(type(k) is int for k, _ in spec.coeffs)
 
 
 @pytest.mark.parametrize("case", list(REFUSED))

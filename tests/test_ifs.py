@@ -263,6 +263,13 @@ REFUSED = {
                         "grid values must be finite"),
     "word-negative-digit": (lambda: DigitWord((0, -1)), ww.DigitOutOfRange, "negative digit -1"),
     "digits-of-negative": (lambda: PathSystem(2).digits_of(-1), ValueError, "digits_of needs k >= 0, got -1"),
+    # a digit or scale that is not an integer is refused, not read at a non-branch point
+    "word-fractional-digit": (lambda: DigitWord((0.5,)), ww.DigitOutOfRange, "digit 0.5 is not an integer"),
+    "word-float-digit": (lambda: DigitWord((0, 1.0)), ww.DigitOutOfRange, "digit 1.0 is not an integer"),
+    "branch-fractional-digit": (lambda: PathSystem(2).branch(0.5, 0.3), ww.DigitOutOfRange,
+                                "digit 0.5 is not an integer"),
+    "system-fractional-scale": (lambda: PathSystem(2.5), ValueError, "scale must be an integer, got 2.5"),
+    "system-scale-1": (lambda: PathSystem(1), ValueError, "scale must be >= 2, got 1"),
 }
 
 
@@ -271,3 +278,9 @@ def test_refused_input(case):
     call, exc, message = REFUSED[case]
     with pytest.raises(exc, match=re.escape(message)):
         call()
+
+
+def test_numpy_integer_digits_and_scales_are_integers():
+    s = PathSystem(np.int64(2))
+    assert s.word_to_int(DigitWord((np.int64(1), np.uint8(1)))) == 3
+    assert s.branch(np.int64(1), 0.5) == 0.75

@@ -30,8 +30,10 @@ from wavewalk.measures import (
     ATOM_TILE,
     ATOM_UNDERFLOW,
     MAX_CHAIN_CELLS,
+    _absorption_solve,
     _atom_array,
     _chain_harmonic,
+    _harmonic_taps,
     _row_atoms,
     _word_products,
     _zero_path_products,
@@ -715,6 +717,17 @@ def test_filters_off_the_exact_route_keep_the_lattice_sum(system2):
     # 2**-40 has an orbit of 2**38 points under x -> 3x mod 1
     beyond_cap = ww.FilterSpec.from_table([0.0, 2.0**-40], [1 / 3, 1 / 3], scale_n=3)
     assert _chain_harmonic(beyond_cap) is None
+    # x -> 6x mod 1 carries the dyadic b = fl(0.1) / 1024 through points
+    # that no float is: the first, q, rounds to the float b2, which as a
+    # breakpoint is a rational of its own, so two cell edges are one float
+    b = 0.1 / 1024
+    q = Fraction(b)
+    while Fraction(float(q)) == q:
+        q = q * 6 % 1
+    b2 = float(q)
+    assert Fraction(b2) != q and Fraction(b2).limit_denominator(MAX_CHAIN_CELLS) != b2
+    one_float = ww.FilterSpec.from_table([0.0, b, b2], [1 / 3, 0.5, 0.2], scale_n=6)
+    assert _chain_harmonic(one_float) is None
     specs = [
         ww.load_gallery("highpass_haar"),
         ww.FilterSpec.from_table([0.0], [0.4]),  # not a partition
@@ -724,6 +737,7 @@ def test_filters_off_the_exact_route_keep_the_lattice_sum(system2):
         quadrature_family(np.pi + 1e-5),
         quadrature_family(np.pi + 1e-6),
         beyond_cap,
+        one_float,
     ]
     for spec in specs:
         system = ww.PathSystem(spec.scale_n)
@@ -737,6 +751,36 @@ def test_filters_off_the_exact_route_keep_the_lattice_sum(system2):
 
 #: a partition whose lattice sums approach h = 1 slowly
 SLOW_TAIL = ww.FilterSpec.from_table(np.arange(8) / 8, [1, 0.0276, 0.7535, 0, 0, 0.9724, 0.2465, 1])
+
+
+def test_declined_exact_solves_take_the_lattice_route(monkeypatch):
+    # the taps and the chain are cached per filter, so each case is a filter of its own label
+    declined = []
+    # stretched Haar has the W-cycle {1/3, 2/3}, on the period-2 grid j/3;
+    # with the search capped below 3 it finds fewer cycles than the
+    # eigenvalue 1 has, and the taps decline
+    coeffs = {0: 0.5, 3: 0.5}
+    assert _harmonic_taps(ww.FilterSpec.from_coefficients(coeffs, label="cycle search, cap 2**20")) is not None
+    with monkeypatch.context() as m:
+        m.setattr(ww.measures, "MAX_TREE_WORDS", 2)
+        declined.append(ww.FilterSpec.from_coefficients(coeffs, label="cycle search, cap 2"))
+        assert _harmonic_taps(declined[-1]) is None
+    # a free cell with no weight out of the free cells has pivot 0, at the
+    # first cell or after the elimination of another, and the chain declines
+    assert _absorption_solve(np.zeros((1, 1)), np.zeros(1), np.ones((1, 2))) is None
+    assert _absorption_solve(np.array([[0.0, 0.5], [0.0, 0.0]]), np.array([0.5, 0.0]), np.ones((2, 2))) is None
+    with monkeypatch.context() as m:
+        m.setattr(ww.measures, "_absorption_solve",
+                  lambda inner, leak, rhs: _absorption_solve(0 * inner, 0 * leak, rhs))
+        declined.append(ww.FilterSpec.from_table(SLOW_TAIL.breakpoints, SLOW_TAIL.values, label="failed solve"))
+        assert _chain_harmonic(declined[-1]) is None
+    policy = ww.TruncationPolicy(tail_cutoff_k=50)
+    xs = np.random.default_rng(29).random(9)
+    for spec in declined:
+        got = ww.harmonic_masses(spec, ww.PathSystem(2), xs, policy)
+        want = ww.lattice_masses(spec, ww.PathSystem(2), xs, policy)
+        for field in ("value", "converged", "tail_bound", "depth_used"):
+            np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
 
 
 def _end_cell_fraction(spec, system, xs, trials, steps, seed, lo=1 / 16, hi=15 / 16):

@@ -8,6 +8,7 @@ import subprocess
 import sys
 
 import wavewalk as ww
+from wavewalk import cli
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -50,12 +51,15 @@ def test_digests(tmp_path):
     lines = out.splitlines()
     kernels = ["weight_array", "zero_path_atoms", "lattice_masses", "harmonic_on_grid", "scaling_hat",
                "estimate_cylinder", "sample_path", "cascade", "expect_finite",
-               "cli simulate", "cli scaling", "cli atom", "cli diagnose", "cli validate", "cli harmonic"]
+               "cli simulate", "cli scaling", "cli atom", "cli diagnose", "cli validate", "cli harmonic",
+               "cli transfer", "cli coeffs", "cli --version", "cli --help"]
+    kernels += [f"{kind} {command}" for kind in ("usage", "cli") for command in cli._COMMANDS]
     for kernel in kernels:
         assert any(f" {kernel}" in line for line in lines), kernel
     for line in lines:
         assert re.fullmatch(r".* ((?:[0-9a-f]{16}|DegenerateStep)/)*(?:[0-9a-f]{16}|DegenerateStep)", line), line
         assert " cli " not in line or line.split()[-2] == "0", line
+        assert " usage " not in line or line.split()[-2] == "1", line
     # the dead states of the holes table stop its walks
     assert "holes sample_path x=0.3 DegenerateStep/" in out
 
