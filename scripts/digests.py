@@ -124,12 +124,13 @@ def cli_lines(ww):
     for name in ("haar", "d4", "stretched_haar"):
         path = str(ww.gallery_path(name))
         for argv in (["simulate", path, "--x", "0.3", "--word", "0,1", "--trials", "100000", "--seed", "7"],
-                     ["simulate", path, "--x", "0.71", "--n", "40", "--seed", "3", "--format", "json"],
+                     ["simulate", path, "--x", "0.71", "--n", "40", "--seed", "3"],
                      ["scaling", path, "--grid-level", "6", "--iters", "9"],
                      ["scaling", path, "--grid-level", "7", "--iters", "4", "--format", "json"],
                      ["scaling", path, "--grid-level", "5", "--iters", "8", "--function", "psi"],
                      ["atom", path, "--grid-level", "8"],
                      ["diagnose", path, "--x", "0.3", "--format", "json"],
+                     ["diagnose", path, "--x", "0.3"],
                      ["diagnose", path, "--x", "0.71", "--max-n", "12", "--tail-K", "7", "--format", "json"],
                      ["validate", path, "--grid-level", "6", "--format", "json"],
                      ["harmonic", path, "--grid-level", "7"],
@@ -139,6 +140,10 @@ def cli_lines(ww):
                      ["coeffs", path, "--random-n", "64", "--seed", "5"],
                      ["coeffs", path, "--random-n", "40", "--levels", "2", "--seed", "11"]):
             yield name, f"cli {' '.join(argv[:1] + argv[2:])}", run(argv)
+    # a table's partition is sampled on the grid
+    path = str(ww.gallery_path("shannon"))
+    for argv in (["validate", path, "--grid-level", "10"], ["validate", path, "--grid-level", "3", "--format", "json"]):
+        yield "shannon", f"cli {' '.join(argv[:1] + argv[2:])}", run(argv)
 
     # usage errors (exit 1, one stderr line), then --version and every --help
     path = str(ww.gallery_path("d4"))

@@ -19,7 +19,6 @@ from .filters import (
     ValidationReport,
     check_lowpass,
     check_partition,
-    check_quadrature,
     eval_response,
     eval_weight,
     high_pass,

@@ -40,7 +40,9 @@ _GRID_LEVEL = ("--grid-level", dict(type=int, default=8, dest="grid_level"))
 _TAIL_K = ("--tail-K", dict(type=int, default=TruncationPolicy.tail_cutoff_k, dest="tail_k",
                             help="lattice-sum cutoff K (|k| <= K), read only where the filter has no "
                                  "exact harmonic function"))
-_OUTPUT = (("--out", dict(default="-")), ("--format", dict(choices=("csv", "json"), default=None)))
+_OUT = ("--out", dict(default="-"))
+#: the output of a subcommand with a table, CSV by default or JSON; coeffs and simulate write JSON
+_OUTPUT = (_OUT, ("--format", dict(choices=("csv", "json"), default=None)))
 
 
 def build_parser() -> _Parser:
@@ -80,16 +82,18 @@ def _meta(args, spec: FilterSpec) -> dict:
     }
 
 
-def _emit(args, meta: dict, payload: dict, csv_header=None, csv_columns=None) -> None:
+def _emit(args, meta: dict, payload: dict, csv_header=None, csv_columns=None, csv_meta=None) -> None:
     """Write meta and payload as JSON, or the CSV table where there is one.
 
     A subcommand with a table gives its header and one column per header
-    field: a 1-D numpy array or list, formatted as serialize.csv_text says.
+    field: a 1-D numpy array or list, formatted as serialize.csv_text says,
+    and may give csv_meta, the payload's scalars as more meta lines.
     CSV is the default where a table is given, JSON otherwise.
     """
     if csv_header is not None and args.format != "json":
         flat_meta = dict(meta)
         flat_meta["config"] = " ".join(f"{k}={v}" for k, v in meta["config"].items())
+        flat_meta.update(csv_meta or {})
         text = csv_text(flat_meta, csv_header, csv_columns)
     else:
         text = json_text({"meta": meta, **payload}) + "\n"
@@ -106,7 +110,7 @@ def _load_spec(path: str) -> FilterSpec:
     # a JSONDecodeError is a ValueError: it is told apart first
     except json.JSONDecodeError as exc:
         raise CliUsageError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CliUsageError(f"{path}: bad filter spec: {exc}")
 
 
@@ -137,12 +141,10 @@ def _validate(args, spec, system, meta_doc) -> int:
         raise CliUsageError(f"--tol must be >= 0, got {tol!r}")
     report = validate_filter(spec, grid_level=args.grid_level, tol=tol)
     doc = report.to_json_dict()
-    keys = {"partition": "partition_max_error", "quadrature": "quadrature_max_error",
-            "lowpass": "lowpass_error"}
-    names = [name for name, key in keys.items() if doc.get(key) is not None]
-    errors = [doc[keys[name]] for name in names]
+    # one row per condition: the verdicts and the errors are in the same order
+    errors = [v for k, v in doc.items() if k.endswith("_error")]
     _emit(args, meta_doc, {"report": doc}, csv_header=["condition", "error", "verdict"],
-          csv_columns=[names, errors, [report.verdicts[name] for name in names]])
+          csv_columns=[list(report.verdicts), errors, list(report.verdicts.values())])
     return 0 if report.all_ok else 2
 
 
@@ -162,10 +164,14 @@ def _sweep(measure, args, spec, system, meta_doc) -> int:
 
 def _diagnose(args, spec, system, meta_doc) -> int:
     report = diagnose_convergence(spec, system, args.x, args.max_n, _policy(args))
-    _emit(args, meta_doc, {"report": report.to_json_dict()},
+    doc = report.to_json_dict()
+    # x and the verdicts, which the table does not show, as meta lines; true and false as the table writes them
+    verdicts = {k: str(v).lower() for k, v in doc.items() if not isinstance(v, tuple)}
+    _emit(args, meta_doc, {"report": doc},
           csv_header=["n", "partial_product", "harmonic_value"],
           csv_columns=[np.arange(len(report.partial_products)), report.partial_products,
-                       report.harmonic_values])
+                       report.harmonic_values],
+          csv_meta=verdicts)
     return 0
 
 
@@ -243,7 +249,9 @@ def _simulate(args, spec, system, meta_doc) -> int:
 #: handler(args, spec, system, meta_doc) returning the exit code)
 _COMMANDS = {
     "validate": ("run filter sanity checks",
-                 (_GRID_LEVEL, ("--tol", dict(type=float, default=None)), *_OUTPUT),
+                 (("--grid-level", dict(_GRID_LEVEL[1], help="the grid on which a table's partition is "
+                                        "sampled; a coefficient filter's is read exactly off its taps")),
+                  ("--tol", dict(type=float, default=None)), *_OUTPUT),
                  _validate),
     "atom": ("sweep the all-zero-path atom over a grid; a product stops at its closed rest "
              "(tail_bound: proven relative bound on it), at 0 on underflow, or unconverged "
@@ -272,7 +280,7 @@ _COMMANDS = {
                (("--levels", dict(type=int, default=3)),
                 ("--signal", dict(help="single-column CSV of samples")),
                 ("--random-n", dict(type=int, default=None, dest="random_n")),
-                ("--seed", dict(type=int, default=0)), *_OUTPUT),
+                ("--seed", dict(type=int, default=0)), _OUT),
                _coeffs),
     "simulate": ("sample a walk path of --n digits, or, with --word, estimate the cylinder mass "
                  "of the word: the fraction of --trials paths that the walk keeps on it",
@@ -283,7 +291,7 @@ _COMMANDS = {
                                     help="sampled paths the --word estimate counts, 100 to 2**63 - 1; it "
                                          "draws one binomial count per digit, so its cost does not grow "
                                          "with them")),
-                  ("--seed", dict(type=int, default=0)), *_OUTPUT),
+                  ("--seed", dict(type=int, default=0)), _OUT),
                  _simulate),
 }
 

@@ -7,8 +7,10 @@ The weight of a coefficient filter is W = |m|^2 where
 m(x) = sum_k a_k exp(-i 2 pi k x).
 
 Checks offered:
-  * partition: sum of W over the N branch points (x + j)/N equals 1;
-  * quadrature: sum_k conj(a_k) a_{k+2n} = delta_{0,n}/2   (dyadic only);
+  * partition: sum of W over the N branch points (x + j)/N equals 1, read
+    exactly off the Fourier coefficients w_j of W as N w_{Nm} = delta_{m0}
+    for a coefficient filter (for N = 2 the quadrature condition
+    sum_k conj(a_k) a_{k+2n} = delta_{0,n}/2), and sampled on a grid for a table;
   * low-pass:   sum_k a_k = 1.
 
 FilterSpec instances are immutable; every function here is pure.
@@ -21,7 +23,7 @@ import functools
 import json
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -102,27 +104,27 @@ class FilterSpec:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "FilterSpec":
-        label = str(doc.get("label", ""))
+        """Read to_json_dict's schema; a key out of place or a value of another JSON type raises ValueError."""
+        _object(doc, ("label", "scale_N", "kind", "coeffs", "w_table"), "the filter document")
+        label = doc.get("label", "")
+        if not isinstance(label, str):
+            raise ValueError(f"label must be a string, got {label!r}")
         scale_n = _integer(doc.get("scale_N", 2), "scale_N")
         kind = doc.get("kind")
         has_coeffs = "coeffs" in doc
-        has_table = "w_table" in doc
-        if has_coeffs == has_table:
+        if has_coeffs == ("w_table" in doc):
             raise ValueError("exactly one of 'coeffs'/'w_table' must be present")
         if has_coeffs:
             if kind not in (None, KIND_COEFFICIENTS):
                 raise ValueError(f"kind {kind!r} does not match 'coeffs' payload")
-            for c in doc["coeffs"]:
-                if not set(c) <= {"k", "re", "im"}:
-                    raise ValueError(f"coefficient entry {c!r}: keys other than 'k', 're', 'im'")
-            pairs = [
-                (c["k"], complex(float(c.get("re", 0.0)), float(c.get("im", 0.0)))) for c in doc["coeffs"]
-            ]
+            entries = [_object(c, ("k", "re", "im"), f"coefficient entry {c!r}") for c in doc["coeffs"]]
+            pairs = [(c["k"], complex(*(_number(c.get(key, 0.0), key) for key in ("re", "im")))) for c in entries]
             return cls.from_coefficients(pairs, scale_n=scale_n, label=label)
         if kind not in (None, KIND_TABULATED):
             raise ValueError(f"kind {kind!r} does not match 'w_table' payload")
-        table = doc["w_table"]
-        return cls.from_table(table["breakpoints"], table["values"], scale_n=scale_n, label=label)
+        table = _object(doc["w_table"], ("breakpoints", "values"), "w_table")
+        bp, vals = ([_number(v, key) for v in table[key]] for key in ("breakpoints", "values"))
+        return cls.from_table(bp, vals, scale_n=scale_n, label=label)
 
     def to_json_dict(self) -> dict:
         doc: dict = {"label": self.label, "scale_N": self.scale_n, "kind": self.kind}
@@ -151,14 +153,30 @@ class FilterSpec:
 
 
 def _integer(value, what: str) -> int:
-    """value as an int: an integer, or a float equal to one (JSON may write 2 as 2.0)."""
+    """value as an int: an integer, or a float equal to one (JSON may write 2 as 2.0), not a bool."""
     try:
-        k = int(value)
+        k = None if isinstance(value, bool) else int(value)
     except (TypeError, ValueError, OverflowError):
         k = None
     if k is None or k != value:
         raise ValueError(f"{what} must be an integer, got {value!r}")
     return k
+
+
+def _number(value, what: str) -> float:
+    """A JSON number (an int or a float, not a bool or a string) as a float."""
+    if type(value) not in (int, float):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def _object(value, keys, what: str) -> dict:
+    """value, if it is a JSON object whose keys are among keys."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} is not a JSON object")
+    if not set(value) <= set(keys):
+        raise ValueError(f"{what}: keys other than {', '.join(map(repr, keys))}")
+    return value
 
 
 def load_filter(path) -> FilterSpec:
@@ -248,6 +266,21 @@ def _weight_taps(spec: FilterSpec):
     cos_taps = tuple(2.0 * c.real for c in cs)
     sin_taps = tuple(2.0 * c.imag for c in cs) if any(c.imag for c in cs) else ()
     return c0, cos_taps, sin_taps
+
+
+@functools.lru_cache(maxsize=64)
+def _weight_fourier(spec: FilterSpec):
+    """(js, w): W(x) = sum_j w_j exp(2 pi i j x), j = -S..S for the coefficient span S,
+    w_{-j} = c_j of _weight_taps (real where every c_j is).  Cached per filter, read-only."""
+    c0, cos_taps, sin_taps = _weight_taps(spec)
+    span = len(cos_taps)
+    half = (np.asarray(cos_taps) - 1j * np.asarray(sin_taps or np.zeros(span))) / 2
+    w = np.concatenate([half[::-1].conj(), [c0], half])
+    if not sin_taps:
+        w = w.real
+    js = np.arange(-span, span + 1)
+    js.flags.writeable = w.flags.writeable = False
+    return js, w
 
 
 # ----------------------------------------------------------------------
@@ -471,12 +504,11 @@ def _grid_flows(spec: FilterSpec, level: int, every: int = 1):
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Per-condition errors and verdicts for one filter."""
+    """Per-condition errors and verdicts for one filter; grid_level is 0 where no grid was read."""
 
     grid_level: int
     verdicts: dict = field(default_factory=dict)
     partition_max_error: float | None = None
-    quadrature_max_error: float | None = None
     lowpass_error: float | None = None
 
     @property
@@ -484,83 +516,47 @@ class ValidationReport:
         return all(self.verdicts.values())
 
     def to_json_dict(self) -> dict:
-        doc: dict = {"grid_level": self.grid_level}
-        for name in ("partition_max_error", "quadrature_max_error", "lowpass_error"):
-            val = getattr(self, name)
-            if val is not None:
-                doc[name] = val
-        doc["verdicts"] = dict(self.verdicts)
-        return doc
+        """grid_level, the errors that were checked, and the verdicts."""
+        errors = {k: v for k, v in vars(self).items() if k.endswith("_error") and v is not None}
+        return {"grid_level": self.grid_level, **errors, "verdicts": dict(self.verdicts)}
 
 
 def check_partition(spec: FilterSpec, grid_level: int, tol: float = DEFAULT_TOL) -> ValidationReport:
-    """Max deviation of sum_j W((x+j)/N) from 1 over the level-L grid, the
-    branch weights of the grid transfer operator (_grid_flows)."""
-    if grid_level < 1:
+    """How far sum_j W((x+j)/N) is from 1.  A coefficient filter, exactly:
+    sum_m |N w_{Nm} - delta_{m0}| over the w_j of _weight_fourier, which bounds the
+    deviation at every x, as that is sum_m (N w_{Nm} - delta_{m0}) exp(2 pi i m x);
+    no grid is read, the report's grid_level is 0, and a weight that overflows
+    reads inf.  A table: the max deviation over the level-L grid (_grid_flows)."""
+    if spec.kind == KIND_COEFFICIENTS:
+        js, w = _weight_fourier(spec)
+        on_grid, grid_level = js % spec.scale_n == 0, 0
+        with np.errstate(over="ignore"):
+            err = float(np.sum(np.abs(spec.scale_n * w[on_grid] - (js[on_grid] == 0))))
+    elif grid_level < 1:
         raise ValueError("grid_level must be >= 1")
-    weights, _ = _grid_flows(spec, grid_level)
-    err = float(np.max(np.abs(weights.sum(axis=0) - 1.0)))
-    return ValidationReport(
-        grid_level=grid_level,
-        partition_max_error=err,
-        verdicts={"partition": err <= tol},
-    )
-
-
-def check_quadrature(spec: FilterSpec, tol: float = DEFAULT_TOL) -> ValidationReport:
-    """Max deviation of sum_k conj(a_k) a_{k+2n} from delta_{0,n}/2, dyadic only."""
-    spec._need_coefficients()
-    if spec.scale_n != 2:
-        raise UnsupportedScale("quadrature check is defined for scale 2 only")
-    cmap = dict(spec.coeffs)
-    ks = sorted(cmap)
-    span = ks[-1] - ks[0]
-    err = 0.0
-    for n in range(-(span // 2), span // 2 + 1):
-        s = sum(cmap[k].conjugate() * cmap.get(k + 2 * n, 0.0) for k in ks)
-        target = 0.5 if n == 0 else 0.0
-        err = max(err, abs(s - target))
-    return ValidationReport(
-        grid_level=0,
-        quadrature_max_error=err,
-        verdicts={"quadrature": err <= tol},
-    )
+    else:
+        weights, _ = _grid_flows(spec, grid_level)
+        err = float(np.max(np.abs(weights.sum(axis=0) - 1.0)))
+    return ValidationReport(grid_level=grid_level, partition_max_error=err, verdicts={"partition": err <= tol})
 
 
 def check_lowpass(spec: FilterSpec, tol: float = DEFAULT_TOL) -> ValidationReport:
     """Deviation of sum_k a_k from 1.  The verdict also asks for m(0) = 1 to rounding
     level, the test by which _response_closure gives the products a limit that is not 0."""
-    spec._need_coefficients()
-    err = abs(sum(v for _, v in spec.coeffs) - 1.0)
     vs = spec.coeff_values()
-    return ValidationReport(
-        grid_level=0,
-        lowpass_error=err,
-        verdicts={"lowpass": err <= tol and _is_one(vs.sum(), vs)},
-    )
+    err = abs(sum(v for _, v in spec.coeffs) - 1.0)
+    return ValidationReport(grid_level=0, lowpass_error=err,
+                            verdicts={"lowpass": err <= tol and _is_one(vs.sum(), vs)})
 
 
 def validate_filter(spec: FilterSpec, grid_level: int = 10, tol: float = DEFAULT_TOL) -> ValidationReport:
-    """Run every check that applies to this filter and merge the reports."""
+    """check_partition (which reads grid_level for a table only), merged with
+    check_lowpass for a coefficient filter."""
     rep = check_partition(spec, grid_level, tol)
-    verdicts = dict(rep.verdicts)
-    quadrature_err = None
-    lowpass_err = None
-    if spec.kind == KIND_COEFFICIENTS:
-        lp = check_lowpass(spec, tol)
-        lowpass_err = lp.lowpass_error
-        verdicts.update(lp.verdicts)
-        if spec.scale_n == 2:
-            q = check_quadrature(spec, tol)
-            quadrature_err = q.quadrature_max_error
-            verdicts.update(q.verdicts)
-    return ValidationReport(
-        grid_level=grid_level,
-        partition_max_error=rep.partition_max_error,
-        quadrature_max_error=quadrature_err,
-        lowpass_error=lowpass_err,
-        verdicts=verdicts,
-    )
+    if spec.kind != KIND_COEFFICIENTS:
+        return rep
+    lp = check_lowpass(spec, tol)
+    return replace(lp, partition_max_error=rep.partition_max_error, verdicts={**rep.verdicts, **lp.verdicts})
 
 
 def high_pass(spec: FilterSpec) -> FilterSpec:

@@ -91,7 +91,8 @@ from .filters import (
     FilterSpec,
     _trig_series,
     _weight_closure,
-    _weight_taps,
+    _weight_fourier,
+    check_partition,
     eval_weight,
     weight_array,
 )
@@ -509,16 +510,16 @@ def _harmonic_taps(spec: FilterSpec):
     L = S // (N - 1), and its coefficients (the autocorrelations
     <phi, phi(. - n)>) are a fixed point of the transfer operator on
     such polynomials: the matrix M[q, n] = N w_{Nq - n}, where w_j are
-    the Fourier coefficients of W (Lawton 1991; Cohen 1990).  The
-    eigenvalue 1 of M has multiplicity r, the number of singular values
-    of M - I at rounding level (100 eps ||M||);
+    the Fourier coefficients of W, filters._weight_fourier (Lawton 1991;
+    Cohen 1990).  The eigenvalue 1 of M has multiplicity r, the number of
+    singular values of M - I at rounding level (100 eps ||M||);
     b is the eigenvector with h(0) = 1 that vanishes on the r - 1
     nontrivial W-cycles (a cycle point takes N - 1 zeros of m, so a
     cycle has period <= L).
 
     Returns the taps of h in the layout of filters._weight_taps, or None
     where the route does not apply: a tabulated filter, a filter that is
-    not an exact partition (N w_{Nm} = delta_{m0}) or not low-pass
+    not an exact partition (filters.check_partition) or not low-pass
     (|sum a_k| = 1) at DEFAULT_TOL, a singular value of M - I above
     rounding level but within DEFAULT_TOL, a cycle count other than
     r - 1, or a solve whose condition number times the unit roundoff, or
@@ -527,19 +528,11 @@ def _harmonic_taps(spec: FilterSpec):
     """
     if spec.kind != KIND_COEFFICIENTS:
         return None
+    if not check_partition(spec, 0).all_ok or abs(abs(sum(v for _, v in spec.coeffs)) - 1.0) > DEFAULT_TOL:
+        return None
     n = spec.scale_n
-    c0, cos_taps, sin_taps = _weight_taps(spec)
-    span = len(cos_taps)
-    half = (np.asarray(cos_taps) - 1j * np.asarray(sin_taps or np.zeros(span))) / 2
-    w = np.concatenate([half[::-1].conj(), [c0], half])
-    if not sin_taps:
-        w = w.real
-    js = np.arange(-span, span + 1)
-    on_grid = js % n == 0
-    if np.max(np.abs(n * w[on_grid] - (js[on_grid] == 0))) > DEFAULT_TOL:
-        return None
-    if abs(abs(sum(v for _, v in spec.coeffs)) - 1.0) > DEFAULT_TOL:
-        return None
+    _, w = _weight_fourier(spec)
+    span = w.size // 2
     ell = span // (n - 1)
     idx = np.arange(-ell, ell + 1)
     lag = n * idx[:, None] - idx

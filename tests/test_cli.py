@@ -22,9 +22,13 @@ def gpath(name: str) -> str:
     return str(ww.gallery_path(name))
 
 
+#: the subcommands that write JSON only: they have no table, and no --format
+JSON_ONLY = ("coeffs", "simulate")
+
+
 def run_json(argv, tmp_path, name="out.json"):
     out = tmp_path / name
-    code = main(argv + ["--format", "json", "--out", str(out)])
+    code = main(argv + ([] if argv[0] in JSON_ONLY else ["--format", "json"]) + ["--out", str(out)])
     return code, json.loads(out.read_text())
 
 
@@ -55,7 +59,7 @@ def test_validate_fails_a_filter_whose_products_have_no_limit(shift, tmp_path):
     code, doc = run_json(["validate", str(path)], tmp_path)
     assert code == 2
     assert doc["report"]["lowpass_error"] == pytest.approx(1e-11, rel=1e-6)
-    assert doc["report"]["verdicts"] == {"partition": True, "quadrature": True, "lowpass": False}
+    assert doc["report"]["verdicts"] == {"partition": True, "lowpass": False}
     assert main(["validate", str(path), "--out", str(tmp_path / "v.csv")]) == 2
     assert "lowpass,1.000000082740371e-11,false" in (tmp_path / "v.csv").read_text().splitlines()
 
@@ -75,6 +79,49 @@ def test_validate_tol_zero_is_taken_as_given(tmp_path, tol):
 def test_validate_rejects_a_negative_tol(tol, capsys):
     assert main(["validate", gpath("d4"), f"--tol={tol}"]) == 1
     assert "--tol must be >= 0" in capsys.readouterr().err
+
+
+def test_validate_reads_the_taps_of_a_coefficient_filter(tmp_path):
+    out = tmp_path / "v.csv"
+    assert main(["validate", gpath("d4"), "--out", str(out)]) == 0
+    cols = _csv_columns(out)
+    assert cols["condition"] == ("partition", "lowpass") and cols["verdict"] == ("true", "true")
+    code, doc = run_json(["validate", gpath("d4"), "--grid-level", "70"], tmp_path)
+    assert code == 0 and doc["report"]["grid_level"] == 0
+    assert doc["report"]["partition_max_error"] == ww.check_partition(ww.load_gallery("d4"), 1).partition_max_error
+    # a table is sampled on the grid
+    code, doc = run_json(["validate", gpath("shannon"), "--grid-level", "5"], tmp_path)
+    assert code == 0 and doc["report"] == ww.check_partition(ww.load_gallery("shannon"), 5).to_json_dict()
+
+
+def test_validate_fails_an_overflowing_weight_without_a_warning(tmp_path, capsys):
+    # the N = 3 box with coefficients 6e153: every |a_k|**2 is finite, the weight is not
+    path = tmp_path / "box3.json"
+    ww.save_filter(ww.FilterSpec.from_coefficients({0: 6e153, 1: 6e153, 2: 6e153}, scale_n=3), path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["validate", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert not err and "\npartition,inf,false\n" in out
+
+
+@pytest.mark.parametrize("doc", [[1, 2], "d4", {"scale_n": 3, "coeffs": [{"k": 0, "re": 1.0}]}],
+                         ids=["array", "string", "unknown-key"])
+def test_a_filter_file_that_is_not_a_known_object_is_an_error(doc, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["atom", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert not out and err.count("\n") == 1
+    assert err.startswith(f"wavewalk: error: {path}: bad filter spec: the filter document")
+
+
+def test_a_number_past_the_float_range_is_an_error(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text('{"coeffs": [{"k": 0, "re": 1%s}]}' % ("0" * 400))
+    assert main(["validate", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert not out and err == f"wavewalk: error: {path}: bad filter spec: int too large to convert to float\n"
 
 
 def test_malformed_filter_file(tmp_path, capsys):
@@ -117,6 +164,9 @@ REJECTED = [
     (["atom", "--grid-level", "40"], "grid level 40: 2**40 cells cannot be allocated"),
     (["transfer", "--grid-level", "60"], "grid level 60: 2**60 cells cannot be allocated"),
     (["validate", "--grid-level", "70"], "grid level 70: 2**70 cells cannot be allocated"),
+    # coeffs and simulate write JSON only
+    (["coeffs", "--random-n", "8", "--format", "csv"], "unrecognized arguments: --format csv"),
+    (["simulate", "--x", "0.3", "--format", "json"], "unrecognized arguments: --format json"),
     (["scaling", "--iters", "-1"], "iters must be >= 0, got -1"),
     (["simulate", "--x", "0.3", "--n", "-1"], "path length must be >= 0, got -1"),
     (["coeffs", "--random-n", "64", "--levels", "-1"], "levels must be >= 0, got -1"),
@@ -128,12 +178,17 @@ REJECTED_IDS = ["simulate", "atom", "diagnose", "harmonic", "simulate-digit", "s
                 "simulate-path-nan", "simulate-path-inf", "diagnose-nan", "diagnose-inf",
                 "atom-negative-level", "atom-level-40", "transfer-level-60", "validate-level-70",
                 "scaling-negative-iters", "simulate-negative-n", "coeffs-negative-levels",
-                "coeffs-zero-samples", "coeffs-no-signal", "coeffs-two-signals"]
+                "coeffs-zero-samples", "coeffs-no-signal", "coeffs-two-signals", "coeffs-format",
+                "simulate-format"]
+#: the filter of a REJECTED list other than d4: validate reads its grid for a table only
+REJECTED_ON = {"validate-level-70": "shannon"}
 
 
-@pytest.mark.parametrize("argv, message", REJECTED, ids=REJECTED_IDS)
-def test_rejected_argument_is_an_error_not_a_traceback(argv, message, capsys):
-    argv = argv[:1] + [gpath("d4")] + argv[1:]
+@pytest.mark.parametrize("argv, message, name", [(argv, message, REJECTED_ON.get(i, "d4"))
+                                                 for (argv, message), i in zip(REJECTED, REJECTED_IDS)],
+                         ids=REJECTED_IDS)
+def test_rejected_argument_is_an_error_not_a_traceback(argv, message, name, capsys):
+    argv = argv[:1] + [gpath(name)] + argv[1:]
     assert main(argv) == 1
     out, err = capsys.readouterr()
     assert not out and err.count("\n") == 1
@@ -296,16 +351,18 @@ def parse_or_error(parser, argv):
         return str(exc)
 
 
-#: each subcommand's parse with no option given, in the order of its arguments
+#: each subcommand's parse with no option given, in the order of its
+#: arguments: --format only where there is a table
+OUT = {"out": "-", "format": None}
 DEFAULTS = {
-    "validate": {"grid_level": 8, "tol": None},
-    "atom": {"grid_level": 8},
-    "harmonic": {"grid_level": 8, "tail_k": 2000},
-    "diagnose": {"x": None, "max_n": 30, "tail_k": 2000},
-    "transfer": {"iters": 200, "grid_level": 8},
-    "scaling": {"iters": 10, "function": "phi", "grid_level": 8, "tail_k": 2000},
-    "coeffs": {"levels": 3, "signal": None, "random_n": None, "seed": 0},
-    "simulate": {"x": None, "word": None, "n": 16, "trials": 100000, "seed": 0},
+    "validate": {"grid_level": 8, "tol": None, **OUT},
+    "atom": {"grid_level": 8, **OUT},
+    "harmonic": {"grid_level": 8, "tail_k": 2000, **OUT},
+    "diagnose": {"x": None, "max_n": 30, "tail_k": 2000, **OUT},
+    "transfer": {"iters": 200, "grid_level": 8, **OUT},
+    "scaling": {"iters": 10, "function": "phi", "grid_level": 8, "tail_k": 2000, **OUT},
+    "coeffs": {"levels": 3, "signal": None, "random_n": None, "seed": 0, "out": "-"},
+    "simulate": {"x": None, "word": None, "n": 16, "trials": 100000, "seed": 0, "out": "-"},
 }
 
 #: what the parser makes of each PARSED and REJECTED list: the values that
@@ -346,6 +403,8 @@ PARSES = {
     "coeffs --random-n 0": {"random_n": 0},
     "coeffs": {},
     "coeffs --random-n 8 --signal signal.csv": {"signal": "signal.csv", "random_n": 8},
+    "coeffs --random-n 8 --format csv": "unrecognized arguments: --format csv",
+    "simulate --x 0.3 --format json": "unrecognized arguments: --format json",
 }
 
 
@@ -355,8 +414,7 @@ def test_one_subcommand_parser_parses_as_the_full_parser(argv):
     # PARSES; the filter goes after the subcommand and is not read
     want = PARSES[" ".join(argv)]
     if isinstance(want, dict):
-        want = repr({"command": argv[0], "filter": "F", **DEFAULTS[argv[0]], "out": "-", "format": None,
-                     **want})
+        want = repr({"command": argv[0], "filter": "F", **DEFAULTS[argv[0]], **want})
     assert parse_or_error(cli.build_parser(), argv[:1] + ["F"] + argv[1:]) == want
 
 
@@ -414,7 +472,9 @@ def test_a_coefficient_whose_square_overflows_is_an_error(command, tmp_path, cap
 @pytest.mark.parametrize("command", list(cli._COMMANDS))
 def test_runs_do_not_leak_into_each_other(command, tmp_path, capsys):
     default = [command, gpath("d4"), *REQUIRED.get(command, [])]
-    other = default + ["--format", "json", "--out", str(tmp_path / "o")]
+    other = default + ["--out", str(tmp_path / "o")]
+    if command not in JSON_ONLY:
+        other += ["--format", "json"]
     if command in ("harmonic", "diagnose", "scaling"):
         other += ["--tail-K", "7"]
     if command in ("validate", "atom", "harmonic", "transfer", "scaling"):
@@ -519,6 +579,19 @@ def test_diagnose_json(tmp_path):
     assert len(rep["partial_products"]) == 31
 
 
+@pytest.mark.parametrize("name, x", [("haar", 0.333333), ("d4", 0.3), ("highpass_haar", 0.3)])
+def test_diagnose_csv_carries_the_verdicts(name, x, tmp_path):
+    out = tmp_path / "d.csv"
+    assert main(["diagnose", gpath(name), "--x", str(x), "--max-n", "12", "--out", str(out)]) == 0
+    meta = dict(line[2:].split(" = ", 1) for line in out.read_text().splitlines() if line.startswith("# "))
+    code, doc = run_json(["diagnose", gpath(name), "--x", str(x), "--max-n", "12"], tmp_path)
+    report = doc["report"]
+    for key in ("x", "atom_positive", "hypothesis", "product_verdict", "harmonic_verdict", "consistent"):
+        assert meta[key] == (json.dumps(report[key]) if isinstance(report[key], bool) else str(report[key]))
+    assert float(meta["x"]) == x
+    assert [float(v) for v in _csv_columns(out)["partial_product"]] == report["partial_products"]
+
+
 def test_byte_identical_reruns(tmp_path):
     argv = ["diagnose", gpath("d4"), "--x", "0.7", "--max-n", "12", "--format", "json"]
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -530,7 +603,7 @@ def test_byte_identical_reruns(tmp_path):
 def test_simulate_deterministic(tmp_path):
     argv = [
         "simulate", gpath("d4"), "--x", "0.4", "--word", "0,1",
-        "--trials", "2000", "--seed", "11", "--format", "json",
+        "--trials", "2000", "--seed", "11",
     ]
     out1, out2 = tmp_path / "s1.json", tmp_path / "s2.json"
     assert main(argv + ["--out", str(out1)]) == 0

@@ -2,6 +2,7 @@ import json
 import math
 import re
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -10,9 +11,9 @@ from hypothesis import strategies as st
 
 import wavewalk as ww
 from wavewalk.cli import main
-from wavewalk.filters import check_lowpass, check_partition, check_quadrature
+from wavewalk.filters import _weight_fourier, check_lowpass, check_partition
 
-from conftest import quadrature_family
+from conftest import complex_quadrature_filter, quadrature_family
 
 
 def test_response_haar_values(haar):
@@ -113,33 +114,57 @@ def test_partition_shannon_exact(shannon):
     assert check_partition(shannon, grid_level=10).partition_max_error == 0.0
 
 
-def test_partition_of_the_scale_3_box_reads_exact_branch_points():
+def test_partition_of_a_scale_3_table_reads_exact_branch_points():
     # each branch point (m + j 3**L) / 3**(L+1) is one rounding from the
-    # exact point, where (m / 3**L + j) / 3 is three
-    box3 = ww.FilterSpec.from_coefficients({0: 1 / 3, 1: 1 / 3, 2: 1 / 3}, scale_n=3)
+    # exact point, where (m / 3**L + j) / 3 is three; on the ninths, whose
+    # branch triples sum to 1 exactly, three roundings misread cells and
+    # read an error of 0.375
+    table = ww.FilterSpec.from_table(np.arange(9) / 9, [0.5, 1, 0.125, 0.25, 0, 0.375, 0.25, 0, 0.5],
+                                     scale_n=3)
     level = 9
     cells = 3**level
     pts = (np.arange(cells) + cells * np.arange(3)[:, None]).astype(np.float64) / (3 * cells)
-    want = float(np.max(np.abs(ww.weight_array(box3, pts).sum(axis=0) - 1.0)))
-    rep = check_partition(box3, grid_level=level)
-    assert rep.partition_max_error == want
-    assert rep.partition_max_error <= 1e-15 and rep.all_ok
+    want = float(np.max(np.abs(ww.weight_array(table, pts).sum(axis=0) - 1.0)))
+    rep = check_partition(table, grid_level=level)
+    assert rep.partition_max_error == want == 0.0
+    assert rep.grid_level == level and rep.all_ok
 
 
-def test_quadrature_haar_d4(haar, d4):
-    assert check_quadrature(haar).quadrature_max_error < 1e-15
-    assert check_quadrature(d4).quadrature_max_error < 1e-12
+def test_partition_haar_d4_on_the_taps(haar, d4):
+    # N w_{2m} = delta_{m0}: exact on haar's taps, a few ulp off on d4's
+    assert check_partition(haar, grid_level=8).partition_max_error == 0.0
+    rep = check_partition(d4, grid_level=8)
+    assert 0.0 < rep.partition_max_error < 1e-15
+    assert rep.grid_level == 0 and rep.all_ok
 
 
-def test_quadrature_rejects():
+def test_partition_on_the_taps_rejects():
     bad = ww.FilterSpec.from_coefficients({0: 0.6, 1: 0.4})
-    rep = check_quadrature(bad)
-    assert not rep.verdicts["quadrature"]
+    rep = check_partition(bad, grid_level=8)
+    assert rep.partition_max_error == pytest.approx(0.04, abs=1e-15)
+    assert not rep.verdicts["partition"]
+    # N = 3: the three branch weights of (1 + e(-x)) / 2 sum to 3/2 everywhere
     n3 = ww.FilterSpec.from_coefficients({0: 0.5, 1: 0.5}, scale_n=3)
-    with pytest.raises(ww.UnsupportedScale):
-        check_quadrature(n3)
-    with pytest.raises(ww.FilterKindError):
-        check_quadrature(ww.load_gallery("shannon"))
+    rep = check_partition(n3, grid_level=8)
+    assert rep.partition_max_error == 0.5 and not rep.all_ok
+
+
+def _quadrature_deviation(spec):
+    """sum_n |sum_k conj(a_k) a_{k+2n} - delta_{n0}/2|, summed from the coefficients."""
+    cmap = dict(spec.coeffs)
+    span = max(cmap) - min(cmap)
+    return sum(abs(sum(v.conjugate() * cmap.get(k + 2 * n, 0.0) for k, v in cmap.items()) - (n == 0) / 2)
+               for n in range(-(span // 2), span // 2 + 1))
+
+
+@pytest.mark.parametrize("spec", [ww.load_gallery("haar"), ww.load_gallery("d4"), complex_quadrature_filter(3),
+                                  ww.FilterSpec.from_coefficients({0: 0.6, 1: 0.4}), quadrature_family(0.4)],
+                         ids=["haar", "d4", "complex", "off", "qmf"])
+def test_dyadic_partition_error_is_twice_the_quadrature_deviation(spec):
+    # for N = 2, N w_{2m} = delta_{m0} is the quadrature condition
+    # sum_k conj(a_k) a_{k+2n} = delta_{n0}/2 (Lawton 1991), term by term
+    assert check_partition(spec, 1).partition_max_error == pytest.approx(2 * _quadrature_deviation(spec),
+                                                                         rel=1e-12, abs=1e-15)
 
 
 def test_lowpass(haar, d4, highpass):
@@ -153,15 +178,98 @@ def test_lowpass(haar, d4, highpass):
 @given(theta=st.floats(min_value=0.01, max_value=6.27))
 @settings(max_examples=25, deadline=None)
 def test_quadrature_family_partition(theta):
-    # quadrature implies the weight is a partition of unity
+    # quadrature implies the weight is a partition of unity, on the taps
     spec = quadrature_family(theta)
-    assert check_quadrature(spec).quadrature_max_error < 1e-12
-    assert check_partition(spec, grid_level=8).partition_max_error <= 1e-10
+    rep = check_partition(spec, grid_level=8)
+    assert rep.partition_max_error <= 1e-12 and rep.grid_level == 0
 
 
 def test_quadrature_family_partition_level12():
     spec = quadrature_family(1.234)
-    assert check_partition(spec, grid_level=12).partition_max_error <= 1e-10
+    assert check_partition(spec, grid_level=12).partition_max_error <= 1e-12
+    assert _sampled_partition_error(spec) <= 1e-12
+
+
+def _sampled_partition_error(spec, cells=2**12):
+    """max |sum_j W((x + j)/N) - 1| over x = i / 2**12, read by weight_array."""
+    n = spec.scale_n
+    pts = (np.arange(cells) + cells * np.arange(n)[:, None]) / (n * cells)
+    return float(np.max(np.abs(ww.weight_array(spec, pts).sum(axis=0) - 1.0)))
+
+
+def _paraunitary_filter(n, degree, rng, complex_taps):
+    """A random scale-n low-pass partition: polyphase row ones(n)/n times
+    degree-one paraunitary factors I - P + z P (P a rank-one projector).
+
+    The polyphase components P_r of m (a_{r + n l} = coefficient l of P_r)
+    then have sum_r |P_r|**2 = 1/n on the circle, which is
+    sum_j W((x + j)/n) = 1, and sum_r P_r(1) = 1, which is m(0) = 1.
+    """
+    row = np.full((1, n), 1.0 / n, dtype=complex)
+    for _ in range(degree):
+        p = rng.normal(size=n) + (1j * rng.normal(size=n) if complex_taps else 0.0)
+        proj = np.outer(p, p.conj()) / np.vdot(p, p).real
+        row = np.vstack([row @ (np.eye(n) - proj), np.zeros(n)]) + np.vstack([np.zeros(n), row @ proj])
+    return ww.FilterSpec.from_coefficients(
+        {r + n * l: complex(row[l, r]) for l in range(len(row)) for r in range(n)}, scale_n=n
+    )
+
+
+def _cross_check_filters():
+    """Seeded partitions at N = 2..5 (real and complex taps, degree 0..3),
+    each also with its largest coefficient scaled by 1 + 1e-5..1e-3, and
+    the gallery's coefficient filters and quadrature filters."""
+    rng = np.random.default_rng(24)
+    specs = []
+    for n in (2, 3, 4, 5):
+        for complex_taps in (False, True):
+            for degree in range(4):
+                for _ in range(3):
+                    spec = _paraunitary_filter(n, degree, rng, complex_taps)
+                    coeffs = dict(spec.coeffs)
+                    k = max(coeffs, key=lambda j: abs(coeffs[j]))
+                    coeffs[k] *= 1.0 + 10.0 ** rng.uniform(-5, -3)
+                    specs += [spec, ww.FilterSpec.from_coefficients(coeffs, scale_n=n)]
+    specs += [ww.load_gallery(name) for name in ww.GALLERY_NAMES if ww.load_gallery(name).kind == "coefficients"]
+    specs += [quadrature_family(t) for t in np.linspace(0.01, 6.27, 20)]
+    return specs + [complex_quadrature_filter(seed) for seed in range(5)]
+
+
+def test_tap_partition_error_bounds_the_sampled_one():
+    # sum_j W((x + j)/N) - 1 = sum_m (N w_{Nm} - delta_{m0}) e(mx), so the
+    # tap error is at least the sampled one, up to the rounding of the sample
+    eps = np.finfo(float).eps
+    verdicts = []
+    for spec in _cross_check_filters():
+        rep = check_partition(spec, grid_level=12)
+        sampled = _sampled_partition_error(spec)
+        _, w = _weight_fourier(spec)
+        assert rep.partition_max_error >= sampled - 100 * eps * spec.scale_n * np.sum(np.abs(w)), spec
+        assert rep.verdicts["partition"] == (sampled <= ww.filters.DEFAULT_TOL), spec
+        verdicts.append(rep.verdicts["partition"])
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+def test_partition_of_a_coefficient_filter_reads_no_grid(d4, monkeypatch):
+    def no_grid(*args):
+        raise AssertionError("weight_array called")
+
+    monkeypatch.setattr(ww.filters, "weight_array", no_grid)
+    for spec in (d4, ww.FilterSpec.from_coefficients({0: 1 / 3, 1: 1 / 3, 2: 1 / 3}, scale_n=3)):
+        rep = check_partition(spec, grid_level=70)
+        assert rep.grid_level == 0 and rep.all_ok
+    with pytest.raises(AssertionError, match="weight_array called"):
+        check_partition(ww.load_gallery("shannon"), grid_level=2)
+
+
+def test_partition_of_an_overflowing_weight_is_inf_without_a_warning():
+    # |a_k|**2 is finite, but the constant tap 3 * 3.6e307 times N = 3 is not
+    big = ww.FilterSpec.from_coefficients({0: 6e153, 1: 6e153, 2: 6e153}, scale_n=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rep = ww.validate_filter(big)
+    assert rep.partition_max_error == math.inf
+    assert rep.verdicts == {"partition": False, "lowpass": False}
 
 
 def test_high_pass_haar(haar):
@@ -198,10 +306,11 @@ def test_high_pass_involution(values):
 
 def test_validate_filter_merges(d4, shannon):
     rep = ww.validate_filter(d4)
-    assert set(rep.verdicts) == {"partition", "quadrature", "lowpass"}
-    assert rep.all_ok
+    assert set(rep.verdicts) == {"partition", "lowpass"}
+    assert rep.all_ok and rep.grid_level == 0
     rep = ww.validate_filter(shannon)
     assert set(rep.verdicts) == {"partition"}
+    assert rep == check_partition(shannon, 10)
 
 
 @pytest.mark.parametrize("name", ww.GALLERY_NAMES)
@@ -259,6 +368,26 @@ BAD_SPECS = {
     "string-index": ({"coeffs": [{"k": "1", "re": 1.0}]}, "coefficient index must be an integer, got '1'"),
     "unknown-coefficient-key": ({"coeffs": [{"k": 1, "re": 0.5, "imag": 3}]},
                                 "coefficient entry {'k': 1, 're': 0.5, 'imag': 3}: keys other than 'k', 're', 'im'"),
+    # a document is an object whose keys are known: a misspelled key does not take its default
+    "not-an-object": ([1, 2], "the filter document is not a JSON object"),
+    "unknown-key": ({"scale_n": 3, "coeffs": [_COEFF]},
+                    "the filter document: keys other than 'label', 'scale_N', 'kind', 'coeffs', 'w_table'"),
+    "unknown-table-key": ({"w_table": {"breakpoints": [0.0], "values": [1.0], "extra": 1}},
+                          "w_table: keys other than 'breakpoints', 'values'"),
+    "table-not-an-object": ({"w_table": [[0.0], [1.0]]}, "w_table is not a JSON object"),
+    "coefficient-not-an-object": ({"coeffs": [0.5]}, "coefficient entry 0.5 is not a JSON object"),
+    "coeffs-not-an-array": ({"coeffs": {"k": 0, "re": 1.0}}, "coefficient entry 'k' is not a JSON object"),
+    # numbers are JSON numbers, labels strings: no string or boolean is read as one
+    "string-re": ({"coeffs": [{"k": 0, "re": "0.5"}]}, "re must be a number, got '0.5'"),
+    "boolean-re": ({"coeffs": [{"k": 1, "re": True}]}, "re must be a number, got True"),
+    "boolean-im": ({"coeffs": [{"k": 0, "re": 1.0, "im": False}]}, "im must be a number, got False"),
+    "string-breakpoint": ({"w_table": {"breakpoints": ["0"], "values": [1.0]}},
+                          "breakpoints must be a number, got '0'"),
+    "boolean-value": ({"w_table": {"breakpoints": [0.0], "values": [True]}}, "values must be a number, got True"),
+    "string-values": ({"w_table": {"breakpoints": [0.0], "values": "1"}}, "values must be a number, got '1'"),
+    "boolean-index": ({"coeffs": [{"k": True, "re": 1.0}]}, "coefficient index must be an integer, got True"),
+    "boolean-scale": ({"scale_N": True, "coeffs": [_COEFF]}, "scale_N must be an integer, got True"),
+    "numeric-label": ({"label": 5, "coeffs": [_COEFF]}, "label must be a string, got 5"),
 }
 
 
@@ -278,7 +407,7 @@ def test_bad_filter_spec_is_refused_by_the_api_and_the_cli(case, tmp_path, capsy
 #: calls of this module and the gallery that refuse their input: (call, exception, message)
 REFUSED = {
     "unknown-kind": (lambda: ww.FilterSpec(kind="wavelets"), ValueError, "unknown filter kind 'wavelets'"),
-    "partition-level-0": (lambda: check_partition(ww.load_gallery("haar"), 0), ValueError,
+    "partition-level-0": (lambda: check_partition(ww.load_gallery("shannon"), 0), ValueError,
                           "grid_level must be >= 1"),
     "high-pass-scale-3": (lambda: ww.high_pass(ww.FilterSpec.from_coefficients({0: 0.5, 1: 0.5}, scale_n=3)),
                           ww.UnsupportedScale, "high-pass mirror is defined for scale 2 only"),
